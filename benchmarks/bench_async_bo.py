@@ -50,7 +50,12 @@ import zlib
 import numpy as np
 
 from repro.acquisition.maximize import DifferentialEvolutionMaximizer
-from repro.bo.config import FarmConfig, SchedulerConfig, SpeculationConfig
+from repro.bo.config import (
+    FarmConfig,
+    SchedulerConfig,
+    SpeculationConfig,
+    SurrogateConfig,
+)
 from repro.bo.problem import Evaluation, Problem
 from repro.core import NNBO
 
@@ -140,57 +145,51 @@ class BurstyChargePumpProxy(JitteredChargePumpProxy):
         return Evaluation(objective=objective, constraints=constraints)
 
 
-def make_nnbo(mode: str) -> NNBO:
-    common = dict(
+def _common_kwargs() -> dict:
+    return dict(
         n_initial=N_INITIAL,
         max_evaluations=BUDGET,
-        n_ensemble=3,
-        hidden_dims=(24, 24),
-        n_features=16,
-        epochs=EPOCHS,
+        surrogate=SurrogateConfig(
+            n_ensemble=3, hidden_dims=(24, 24), n_features=16, epochs=EPOCHS
+        ),
         acq_maximizer=DifferentialEvolutionMaximizer(
             pop_size=40, generations=12, polish=False, max_pop=60
         ),
         seed=7,
     )
+
+
+def make_nnbo(mode: str) -> NNBO:
     if mode == "sync":
         return NNBO(
             JitteredChargePumpProxy(),
-            q=WORKERS,
-            executor="thread",
-            n_eval_workers=WORKERS,
-            **common,
+            scheduler_config=SchedulerConfig(
+                q=WORKERS, executor="thread", n_eval_workers=WORKERS
+            ),
+            **_common_kwargs(),
         )
     return NNBO(
         JitteredChargePumpProxy(),
-        executor="async-thread",
-        n_eval_workers=WORKERS,
-        async_refit="fantasy-only",
-        **common,
+        scheduler_config=SchedulerConfig(
+            executor="async-thread",
+            n_eval_workers=WORKERS,
+            async_refit="fantasy-only",
+        ),
+        **_common_kwargs(),
     )
 
 
 def make_bursty_nnbo(mode: str) -> NNBO:
     """The farm bench pair: fixed async x4 vs elastic+speculative farm."""
-    common = dict(
-        n_initial=N_INITIAL,
-        max_evaluations=BUDGET,
-        n_ensemble=3,
-        hidden_dims=(24, 24),
-        n_features=16,
-        epochs=EPOCHS,
-        acq_maximizer=DifferentialEvolutionMaximizer(
-            pop_size=40, generations=12, polish=False, max_pop=60
-        ),
-        async_refit="fantasy-only",
-        seed=7,
-    )
     if mode == "async-fixed":
         return NNBO(
             BurstyChargePumpProxy(),
-            executor="async-thread",
-            n_eval_workers=WORKERS,
-            **common,
+            scheduler_config=SchedulerConfig(
+                executor="async-thread",
+                n_eval_workers=WORKERS,
+                async_refit="fantasy-only",
+            ),
+            **_common_kwargs(),
         )
     return NNBO(
         BurstyChargePumpProxy(),
@@ -208,7 +207,7 @@ def make_bursty_nnbo(mode: str) -> NNBO:
             ),
             speculation=SpeculationConfig(max_speculative=2, max_age_landings=6),
         ),
-        **{k: v for k, v in common.items() if k != "async_refit"},
+        **_common_kwargs(),
     )
 
 

@@ -35,6 +35,7 @@ import numpy as np
 import pytest
 
 from repro.acquisition.maximize import DifferentialEvolutionMaximizer
+from repro.bo.config import SchedulerConfig, SurrogateConfig
 from repro.bo.problem import Evaluation, Problem
 from repro.core import NNBO
 
@@ -83,16 +84,15 @@ def make_nnbo(q: int, executor: str) -> NNBO:
         SleepyChargePumpProxy(),
         n_initial=N_INITIAL,
         max_evaluations=BUDGET,
-        n_ensemble=3,
-        hidden_dims=(24, 24),
-        n_features=16,
-        epochs=EPOCHS,
+        surrogate=SurrogateConfig(
+            n_ensemble=3, hidden_dims=(24, 24), n_features=16, epochs=EPOCHS
+        ),
         acq_maximizer=DifferentialEvolutionMaximizer(
             pop_size=40, generations=12, polish=False, max_pop=60
         ),
-        q=q,
-        executor=executor,
-        n_eval_workers=q if q > 1 else None,
+        scheduler_config=SchedulerConfig(
+            q=q, executor=executor, n_eval_workers=q if q > 1 else None
+        ),
         seed=7,
     )
 

@@ -44,6 +44,7 @@ import numpy as np
 import pytest
 
 from repro.backend import available_backends, get_namespace
+from repro.bo.config import SurrogateConfig
 from repro.bo.problem import FunctionProblem
 from repro.core import (
     FeatureGPTrainer,
@@ -173,11 +174,13 @@ class TestProposeCycleSpeedup:
             make_proxy_problem(),
             n_initial=N_DATA,
             max_evaluations=N_DATA + 1,
-            n_ensemble=N_MEMBERS,
-            n_features=N_FEATURES,
-            epochs=CYCLE_EPOCHS,
+            surrogate=SurrogateConfig(
+                n_ensemble=N_MEMBERS,
+                n_features=N_FEATURES,
+                epochs=CYCLE_EPOCHS,
+                engine=engine,
+            ),
             seed=11,
-            engine=engine,
         )
         start = time.perf_counter()
         result = nnbo.run()

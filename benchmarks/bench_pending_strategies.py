@@ -5,7 +5,8 @@ proposals by fabricating observations.  The lie-free alternatives
 (:mod:`repro.acquisition.penalization`) must hold the line on sample
 efficiency to be worth using: this bench runs the same constrained
 multi-modal workload (the Gardner problem — a sinusoidal objective over a
-disconnected feasible region) under every ``pending_strategy`` at the
+disconnected feasible region) under every
+``AcquisitionConfig.pending_strategy`` at the
 same simulation budget and pins that neither ``"penalize"`` nor
 ``"hallucinate"`` is worse than the ``"fantasy"`` believer-lie baseline
 beyond a small noise tolerance, in BOTH concurrent modes:
@@ -35,6 +36,7 @@ import os
 import numpy as np
 
 from repro.benchfns.constrained import gardner_problem
+from repro.bo.config import AcquisitionConfig, SchedulerConfig
 from repro.bo.loop import SurrogateBO
 from repro.bo.scheduler import FakeClock
 from repro.gp import GPRegression
@@ -76,22 +78,25 @@ class ResampleCountingBO(SurrogateBO):
 
 def run_one(strategy: str, mode: str, seed: int):
     """One equal-budget run of the Gardner workload."""
-    kwargs = dict(
+    if mode == "sync":
+        scheduler = SchedulerConfig(
+            q=WORKERS, executor="thread", n_eval_workers=WORKERS
+        )
+    else:
+        scheduler = SchedulerConfig(
+            executor="async-thread", n_eval_workers=WORKERS, clock=FakeClock()
+        )
+    optimizer = ResampleCountingBO(
+        gardner_problem(),
+        gp_factory,
         n_initial=N_INITIAL,
         max_evaluations=BUDGET,
-        duplicate_tol=DUPLICATE_TOL,
-        pending_strategy=strategy,
+        acquisition_config=AcquisitionConfig(
+            duplicate_tol=DUPLICATE_TOL, pending_strategy=strategy
+        ),
+        scheduler_config=scheduler,
         seed=seed,
     )
-    if mode == "sync":
-        kwargs.update(q=WORKERS, executor="thread", n_eval_workers=WORKERS)
-    else:
-        kwargs.update(
-            executor="async-thread",
-            n_eval_workers=WORKERS,
-            async_clock=FakeClock(),
-        )
-    optimizer = ResampleCountingBO(gardner_problem(), gp_factory, **kwargs)
     return optimizer.run(), optimizer.n_resamples
 
 

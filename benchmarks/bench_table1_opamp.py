@@ -14,6 +14,7 @@ Run: ``pytest benchmarks/bench_table1_opamp.py --benchmark-only``
 import pytest
 
 from repro.baselines import DifferentialEvolution, GASPAD, WEIBO
+from repro.bo.config import SurrogateConfig
 from repro.circuits.testbenches import TwoStageOpAmpProblem
 from repro.core import NNBO
 
@@ -29,10 +30,9 @@ def _nnbo():
         TwoStageOpAmpProblem(),
         n_initial=N_INITIAL,
         max_evaluations=BO_BUDGET,
-        n_ensemble=3,
-        hidden_dims=(24, 24),
-        n_features=20,
-        epochs=80,
+        surrogate=SurrogateConfig(
+            n_ensemble=3, hidden_dims=(24, 24), n_features=20, epochs=80
+        ),
         seed=SEED,
     ).run()
 

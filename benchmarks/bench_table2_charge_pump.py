@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import DifferentialEvolution, WEIBO
+from repro.bo.config import SurrogateConfig
 from repro.circuits.pvt import standard_corners
 from repro.circuits.testbenches import ChargePumpProblem
 from repro.core import NNBO
@@ -64,10 +65,9 @@ def test_table2_nnbo(benchmark):
             make_problem(),
             n_initial=N_INITIAL,
             max_evaluations=BO_BUDGET,
-            n_ensemble=2,
-            hidden_dims=(24, 24),
-            n_features=20,
-            epochs=60,
+            surrogate=SurrogateConfig(
+                n_ensemble=2, hidden_dims=(24, 24), n_features=20, epochs=60
+            ),
             seed=SEED,
         ).run()
 

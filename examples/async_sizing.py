@@ -1,4 +1,4 @@
-"""Fully asynchronous sizing with the refill-on-completion scheduler.
+"""Fully asynchronous sizing with the refill-on-completion loop.
 
 Real simulator workloads have *heterogeneous* evaluation times — a design
 near a corner case can take several times longer to converge than an easy
@@ -24,7 +24,7 @@ import zlib
 
 import numpy as np
 
-from repro import NNBO
+from repro import NNBO, SchedulerConfig, SurrogateConfig
 from repro.circuits.testbenches import TwoStageOpAmpProblem
 
 
@@ -48,17 +48,16 @@ class JitteredOpAmpProblem(TwoStageOpAmpProblem):
         return super().evaluate(x)
 
 
-def run(label: str, **kwargs):
+def run(label: str, scheduler: SchedulerConfig):
     optimizer = NNBO(
         JitteredOpAmpProblem(),
         n_initial=12,
         max_evaluations=32,
-        n_ensemble=3,
-        hidden_dims=(24, 24),
-        n_features=16,
-        epochs=100,
+        surrogate=SurrogateConfig(
+            n_ensemble=3, hidden_dims=(24, 24), n_features=16, epochs=100
+        ),
+        scheduler_config=scheduler,
         seed=2019,
-        **kwargs,
     )
     start = time.perf_counter()
     result = optimizer.run()
@@ -70,13 +69,15 @@ def run(label: str, **kwargs):
 
 def main():
     print("--- equal budget, three schedulers --------------------")
-    t_serial, _ = run("serial q=1", executor="serial")
-    t_batch, _ = run("batch q=4", q=4, executor="thread")
+    t_serial, _ = run("serial q=1", SchedulerConfig(executor="serial"))
+    t_batch, _ = run("batch q=4", SchedulerConfig(q=4, executor="thread"))
     t_async, asynchronous = run(
         "async x4",
-        executor="async-thread",
-        n_eval_workers=4,
-        async_refit="fantasy-only",  # cheap posterior absorbs per landing
+        SchedulerConfig(
+            executor="async-thread",
+            n_eval_workers=4,
+            async_refit="fantasy-only",  # cheap posterior absorbs per landing
+        ),
     )
     print(f"\nbatch speedup vs serial: {t_serial / t_batch:.2f}x")
     print(f"async speedup vs serial: {t_serial / t_async:.2f}x")

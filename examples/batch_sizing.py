@@ -7,19 +7,20 @@ wall-clock difference at an identical simulation budget:
     python examples/batch_sizing.py
 
 The q-point acquisition keeps the batch diverse with Kriging-believer
-fantasy updates between picks (pass ``fantasy="cl-min"``/``"cl-max"`` for
-the classic constant liar), and the history records full provenance: which
-iteration and batch slot every design came from, and which pending points
-its acquisition conditioned on.  For CPU-bound pure-Python simulators use
-``executor="process"`` — threads suit simulators that block on IO or
-subprocesses.  The testbench here simulates a two-stage op-amp (Table I);
+fantasy updates between picks (pass
+``AcquisitionConfig(fantasy="cl-min")`` or ``"cl-max"`` for the classic
+constant liar), and the history records full provenance: which iteration
+and batch slot every design came from, and which pending points its
+acquisition conditioned on.  For CPU-bound pure-Python simulators use
+``SchedulerConfig(executor="process")`` — threads suit simulators that
+block on IO or subprocesses.  The testbench here simulates a two-stage op-amp (Table I);
 an artificial per-simulation delay stands in for SPICE-level cost so the
 parallel win is visible in a quick demo.
 """
 
 import time
 
-from repro import NNBO
+from repro import NNBO, SchedulerConfig, SurrogateConfig
 from repro.circuits.testbenches import TwoStageOpAmpProblem
 
 
@@ -38,12 +39,10 @@ def run(q: int, executor: str):
         SlowOpAmpProblem(),
         n_initial=12,
         max_evaluations=32,
-        n_ensemble=3,
-        hidden_dims=(24, 24),
-        n_features=16,
-        epochs=100,
-        q=q,
-        executor=executor,
+        surrogate=SurrogateConfig(
+            n_ensemble=3, hidden_dims=(24, 24), n_features=16, epochs=100
+        ),
+        scheduler_config=SchedulerConfig(q=q, executor=executor),
         seed=2019,
     )
     start = time.perf_counter()

@@ -11,6 +11,7 @@ finishes in a few minutes:
 
 from repro.circuits.pvt import standard_corners
 from repro.circuits.testbenches import ChargePumpProblem
+from repro.bo.config import SurrogateConfig
 from repro.core import NNBO
 
 
@@ -23,10 +24,9 @@ def main():
         problem,
         n_initial=25,
         max_evaluations=60,
-        n_ensemble=3,
-        epochs=100,
-        hidden_dims=(32, 32),
-        n_features=24,
+        surrogate=SurrogateConfig(
+            n_ensemble=3, epochs=100, hidden_dims=(32, 32), n_features=24
+        ),
         seed=3,
         verbose=True,
     )

@@ -8,6 +8,7 @@ scaled down so the script finishes in ~10 minutes.
 """
 
 from repro.baselines import DifferentialEvolution, GASPAD, WEIBO
+from repro.bo.config import SurrogateConfig
 from repro.circuits.testbenches import TwoStageOpAmpProblem
 from repro.core import NNBO
 from repro.experiments.runner import run_repeats, summarize
@@ -23,9 +24,10 @@ DE_BUDGET = 150
 def make_optimizer(name: str, seed: int):
     problem = TwoStageOpAmpProblem()
     if name == "NN-BO":
+        surrogate = SurrogateConfig(n_ensemble=3, epochs=120,
+                                    hidden_dims=(32, 32), n_features=24)
         return NNBO(problem, n_initial=N_INITIAL, max_evaluations=BO_BUDGET,
-                    n_ensemble=3, epochs=120, hidden_dims=(32, 32),
-                    n_features=24, seed=seed)
+                    surrogate=surrogate, seed=seed)
     if name == "WEIBO":
         return WEIBO(problem, n_initial=N_INITIAL, max_evaluations=BO_BUDGET,
                      seed=seed)

@@ -10,6 +10,7 @@ import numpy as np
 
 from repro.circuits.testbenches import TwoStageOpAmpProblem
 from repro.circuits.units import format_si
+from repro.bo.config import SurrogateConfig
 from repro.core import NNBO
 
 
@@ -21,10 +22,9 @@ def main():
         problem,
         n_initial=20,
         max_evaluations=60,
-        n_ensemble=3,
-        epochs=150,
-        hidden_dims=(32, 32),
-        n_features=24,
+        surrogate=SurrogateConfig(
+            n_ensemble=3, epochs=150, hidden_dims=(32, 32), n_features=24
+        ),
         seed=7,
         verbose=True,
     )

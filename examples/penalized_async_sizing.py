@@ -1,10 +1,11 @@
 """Async sizing with lie-free pending-point strategies.
 
-The asynchronous scheduler must keep its in-flight proposals apart: by
+The asynchronous loop must keep its in-flight proposals apart: by
 default each pending design is absorbed as a *fantasy* (believer-lie)
 observation before the next proposal is maximized.  This demo runs the
-same op-amp sizing budget under the three ``pending_strategy`` options
-(see ``repro.acquisition.penalization``):
+same op-amp sizing budget under the three
+``AcquisitionConfig.pending_strategy`` options (see
+``repro.acquisition.penalization``):
 
 * ``"fantasy"``     — believer lies (the historical default),
 * ``"penalize"``    — local penalization: clean-posterior wEI times one
@@ -22,7 +23,7 @@ a real mutual separation (the exclusion balls do the spreading).
 
 import numpy as np
 
-from repro import NNBO
+from repro import AcquisitionConfig, NNBO, SchedulerConfig, SurrogateConfig
 from repro.bo.scheduler import FakeClock
 from repro.circuits.testbenches import TwoStageOpAmpProblem
 
@@ -32,16 +33,17 @@ def run(strategy: str):
         TwoStageOpAmpProblem(),
         n_initial=12,
         max_evaluations=32,
-        n_ensemble=3,
-        hidden_dims=(24, 24),
-        n_features=16,
-        epochs=100,
-        executor="async-thread",
-        n_eval_workers=4,
-        pending_strategy=strategy,
-        # virtual completion order: the comparison is bitwise reproducible
-        # run to run and machine to machine
-        async_clock=FakeClock(),
+        surrogate=SurrogateConfig(
+            n_ensemble=3, hidden_dims=(24, 24), n_features=16, epochs=100
+        ),
+        acquisition_config=AcquisitionConfig(pending_strategy=strategy),
+        scheduler_config=SchedulerConfig(
+            executor="async-thread",
+            n_eval_workers=4,
+            # virtual completion order: the comparison is bitwise
+            # reproducible run to run and machine to machine
+            clock=FakeClock(),
+        ),
         seed=2019,
     )
     result = optimizer.run()

@@ -8,7 +8,7 @@ you can see the full API in under a minute:
 
 import numpy as np
 
-from repro import NNBO
+from repro import NNBO, SurrogateConfig
 from repro.benchfns import gardner_problem
 
 
@@ -20,10 +20,12 @@ def main():
         problem,
         n_initial=12,          # random Latin-hypercube starting set
         max_evaluations=35,    # total simulation budget (Algorithm 1)
-        n_ensemble=3,          # K models averaged per eq. 13
-        hidden_dims=(24, 24),  # Fig. 1: input + 2 hidden + feature layer
-        n_features=16,
-        epochs=120,            # likelihood-maximization steps (eq. 11/12)
+        surrogate=SurrogateConfig(
+            n_ensemble=3,          # K models averaged per eq. 13
+            hidden_dims=(24, 24),  # Fig. 1: input + 2 hidden + feature layer
+            n_features=16,
+            epochs=120,            # likelihood-maximization steps (eq. 11/12)
+        ),
         seed=0,
         verbose=True,
     )

@@ -6,7 +6,7 @@ observation (constant liar / Kriging believer) and the acquisition is
 re-maximized.  Lies work, but they fabricate data — a bad lie biases the
 posterior until the real value lands, and every lie pays a posterior
 refactorization.  This module implements the two standard lie-free
-alternatives, selectable as ``SurrogateBO(pending_strategy=...)``:
+alternatives, selectable as ``AcquisitionConfig(pending_strategy=...)``:
 
 * ``"penalize"`` — local penalization (Gonzalez et al. 2016, "Batch
   Bayesian optimization via local penalization").  The acquisition is

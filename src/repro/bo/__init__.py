@@ -6,8 +6,9 @@ configs, and the generic surrogate-based Bayesian-optimization driver
 (Algorithm 1) that the paper's NN-GP method and the WEIBO baseline share.
 Evaluation dispatch is pluggable: synchronous q-point batches behind a
 barrier (:class:`EvaluationScheduler`), the fully asynchronous
-refill-on-completion loop (:class:`AsyncEvaluationScheduler`), or any
-external backend driving :class:`Study` directly.
+refill-on-completion loop of the evaluation farm (``async-*`` executors,
+:mod:`repro.farm`), or any external backend driving :class:`Study`
+directly.
 """
 
 from repro.bo.config import (
@@ -20,7 +21,6 @@ from repro.bo.history import EvaluationRecord, OptimizationResult
 from repro.bo.loop import SurrogateBO
 from repro.bo.problem import Evaluation, FunctionProblem, Problem
 from repro.bo.scheduler import (
-    AsyncEvaluationScheduler,
     AsyncProcessEvaluator,
     AsyncThreadEvaluator,
     EvaluationExecutor,
@@ -36,7 +36,6 @@ from repro.bo.study import BudgetExhausted, Study, StudyError, Trial
 
 __all__ = [
     "AcquisitionConfig",
-    "AsyncEvaluationScheduler",
     "AsyncProcessEvaluator",
     "AsyncThreadEvaluator",
     "BudgetExhausted",

@@ -20,9 +20,9 @@ config object that is valid, and every error message names the offending
 value.  The configs are frozen: derive variants with
 :func:`dataclasses.replace` instead of mutating shared instances.
 
-The legacy constructor kwargs keep working through a deprecation shim in
-:class:`~repro.bo.loop.SurrogateBO` / :class:`~repro.core.bo.NNBO` that
-maps them onto these configs.
+:class:`~repro.bo.loop.SurrogateBO` / :class:`~repro.core.bo.NNBO` take
+these configs as their only way to set the knobs (the flat legacy kwargs
+are gone).
 """
 
 from __future__ import annotations
@@ -58,10 +58,9 @@ ACQUISITIONS = ("wei", "thompson")
 def check_count(name: str, value, minimum: int = 1) -> int:
     """Validate an integer count, naming the offending value on failure.
 
-    Shared by the configs, the executors and the schedulers so the
-    ``n_workers``/``q``-style checks stay consistent (they used to be
-    duplicated between ``SurrogateBO.__init__`` and
-    ``AsyncEvaluationScheduler.run_search`` with drifting messages).
+    Shared by the configs, the executors and the farm so the
+    ``n_workers``/``q``-style checks stay consistent and every message
+    names the offending value.
     """
     value = int(value)
     if value < minimum:
@@ -364,8 +363,9 @@ class FarmConfig:
     """Per-tenant policy knobs for the evaluation farm (:mod:`repro.farm`).
 
     ``mode="fixed"`` keeps the in-flight target at the scheduler's
-    resolved worker count — with speculation off this path is pinned
-    bitwise against :class:`~repro.bo.scheduler.AsyncEvaluationScheduler`.
+    resolved worker count — with speculation off this is the plain
+    refill-on-completion loop every asynchronous run gets by default,
+    pinned bitwise against an ask/tell replay (``tests/farm/``).
     ``mode="elastic"`` resizes the target between asks from the
     evaluation-time EWMA and the farm's queue depth: roughly
     ``eval_ewma / propose_cost_s`` evaluations fit in one proposal
@@ -485,11 +485,12 @@ class SchedulerConfig:
     ``clock`` (a :class:`~repro.bo.scheduler.FakeClock`) optionally
     virtualizes the completion order for deterministic replay.
 
-    ``farm`` (a :class:`FarmConfig` or dict) routes asynchronous runs
-    through the evaluation-farm driver (:mod:`repro.farm`) instead of
-    the plain refill loop — required for elastic sizing, adaptive q and
-    speculation; ``speculation`` (a :class:`SpeculationConfig` or dict)
-    enables speculative evaluation on that driver.
+    Asynchronous runs always go through the evaluation-farm driver
+    (:mod:`repro.farm`).  ``farm`` (a :class:`FarmConfig` or dict) sets
+    its policy — elastic sizing, adaptive q, timeouts; ``None`` runs the
+    default fixed-target :class:`FarmConfig`.  ``speculation`` (a
+    :class:`SpeculationConfig` or dict) enables speculative evaluation
+    and needs an explicit ``farm``.
     """
 
     q: int = 1

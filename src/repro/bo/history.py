@@ -35,13 +35,13 @@ class EvaluationRecord:
         but not yet simulated) when this design was proposed — i.e. the
         fantasy points the q-point acquisition conditioned on.
 
-    Async (refill-on-completion) provenance, filled by
-    :class:`~repro.bo.scheduler.AsyncEvaluationScheduler`:
+    Ledger provenance, filled by :class:`~repro.bo.study.Study` (the
+    refill-on-completion loop commits in completion order):
 
     ``proposal_id``
         This design's id in the run's proposal ledger
-        (:attr:`OptimizationResult.ledger`); ``None`` for synchronous
-        records.  Async records are committed in completion order, so
+        (:attr:`OptimizationResult.ledger`); ``None`` for records
+        appended outside a study.  Async records are committed in completion order, so
         proposal ids need not be monotone along the trace.
     ``pending_at_proposal``
         Proposal ids (not record indices — the in-flight designs had no

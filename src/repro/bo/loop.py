@@ -17,9 +17,7 @@ Configuration is grouped into typed dataclasses
 (:mod:`repro.bo.config`): an :class:`~repro.bo.config.AcquisitionConfig`
 (acquisition family, lies/penalties for concurrent picks) and a
 :class:`~repro.bo.config.SchedulerConfig` (batch size, executor, async
-refit policy).  The historical flat kwargs (``q=``, ``executor=``,
-``fantasy=``, ...) still work through a deprecation shim that maps them
-onto the configs.
+refit policy).  The configs are the only way to set these knobs.
 
 Per iteration (Fig. 2):
 
@@ -35,13 +33,13 @@ Per iteration (Fig. 2):
 
 ``q=1`` with the serial executor reproduces the original single-point
 loop bitwise (pinned by ``tests/bo/test_scheduler.py``); the
-``"async-*"`` executors switch to the refill-on-completion scheduler
-(pinned by ``tests/bo/test_async_scheduler.py``).
+``"async-*"`` executors switch to the refill-on-completion loop of a
+single-tenant evaluation farm (:mod:`repro.farm`; pinned by
+``tests/bo/test_async_scheduler.py`` and ``tests/farm/``).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,60 +60,18 @@ from repro.acquisition.wei import WeightedExpectedImprovement
 from repro.bo.config import (
     ASYNC_REFIT_POLICIES,
     AcquisitionConfig,
+    FarmConfig,
     SchedulerConfig,
 )
 from repro.bo.history import OptimizationResult
 from repro.bo.problem import Problem
-from repro.bo.scheduler import (
-    AsyncEvaluationScheduler,
-    EvaluationScheduler,
-    make_evaluator,
-)
+from repro.bo.scheduler import EvaluationScheduler, make_evaluator
 from repro.utils.rng import ensure_rng
 
 __all__ = [
     "ASYNC_REFIT_POLICIES",
     "SurrogateBO",
 ]
-
-#: sentinel distinguishing "not passed" from any legitimate value in the
-#: deprecated-kwarg shim
-_UNSET = object()
-
-
-def resolve_config_shim(
-    config_cls, provided, config_kwarg, legacy: dict, display: dict, owner: str
-):
-    """Map explicitly-passed legacy kwargs onto a typed config.
-
-    ``legacy`` maps config field names to the legacy value (or ``_UNSET``
-    when the caller did not pass the kwarg); ``display`` renames fields to
-    their historical kwarg spelling for the warning text.  Passing any
-    legacy kwarg emits a ``DeprecationWarning`` attributed to the caller,
-    and conflicts with an explicit config object raise with both values
-    named.
-    """
-    passed = {f: v for f, v in legacy.items() if v is not _UNSET}
-    if not passed:
-        return provided if provided is not None else config_cls()
-    shown = ", ".join(
-        f"{display.get(f, f)}={v!r}" for f, v in passed.items()
-    )
-    if provided is not None:
-        raise ValueError(
-            f"{owner} received both {config_kwarg}={provided!r} and the "
-            f"legacy keyword(s) {shown}; pass everything through "
-            f"{config_kwarg}"
-        )
-    warnings.warn(
-        f"{owner} keyword(s) {shown} are deprecated; pass "
-        f"{config_kwarg}={config_cls.__name__}(...) instead "
-        "(blessed surface: repro.api)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return config_cls(**passed)
-
 
 @dataclass
 class _IterationModels:
@@ -184,17 +140,6 @@ class SurrogateBO:
     seed, verbose, callback:
         Reproducibility / reporting hooks.  ``callback(iteration, result)``
         runs after every ingested batch (every landing in async mode).
-
-    Deprecated keywords
-    -------------------
-    The historical flat kwargs — ``acquisition``, ``log_space_acq``,
-    ``duplicate_tol``, ``fantasy``, ``pending_strategy``,
-    ``hallucinate_kappa``, ``proposal_space``, ``trust_region`` (now
-    :class:`AcquisitionConfig` fields) and
-    ``q``, ``executor``, ``n_eval_workers``, ``async_refit``,
-    ``async_full_refit_every``, ``async_clock`` (now
-    :class:`SchedulerConfig` fields) — still work and map onto the
-    configs, emitting a ``DeprecationWarning``.
     """
 
     algorithm_name = "SurrogateBO"
@@ -207,26 +152,12 @@ class SurrogateBO:
         max_evaluations: int = 100,
         initial_design: str = "lhs",
         acq_maximizer: AcquisitionMaximizer | None = None,
-        acquisition=_UNSET,
-        log_space_acq=_UNSET,
-        duplicate_tol=_UNSET,
+        *,
         surrogate_bank_factory=None,
-        q=_UNSET,
-        executor=_UNSET,
-        n_eval_workers=_UNSET,
-        fantasy=_UNSET,
-        pending_strategy=_UNSET,
-        hallucinate_kappa=_UNSET,
-        proposal_space=_UNSET,
-        trust_region=_UNSET,
-        async_refit=_UNSET,
-        async_full_refit_every=_UNSET,
-        async_clock=_UNSET,
         seed=None,
         verbose: bool = False,
         callback=None,
         name: str | None = None,
-        *,
         acquisition_config: AcquisitionConfig | None = None,
         scheduler_config: SchedulerConfig | None = None,
     ):
@@ -241,38 +172,10 @@ class SurrogateBO:
             raise ValueError(
                 "provide surrogate_factory and/or surrogate_bank_factory"
             )
-        acquisition_config = resolve_config_shim(
-            AcquisitionConfig,
-            acquisition_config,
-            "acquisition_config",
-            {
-                "acquisition": acquisition,
-                "log_space": log_space_acq,
-                "duplicate_tol": duplicate_tol,
-                "fantasy": fantasy,
-                "pending_strategy": pending_strategy,
-                "hallucinate_kappa": hallucinate_kappa,
-                "proposal_space": proposal_space,
-                "trust_region": trust_region,
-            },
-            {"log_space": "log_space_acq"},
-            owner=type(self).__name__,
-        )
-        scheduler_config = resolve_config_shim(
-            SchedulerConfig,
-            scheduler_config,
-            "scheduler_config",
-            {
-                "q": q,
-                "executor": executor,
-                "n_eval_workers": n_eval_workers,
-                "async_refit": async_refit,
-                "async_full_refit_every": async_full_refit_every,
-                "clock": async_clock,
-            },
-            {"clock": "async_clock"},
-            owner=type(self).__name__,
-        )
+        if acquisition_config is None:
+            acquisition_config = AcquisitionConfig()
+        if scheduler_config is None:
+            scheduler_config = SchedulerConfig()
         self.problem = problem
         self.surrogate_factory = surrogate_factory
         self.surrogate_bank_factory = surrogate_bank_factory
@@ -291,23 +194,11 @@ class SurrogateBO:
             self.acq_maximizer = SubspaceMaximizer(
                 self.proposal_space, self.acq_maximizer
             )
-        # flat mirrors of the config fields: the proposal machinery (and a
-        # fair amount of downstream code) reads these attributes
-        self.acquisition = acquisition_config.acquisition
+        #: the log-space flag resolved against the problem's constraint
+        #: count (``AcquisitionConfig.log_space=None`` means "auto")
         self.log_space_acq = acquisition_config.resolve_log_space(
             problem.n_constraints
         )
-        self.duplicate_tol = acquisition_config.duplicate_tol
-        self.fantasy = acquisition_config.fantasy
-        self.pending_strategy = acquisition_config.pending_strategy
-        self.hallucinate_kappa = acquisition_config.hallucinate_kappa
-        self.hallucinate_delta = acquisition_config.hallucinate_delta
-        self.q = scheduler_config.q
-        self.executor = scheduler_config.executor
-        self.n_eval_workers = scheduler_config.n_eval_workers
-        self.async_refit = scheduler_config.async_refit
-        self.async_full_refit_every = scheduler_config.async_full_refit_every
-        self.async_clock = scheduler_config.clock
         self.rng = ensure_rng(seed)
         self.verbose = bool(verbose)
         self.callback = callback
@@ -332,37 +223,26 @@ class SurrogateBO:
 
         The closed-loop entry point: resolves the configured executor,
         pumps the study's initial design and search proposals through it
-        (synchronous q-point batches behind a barrier, or the
+        (synchronous q-point batches behind a barrier, or the farm's
         refill-on-completion loop for ``async-*`` executors), and returns
         the study's history.  Accepts a resumed study — already-committed
         evaluations are kept and pending trials are re-submitted.
         """
-        workers = self.scheduler_config.resolve_pool_workers()
+        cfg = self.scheduler_config
         # an executor instance + explicit n_eval_workers is contradictory;
         # make_evaluator raises rather than silently ignoring the count
-        evaluator = make_evaluator(self.executor, workers)
-        owns_evaluator = evaluator is not self.executor
+        evaluator = make_evaluator(cfg.executor, cfg.resolve_pool_workers())
+        owns_evaluator = evaluator is not cfg.executor
         try:
             if getattr(evaluator, "async_mode", False):
-                if self.scheduler_config.farm is not None:
-                    self._drive_farm(
-                        study,
-                        evaluator,
-                        self.scheduler_config.resolve_in_flight(),
-                    )
-                else:
-                    self._drive_async(
-                        study,
-                        evaluator,
-                        self.scheduler_config.resolve_in_flight(),
-                    )
+                self._drive_farm(study, evaluator, cfg.resolve_in_flight())
+            elif cfg.farm is not None:
+                raise ValueError(
+                    "SchedulerConfig.farm requires an asynchronous "
+                    f"executor (async-thread/async-process), got "
+                    f"{cfg.executor!r}"
+                )
             else:
-                if self.scheduler_config.farm is not None:
-                    raise ValueError(
-                        "SchedulerConfig.farm requires an asynchronous "
-                        f"executor (async-thread/async-process), got "
-                        f"{self.executor!r}"
-                    )
                 self._drive_sync(study, evaluator)
         finally:
             if owns_evaluator:
@@ -382,7 +262,7 @@ class SurrogateBO:
         if pending:
             scheduler.run_trials(pending, study)
         while study.remaining_capacity > 0:
-            q = min(self.q, study.remaining_capacity)
+            q = min(self.scheduler_config.q, study.remaining_capacity)
             trials = study.ask(q)
             scheduler.run_trials(trials, study)
             iteration = study.result.records[-1].iteration
@@ -395,48 +275,20 @@ class SurrogateBO:
             if self.callback is not None:
                 self.callback(iteration, study.result)
 
-    def _drive_async(self, study, evaluator, n_workers: int) -> None:
-        """The asynchronous driver: the refill-on-completion loop.
-
-        The initial design still evaluates as one deterministic batch;
-        afterwards :class:`AsyncEvaluationScheduler` keeps ``n_workers``
-        simulations in flight, asking the study for a replacement per
-        landing.  ``callback(landing, result)`` fires per landing (the
-        async analogue of per-iteration).
-        """
-        if self.async_refit == "fantasy-only" and self.surrogate_bank_factory is None:
-            raise ValueError(
-                "async_refit='fantasy-only' requires surrogate_bank_factory "
-                "(posterior-only absorbs go through the bank); per-target "
-                "surrogate factories must use async_refit='full'"
-            )
-        scheduler = AsyncEvaluationScheduler(
-            self.problem, evaluator, clock=self.async_clock
-        )
-
-        def on_commit(trial, evaluation, result):
-            landing = result.records[-1].iteration
-            if self.verbose:
-                best = result.best_objective()
-                print(
-                    f"[{self.algorithm_name}] landing {landing:3d} "
-                    f"evals {result.n_evaluations:4d} best {best:.6g}"
-                )
-            if self.callback is not None:
-                self.callback(landing, result)
-
-        scheduler.run_study(study, n_workers=n_workers, on_commit=on_commit)
-
     def _drive_farm(self, study, evaluator, n_workers: int) -> None:
-        """The evaluation-farm driver: elastic/speculative refill loop.
+        """The asynchronous driver: a single-tenant evaluation farm.
 
-        A single-tenant farm over the configured executor.  With the
-        default :class:`~repro.bo.config.FarmConfig` (fixed mode, no
-        speculation) the driver's trace is pinned bitwise against
-        :meth:`_drive_async`; elastic sizing, adaptive q and speculation
-        are opted into through the scheduler config.
+        The initial design evaluates as one deterministic batch;
+        afterwards the farm keeps ``n_workers`` simulations in flight,
+        asking the study for a replacement per landing.
+        ``callback(landing, result)`` fires per landing (the async
+        analogue of per-iteration).  ``SchedulerConfig.farm=None`` runs
+        the default :class:`~repro.bo.config.FarmConfig` (fixed in-flight
+        target, no speculation); elastic sizing, adaptive q and
+        speculation are opted into through the scheduler config.
         """
-        if self.async_refit == "fantasy-only" and self.surrogate_bank_factory is None:
+        cfg = self.scheduler_config
+        if cfg.async_refit == "fantasy-only" and self.surrogate_bank_factory is None:
             raise ValueError(
                 "async_refit='fantasy-only' requires surrogate_bank_factory "
                 "(posterior-only absorbs go through the bank); per-target "
@@ -446,10 +298,10 @@ class SurrogateBO:
         # a cycle
         from repro.farm import EvaluationFarm, FarmStudyDriver
 
-        cfg = self.scheduler_config
+        farm_cfg = cfg.farm or FarmConfig()
         capacity = n_workers
-        if cfg.farm.max_in_flight is not None:
-            capacity = max(capacity, cfg.farm.max_in_flight)
+        if farm_cfg.max_in_flight is not None:
+            capacity = max(capacity, farm_cfg.max_in_flight)
         if cfg.speculation is not None:
             capacity += cfg.speculation.max_speculative
 
@@ -464,21 +316,18 @@ class SurrogateBO:
             if self.callback is not None:
                 self.callback(landing, result)
 
-        with EvaluationFarm(
-            evaluator, capacity=capacity, clock=self.async_clock
-        ) as farm:
+        with EvaluationFarm(evaluator, capacity=capacity, clock=cfg.clock) as farm:
             tenant = farm.register(
                 str(self.problem.name),
                 problem=self.problem,
-                weight=cfg.farm.weight,
-                max_queue=cfg.farm.max_queue,
+                weight=farm_cfg.weight,
+                max_queue=farm_cfg.max_queue,
             )
-            driver = FarmStudyDriver(farm, clock=self.async_clock)
-            driver.run(
+            FarmStudyDriver(farm, clock=cfg.clock).run(
                 study,
                 tenant,
                 target=n_workers,
-                config=cfg.farm,
+                config=farm_cfg,
                 speculation=cfg.speculation,
                 on_commit=on_commit,
             )
@@ -565,7 +414,8 @@ class SurrogateBO:
         optimistic-improvement bound (GP-BUCB criterion) — the hallucinated
         believer updates between picks then act through the variance term.
         """
-        if self.acquisition == "thompson":
+        acq = self.acquisition_config
+        if acq.acquisition == "thompson":
             if fitted.bank is not None:
                 from repro.acquisition.thompson import BankThompsonAcquisition
 
@@ -577,10 +427,10 @@ class SurrogateBO:
             )
         tau = result.best_objective()
         tau = None if not np.isfinite(tau) else tau
-        if self.pending_strategy == "hallucinate":
+        if acq.pending_strategy == "hallucinate":
             # a "beta-t" schedule re-resolves per proposal: t is the
             # committed-evaluation count, so kappa grows ~ sqrt(log t)
-            kappa = self.acquisition_config.resolve_hallucinate_kappa(
+            kappa = acq.resolve_hallucinate_kappa(
                 self.problem.dim, result.n_evaluations
             )
             return HallucinatedUCB(
@@ -682,7 +532,8 @@ class SurrogateBO:
         both the evaluated data and its own batch-mates.
         """
         fitted = self._fit_surrogates(x_unit, result)
-        if self.acquisition == "wei" and self.pending_strategy == "penalize":
+        acq = self.acquisition_config
+        if acq.acquisition == "wei" and acq.pending_strategy == "penalize":
             base = self._make_acquisition(fitted, result)
 
             def stage_acquisition(j: int, picks: list[np.ndarray]):
@@ -692,7 +543,7 @@ class SurrogateBO:
 
         else:
             fantasy_set = None
-            if self.acquisition == "wei" and fitted.bank is None:
+            if acq.acquisition == "wei" and fitted.bank is None:
                 fantasy_set = FantasyModelSet(
                     fitted.x,
                     fitted.objective,
@@ -702,7 +553,7 @@ class SurrogateBO:
                 )
 
             def stage_acquisition(j: int, picks: list[np.ndarray]):
-                if j > 0 and self.acquisition == "wei":
+                if j > 0 and acq.acquisition == "wei":
                     self._apply_fantasy(fitted, fantasy_set, picks[-1])
                 return self._make_acquisition(fitted, result)
 
@@ -729,8 +580,9 @@ class SurrogateBO:
         observation leaves the mean surface untouched and only collapses
         variance at the pending point.
         """
+        acq = self.acquisition_config
         strategy = (
-            "believer" if self.pending_strategy == "hallucinate" else self.fantasy
+            "believer" if acq.pending_strategy == "hallucinate" else acq.fantasy
         )
         obj_lie, cons_lies = fantasy_lies(
             fitted.objective, fitted.constraints, pending,
@@ -743,7 +595,7 @@ class SurrogateBO:
 
     def _is_duplicate(self, proposal: np.ndarray, x_unit: np.ndarray) -> bool:
         dists = np.max(np.abs(x_unit - proposal[None, :]), axis=1)
-        return bool(np.any(dists < self.duplicate_tol))
+        return bool(np.any(dists < self.acquisition_config.duplicate_tol))
 
     _MAX_RESAMPLE_TRIES = 32
 

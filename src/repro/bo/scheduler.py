@@ -1,31 +1,10 @@
-"""Propose/evaluate schedulers: batched and fully asynchronous dispatch.
+"""Evaluation executors, the synchronous batch scheduler, and async replay.
 
 The single-point BO loop leaves any multi-core simulation budget idle:
 one design is proposed, simulated, and only then is the next one chosen.
 This module supplies the evaluation half of the q-point refactor — the
 proposal half (q-aware acquisition with constant-liar/fantasy updates)
 lives in :mod:`repro.bo.loop` and :mod:`repro.acquisition`.
-
-Two schedulers build on the executors below:
-
-* :class:`EvaluationScheduler` — the synchronous q-point scheduler of
-  PR 2: one proposal batch is dispatched, the loop blocks at a barrier
-  until the whole batch lands, results commit in batch order.
-* :class:`AsyncEvaluationScheduler` — the refill-on-completion loop:
-  ``n_workers`` evaluations stay in flight at all times, each landing is
-  committed immediately (completion order) and a replacement proposal —
-  conditioned on the still-pending set via fantasies — is submitted the
-  moment the surrogate has absorbed the landing.  No barrier: a slow
-  simulation never stalls the rest of the pool.
-
-Async determinism is *conditional*: the recorded trace is a pure
-function of ``(seed, completion order)``.  Every run carries a
-:class:`ProposalLedger` (``result.ledger``) recording, per proposal, the
-pending set it was conditioned on and the order in which proposals
-landed, so a trace can be audited or replayed.  Tests pin the contract
-by driving the completion order from a deterministic :class:`FakeClock`
-(virtual evaluation durations), under which async-thread and
-async-process runs are bitwise identical.
 
 Three pluggable executors implement the ``evaluate(problem, batch)``
 protocol, yielding ``(batch_index, Evaluation)`` pairs *in completion
@@ -44,14 +23,28 @@ order*:
   stay consistent.  Falls back to serial with a warning when the problem
   cannot be pickled.
 
-:class:`EvaluationScheduler` sits on top: it dispatches one proposal batch,
-ingests results as they land (an ``on_arrival`` hook fires in completion
-order), and appends them to the :class:`~repro.bo.history.
-OptimizationResult` in *batch order* through a reorder buffer.  Batch-order
-history is what keeps runs deterministic across executors: the surrogate
-refit of iteration ``i+1`` sees the same data matrix row order no matter
-which worker finished first, so the same seed and the same ``q`` yield
-identical proposal batches on every executor.
+:class:`EvaluationScheduler` sits on top for synchronous q-point runs: it
+dispatches one batch of study trials, ingests results as they land (an
+``on_arrival`` hook fires in completion order), and tells them to the
+:class:`~repro.bo.study.Study` in *batch order* through a reorder buffer.
+Batch-order history is what keeps runs deterministic across executors:
+the surrogate refit of iteration ``i+1`` sees the same data matrix row
+order no matter which worker finished first, so the same seed and the
+same ``q`` yield identical proposal batches on every executor.
+
+The ``"async-*"`` executor specs opt the closed loop into the
+refill-on-completion loop instead, run by the evaluation farm
+(:mod:`repro.farm`): ``n_workers`` evaluations stay in flight, each
+landing is committed immediately (completion order) and a replacement
+proposal — conditioned on the still-pending set — is submitted the
+moment the surrogate has absorbed it.  Async determinism is
+*conditional*: the recorded trace is a pure function of ``(seed,
+completion order)``.  Every run carries a :class:`ProposalLedger`
+(``result.ledger``) recording, per proposal, the pending set it was
+conditioned on and the order in which proposals landed, so a trace can be
+audited or replayed.  A :class:`FakeClock` (virtual evaluation
+durations) makes the completion order deterministic, under which
+async-thread and async-process runs are bitwise identical.
 """
 
 from __future__ import annotations
@@ -73,7 +66,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.bo.config import check_count
-from repro.bo.history import OptimizationResult
 from repro.bo.problem import Evaluation, Problem
 
 
@@ -103,12 +95,12 @@ class EvaluationExecutor:
     ``close()`` releases worker resources and must be idempotent.
 
     Pooled executors additionally implement the *async protocol* used by
-    :class:`AsyncEvaluationScheduler`: ``submit(problem, u)`` returns a
-    future resolving to the :class:`~repro.bo.problem.Evaluation`, and
-    ``collect(problem, u, future)`` retrieves the result (performing any
-    parent-side cache bookkeeping exactly once).  ``async_mode`` marks
+    the evaluation farm (:mod:`repro.farm`): ``submit(problem, u)``
+    returns a future resolving to the :class:`~repro.bo.problem.Evaluation`,
+    and ``collect(problem, u, future)`` retrieves the result (performing
+    any parent-side cache bookkeeping exactly once).  ``async_mode`` marks
     the executor specs that opt the BO loop into the refill-on-completion
-    scheduler instead of the batch barrier.
+    loop instead of the batch barrier.
     """
 
     name = "abstract"
@@ -334,11 +326,11 @@ class ProcessPoolEvaluator(EvaluationExecutor):
 
 
 class AsyncThreadEvaluator(ThreadPoolEvaluator):
-    """Thread pool driven by the refill-on-completion scheduler.
+    """Thread pool driven by the refill-on-completion loop.
 
     Identical machinery to :class:`ThreadPoolEvaluator`; the distinct spec
-    (``executor="async-thread"``) is what opts the BO loop into
-    :class:`AsyncEvaluationScheduler` instead of the q-point barrier.
+    (``executor="async-thread"``) is what opts the BO loop into the
+    evaluation farm's refill loop instead of the q-point barrier.
     """
 
     name = "async-thread"
@@ -346,7 +338,7 @@ class AsyncThreadEvaluator(ThreadPoolEvaluator):
 
 
 class AsyncProcessEvaluator(ProcessPoolEvaluator):
-    """Process pool driven by the refill-on-completion scheduler."""
+    """Process pool driven by the refill-on-completion loop."""
 
     name = "async-process"
     async_mode = True
@@ -417,13 +409,13 @@ def make_evaluator(spec, n_workers: int | None = None) -> EvaluationExecutor:
 
 
 class EvaluationScheduler:
-    """Dispatch proposal batches and ingest results deterministically.
+    """Dispatch study trial batches and ingest results deterministically.
 
     Results are handed to ``on_arrival(iteration, batch_index, evaluation)``
-    the moment they complete (monitoring/streaming), but are committed to
-    the history in batch order via a reorder buffer, so the recorded trace
-    — and therefore every downstream surrogate fit — is independent of
-    worker scheduling.
+    the moment they complete (monitoring/streaming), but are told to the
+    study in batch order via a reorder buffer, so the recorded trace — and
+    therefore every downstream surrogate fit — is independent of worker
+    scheduling.
     """
 
     def __init__(self, problem: Problem, executor: EvaluationExecutor, on_arrival=None):
@@ -431,90 +423,41 @@ class EvaluationScheduler:
         self.executor = executor
         self.on_arrival = on_arrival
 
-    def run_batch(
-        self,
-        batch,
-        result: OptimizationResult,
-        unit_x: list[np.ndarray],
-        phase: str,
-        iteration: int,
-    ) -> None:
-        """Evaluate one proposal batch and append it to ``result``.
-
-        ``batch`` is a sequence of unit-box design vectors.  Search-phase
-        candidate ``j`` records the global indices of its batch-mates
-        ``0..j-1`` as its pending-at-propose-time set (those were the
-        fantasy points its acquisition conditioned on); the initial design
-        is generated jointly, so its pending sets are empty.
-        """
-        batch = [np.asarray(u, dtype=float) for u in batch]
-        base = result.n_evaluations
-
-        def commit(next_up: int, evaluation: Evaluation) -> None:
-            pending = (
-                tuple(range(base, base + next_up)) if phase == "search" else ()
-            )
-            u = batch[next_up]
-            result.append(
-                self.problem.scaler.inverse_transform(u),
-                evaluation,
-                phase=phase,
-                iteration=iteration,
-                batch_index=next_up,
-                pending=pending,
-            )
-            unit_x.append(u)
-
-        self._ingest_in_batch_order(batch, commit, lambda batch_index: iteration)
-
     def run_trials(self, trials, study) -> None:
         """Evaluate one batch of study trials; tell the study in batch order.
 
-        The ask/tell face of :meth:`run_batch`: ``trials`` come from
-        :meth:`~repro.bo.study.Study.ask` and results are committed via
-        :meth:`~repro.bo.study.Study.tell` through the same reorder
-        buffer, so the recorded history — and every downstream surrogate
-        fit — is independent of worker scheduling.
+        ``trials`` come from :meth:`~repro.bo.study.Study.ask` and results
+        are committed via :meth:`~repro.bo.study.Study.tell` through the
+        reorder buffer, so the recorded history — and every downstream
+        surrogate fit — is independent of worker scheduling.  On an
+        evaluation error, the trials told so far are a contiguous
+        batch-order prefix.
         """
         trials = list(trials)
-        batch = [trial.u for trial in trials]
-
-        def arrival_iteration(batch_index: int):
-            # streaming (single-ask) trials are numbered at tell time; the
-            # tells of this call happen in batch order, so such a trial
-            # will land as the study's next iteration — report that, not
-            # None, to honor the on_arrival(iteration, ...) contract
-            trial = trials[batch_index]
-            if trial.iteration is not None:
-                return trial.iteration
-            return study._iteration + 1
-
-        self._ingest_in_batch_order(
-            batch,
-            lambda next_up, evaluation: study.tell(trials[next_up], evaluation),
-            arrival_iteration,
-        )
-
-    def _ingest_in_batch_order(self, batch, commit, arrival_iteration) -> None:
-        """Shared ingest loop: stream arrivals, commit through a reorder buffer."""
         buffered: dict[int, Evaluation] = {}
         next_up = 0
+        batch = [trial.u for trial in trials]
         for batch_index, evaluation in self.executor.evaluate(self.problem, batch):
             if self.on_arrival is not None:
-                self.on_arrival(
-                    arrival_iteration(batch_index), batch_index, evaluation
-                )
+                # streaming (single-ask) trials are numbered at tell time;
+                # the tells of this call happen in batch order, so such a
+                # trial will land as the study's next iteration — report
+                # that, not None, to honor the on_arrival contract
+                iteration = trials[batch_index].iteration
+                if iteration is None:
+                    iteration = study._iteration + 1
+                self.on_arrival(iteration, batch_index, evaluation)
             buffered[batch_index] = evaluation
             while next_up in buffered:
-                commit(next_up, buffered.pop(next_up))
+                study.tell(trials[next_up], buffered.pop(next_up))
                 next_up += 1
-        if next_up != len(batch):
+        if next_up != len(trials):
             raise RuntimeError(
-                f"executor returned {next_up}/{len(batch)} batch results"
+                f"executor returned {next_up}/{len(trials)} batch results"
             )
 
 
-# -- asynchronous (refill-on-completion) scheduling --------------------------------
+# -- asynchronous provenance and replay ---------------------------------------------
 
 
 @dataclass
@@ -647,7 +590,7 @@ class FakeClock:
     """Deterministic virtual evaluation durations for async replay.
 
     Real async runs commit in wall-clock completion order, which varies
-    with machine load; under a fake clock the scheduler instead assigns
+    with machine load; under a fake clock the async driver instead assigns
     every submission a *virtual* duration — a pure function of the design
     point — and always commits the in-flight proposal with the earliest
     virtual completion time.  The pool still evaluates in parallel; only
@@ -679,284 +622,3 @@ class FakeClock:
         ).tobytes()
         frac = (zlib.crc32(payload) & 0xFFFFFFFF) / float(0xFFFFFFFF)
         return self.base + self.spread * frac
-
-
-@dataclass
-class _InFlight:
-    """One submitted-but-unlanded proposal tracked by the async scheduler.
-
-    Provenance (the pending set at proposal time) lives only in the
-    ledger entry for ``proposal_id`` — single source of truth.
-    """
-
-    proposal_id: int
-    u: np.ndarray
-    future: Future
-    seq: int
-    virtual_ready: float | None = None
-
-
-@dataclass
-class _InFlightTrial:
-    """One submitted-but-unlanded study trial (the ask/tell loop)."""
-
-    trial: object
-    future: Future
-    seq: int
-    virtual_ready: float | None = None
-
-
-class AsyncEvaluationScheduler:
-    """Refill-on-completion evaluation loop (fully asynchronous BO).
-
-    Keeps ``n_workers`` evaluations in flight at all times: the moment any
-    single evaluation lands it is committed to the history (completion
-    order — there is no reorder barrier), the caller's ``on_commit`` hook
-    absorbs it into the surrogate, and a replacement point — proposed by
-    the ``propose`` callback conditioned on the still-pending set — is
-    submitted immediately.  Budget accounting is exact: committed plus
-    in-flight never exceeds ``max_evaluations``, and the pool drains at
-    the end so the committed count equals the budget.
-
-    Determinism: the trace is a pure function of the seed and the
-    completion order; pass ``clock`` (a :class:`FakeClock`) to virtualize
-    the completion order and make runs bitwise reproducible across
-    executors.  On any exception, in-flight futures are cancelled before
-    propagating, so executor shutdown never hangs on abandoned work.
-    """
-
-    def __init__(
-        self,
-        problem: Problem,
-        executor: EvaluationExecutor,
-        clock: FakeClock | None = None,
-        on_arrival=None,
-    ):
-        self.problem = problem
-        self.executor = executor
-        self.clock = clock
-        self.on_arrival = on_arrival
-        self.ledger = ProposalLedger()
-
-    # -- initial design -----------------------------------------------------------
-
-    def run_initial(
-        self, batch, result: OptimizationResult, unit_x: list[np.ndarray]
-    ) -> None:
-        """Evaluate the initial design concurrently, commit in design order.
-
-        The initial design is generated jointly (no pending-set
-        conditioning), so its commit order is fixed to the design order —
-        identical to the synchronous scheduler — keeping the post-initial
-        surrogate state independent of worker timing.
-        """
-        batch = [np.asarray(u, dtype=float) for u in batch]
-        futures = [self.executor.submit(self.problem, u) for u in batch]
-        try:
-            for batch_index, (u, future) in enumerate(zip(batch, futures)):
-                evaluation = self.executor.collect(self.problem, u, future)
-                result.append(
-                    self.problem.scaler.inverse_transform(u),
-                    evaluation,
-                    phase="initial",
-                    iteration=0,
-                    batch_index=batch_index,
-                )
-                unit_x.append(u)
-        except BaseException:
-            for future in futures:
-                future.cancel()
-            raise
-
-    # -- search phase -------------------------------------------------------------
-
-    def run_search(
-        self,
-        result: OptimizationResult,
-        unit_x: list[np.ndarray],
-        propose,
-        n_workers: int,
-        max_evaluations: int,
-        on_commit=None,
-        pending_strategy: str = "fantasy",
-    ) -> None:
-        """Run the refill loop until ``max_evaluations`` are committed.
-
-        ``propose(pending_units)`` returns the next unit-box design given
-        the list of still-pending points (in submission order — the
-        sequential-conditioning order for fantasy updates);
-        ``on_commit(u, evaluation, result)`` runs after each landing is
-        appended to the history (the surrogate-absorb hook).
-        ``pending_strategy`` is recorded verbatim in each ledger entry's
-        provenance — it names the coordination rule ``propose`` applies to
-        the pending set (the scheduler itself is strategy-agnostic).
-        """
-        n_workers = check_count("n_workers", n_workers)
-        result.ledger = self.ledger
-        in_flight: list[_InFlight] = []
-        seq = 0
-        now = 0.0
-        try:
-            while True:
-                # refill: keep the pool saturated without exceeding budget
-                while (
-                    len(in_flight) < n_workers
-                    and result.n_evaluations + len(in_flight) < max_evaluations
-                ):
-                    pending_units = [task.u for task in in_flight]
-                    pending_ids = tuple(task.proposal_id for task in in_flight)
-                    u = np.asarray(propose(pending_units), dtype=float)
-                    ready = None if self.clock is None else now + self.clock.duration(u)
-                    entry = self.ledger.open(
-                        u, pending_ids, virtual_ready=ready,
-                        strategy=pending_strategy,
-                    )
-                    future = self.executor.submit(self.problem, u)
-                    in_flight.append(
-                        _InFlight(
-                            proposal_id=entry.proposal_id,
-                            u=u,
-                            future=future,
-                            seq=seq,
-                            virtual_ready=ready,
-                        )
-                    )
-                    seq += 1
-                if not in_flight:
-                    break
-                task = self._next_completed(in_flight)
-                in_flight.remove(task)
-                evaluation = self.executor.collect(self.problem, task.u, task.future)
-                if task.virtual_ready is not None:
-                    now = max(now, task.virtual_ready)
-                if self.on_arrival is not None:
-                    self.on_arrival(task.proposal_id, evaluation)
-                landing = self.ledger._n_committed + 1
-                record_index = result.n_evaluations
-                result.append(
-                    self.problem.scaler.inverse_transform(task.u),
-                    evaluation,
-                    phase="search",
-                    iteration=landing,
-                    batch_index=0,
-                    proposal_id=task.proposal_id,
-                    pending_at_proposal=self.ledger.entry(
-                        task.proposal_id
-                    ).pending_at_proposal,
-                )
-                unit_x.append(task.u)
-                self.ledger.commit(task.proposal_id, record_index)
-                if on_commit is not None:
-                    on_commit(task.u, evaluation, result)
-        except BaseException:
-            # a poisoned evaluation (or interrupt) must not orphan workers:
-            # cancel everything still queued before propagating
-            for task in in_flight:
-                task.future.cancel()
-            raise
-
-    # -- ask/tell (study-driven) form ----------------------------------------------
-
-    def run_study(self, study, n_workers: int, on_commit=None) -> None:
-        """Drive an ask/tell study through the refill-on-completion loop.
-
-        The study owns all optimizer state (proposals, ledger, history,
-        refit policy); this scheduler is purely the evaluation pump: it
-        keeps ``n_workers`` trials in flight, commits each landing via
-        :meth:`~repro.bo.study.Study.tell` in completion order, and asks
-        for a replacement immediately.  A resumed study's pending trials
-        are re-submitted first (in their original submission order, with
-        their recorded virtual completion times), so a checkpointed run
-        continues on the same trace.  ``on_commit(trial, evaluation,
-        result)`` runs after each landing is absorbed.
-        """
-        n_workers = check_count("n_workers", n_workers)
-        initial = study.start_initial()
-        if initial:
-            self.run_initial_trials(initial, study)
-        ledger = study.ledger
-        in_flight: list[_InFlightTrial] = []
-        seq = 0
-        # recover the virtual clock from the committed ledger entries so a
-        # resumed fake-clock run continues on the original timeline
-        now = 0.0
-        for entry in ledger.entries:
-            if entry.committed_at is not None and entry.virtual_ready is not None:
-                now = max(now, entry.virtual_ready)
-        try:
-            for trial in study.pending_trials():
-                ready = ledger.entry(trial.proposal_id).virtual_ready
-                future = self.executor.submit(self.problem, trial.u)
-                in_flight.append(_InFlightTrial(trial, future, seq, ready))
-                seq += 1
-            while True:
-                # refill: keep the pool saturated without exceeding budget
-                while len(in_flight) < n_workers and study.remaining_capacity > 0:
-                    trial = study.ask(1)[0]
-                    ready = (
-                        None
-                        if self.clock is None
-                        else now + self.clock.duration(trial.u)
-                    )
-                    # the scheduler owns timing: annotate the study's
-                    # ledger entry so checkpoints carry the virtual clock
-                    ledger.entry(trial.proposal_id).virtual_ready = ready
-                    future = self.executor.submit(self.problem, trial.u)
-                    in_flight.append(_InFlightTrial(trial, future, seq, ready))
-                    seq += 1
-                if not in_flight:
-                    break
-                task = self._next_completed(in_flight)
-                in_flight.remove(task)
-                evaluation = self.executor.collect(
-                    self.problem, task.trial.u, task.future
-                )
-                if task.virtual_ready is not None:
-                    now = max(now, task.virtual_ready)
-                if self.on_arrival is not None:
-                    self.on_arrival(task.trial.proposal_id, evaluation)
-                study.tell(task.trial, evaluation)
-                if on_commit is not None:
-                    on_commit(task.trial, evaluation, study.result)
-        except BaseException:
-            # a poisoned evaluation (or interrupt) must not orphan workers:
-            # cancel everything still queued before propagating
-            for task in in_flight:
-                task.future.cancel()
-            raise
-
-    def run_initial_trials(self, trials, study) -> None:
-        """Evaluate initial-design trials concurrently, tell in design order.
-
-        The ask/tell face of :meth:`run_initial`: the initial design is
-        generated jointly (no pending-set conditioning), so its commit
-        order is fixed to the design order — identical to the synchronous
-        scheduler — keeping the post-initial surrogate state independent
-        of worker timing.
-        """
-        trials = list(trials)
-        futures = [self.executor.submit(self.problem, t.u) for t in trials]
-        try:
-            for trial, future in zip(trials, futures):
-                evaluation = self.executor.collect(self.problem, trial.u, future)
-                study.tell(trial, evaluation)
-        except BaseException:
-            for future in futures:
-                future.cancel()
-            raise
-
-    def _next_completed(self, in_flight: list[_InFlight]) -> _InFlight:
-        """The in-flight task to commit next.
-
-        Wall-clock mode waits for the first real completion (submission
-        order breaks ties when several land together); fake-clock mode
-        picks the earliest virtual completion time and blocks on that
-        specific future, making the commit order machine-independent.
-        """
-        if self.clock is not None:
-            return min(in_flight, key=lambda t: (t.virtual_ready, t.seq))
-        done, _ = wait(
-            {task.future for task in in_flight}, return_when=FIRST_COMPLETED
-        )
-        ready = [task for task in in_flight if task.future in done]
-        return min(ready, key=lambda t: t.seq)

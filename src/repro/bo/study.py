@@ -17,8 +17,9 @@ pace::
         study.tell(trial, my_simulator(trial.x))
     print(study.best())
 
-``SurrogateBO.run()`` and both schedulers are thin drivers over this
-class, and the pinned PR-2/3/4 traces are bitwise unchanged:
+``SurrogateBO.run()`` — the synchronous batch scheduler and the
+evaluation farm's refill loop — is a thin driver over this class, and
+the pinned serial, batch and asynchronous traces are bitwise unchanged:
 
 * telling each ``ask()`` result immediately (serial, q = 1) reproduces
   the legacy single-point loop exactly — same surrogate fits, same RNG
@@ -401,7 +402,7 @@ class Study:
                 "hits": int(self.result.cache_hits),
                 "misses": int(self.result.cache_misses),
             },
-            "async_refit": str(self.optimizer.async_refit),
+            "async_refit": str(self.optimizer.scheduler_config.async_refit),
             "proposal_space": "full" if space is None else str(space.name),
             "config_digests": digests,
             "checkpoint_format": CHECKPOINT_FORMAT,
@@ -497,7 +498,7 @@ class Study:
         entry = self.ledger.open(
             pick,
             tuple(t.proposal_id for t in pending),
-            strategy=bo.pending_strategy,
+            strategy=bo.acquisition_config.pending_strategy,
             speculative=speculative,
         )
         trial = Trial(
@@ -532,7 +533,7 @@ class Study:
             entry = self.ledger.open(
                 pick,
                 tuple(t.proposal_id for t in trials),
-                strategy=bo.pending_strategy,
+                strategy=bo.acquisition_config.pending_strategy,
             )
             trial = Trial(
                 id=self._next_id,
@@ -737,7 +738,7 @@ class Study:
         """
         bo = self.optimizer
         if self._fitted is None or self._needs_refit:
-            if bo.async_refit == "full" and not pending_units:
+            if bo.scheduler_config.async_refit == "full" and not pending_units:
                 # the canonical fresh-fit single-point proposal: same
                 # models, same RNG stream — and tools that wrap
                 # ``optimizer._propose`` keep observing every pick
@@ -751,7 +752,8 @@ class Study:
                     self._needs_refit = False
                 return pick
             self._refit(x_unit)
-        if bo.acquisition == "wei" and bo.pending_strategy == "penalize":
+        acq = bo.acquisition_config
+        if acq.acquisition == "wei" and acq.pending_strategy == "penalize":
             acquisition = bo._make_acquisition(self._fitted, self.result)
             if pending_units:
                 acquisition = bo._penalized_acquisition(
@@ -779,7 +781,7 @@ class Study:
         warm_bank = (
             self._fitted.bank
             if (
-                bo.async_refit == "fantasy-only"
+                bo.scheduler_config.async_refit == "fantasy-only"
                 and self._fitted is not None
                 and self._fitted.bank is not None
             )
@@ -824,7 +826,7 @@ class Study:
         """
         bo = self.optimizer
         fitted = self._fitted
-        if bo.acquisition != "wei":
+        if bo.acquisition_config.acquisition != "wei":
             # Thompson diversifies by posterior sampling, not by lies
             return
         if fitted.bank is not None:
@@ -852,7 +854,7 @@ class Study:
         """Absorb one landed evaluation according to the refit policy."""
         bo = self.optimizer
         self._landings_since_fit += 1
-        if bo.async_refit == "full" or self._fitted is None:
+        if bo.scheduler_config.async_refit == "full" or self._fitted is None:
             self._needs_refit = True
             return
         if self._landings_since_fit >= self._full_refit_every:
@@ -947,7 +949,7 @@ class Study:
             fitted is not None
             and fitted.bank is not None
             and (
-                self.optimizer.async_refit == "fantasy-only"
+                self.optimizer.scheduler_config.async_refit == "fantasy-only"
                 or not self._needs_refit
             )
         ):

@@ -30,8 +30,8 @@ target ``t``:
 
 The engine is numerically equivalent to the per-member loop (means
 bitwise, variances to ~1e-16; pinned by ``tests/core/test_batched_gp.py``)
-and is selected by ``NNBO(engine="batched")`` (the default via
-``"auto"``).  ``benchmarks/bench_batched_engine.py`` measures the
+and is selected by ``NNBO(surrogate=SurrogateConfig(engine="batched"))``
+(the default via ``"auto"``).  ``benchmarks/bench_batched_engine.py`` measures the
 speedup on a charge-pump-sized workload.
 """
 

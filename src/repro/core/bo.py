@@ -7,15 +7,14 @@ combines them by moment matching (eq. 13) and maximizes the wEI
 acquisition (eq. 7) to pick the next simulation.
 
 Model hyper-parameters live in a typed
-:class:`~repro.bo.config.SurrogateConfig`; the historical flat kwargs
-(``n_ensemble=``, ``hidden_dims=``, ``engine=``, ...) keep working
-through the same deprecation shim as the driver-level configs.
+:class:`~repro.bo.config.SurrogateConfig`, alongside the driver-level
+acquisition and scheduler configs.
 """
 
 from __future__ import annotations
 
 from repro.bo.config import AcquisitionConfig, SchedulerConfig, SurrogateConfig
-from repro.bo.loop import _UNSET, SurrogateBO, resolve_config_shim
+from repro.bo.loop import SurrogateBO
 from repro.bo.problem import Problem
 from repro.core.ensemble import DeepEnsemble
 
@@ -72,10 +71,6 @@ class NNBO(SurrogateBO):
         Driver-level configs, as on :class:`~repro.bo.loop.SurrogateBO`.
     acq_maximizer, seed, verbose, callback:
         As on :class:`~repro.bo.loop.SurrogateBO`.
-
-    The historical flat kwargs (``n_ensemble=``, ``hidden_dims=``,
-    ``epochs=``, ``q=``, ``executor=``, ...) still work and map onto the
-    three configs with a ``DeprecationWarning``.
     """
 
     algorithm_name = "NN-BO"
@@ -85,113 +80,29 @@ class NNBO(SurrogateBO):
         problem: Problem,
         n_initial: int = 30,
         max_evaluations: int = 100,
-        n_ensemble=_UNSET,
-        hidden_dims=_UNSET,
-        n_features=_UNSET,
-        activation=_UNSET,
-        output_activation=_UNSET,
-        epochs=_UNSET,
-        lr=_UNSET,
-        pretrain_epochs=_UNSET,
-        patience=_UNSET,
+        *,
         acq_maximizer=None,
-        acquisition=_UNSET,
-        log_space_acq=_UNSET,
-        engine=_UNSET,
-        backend=_UNSET,
-        device=_UNSET,
-        linalg_threads=_UNSET,
-        q=_UNSET,
-        executor=_UNSET,
-        n_eval_workers=_UNSET,
-        fantasy=_UNSET,
-        pending_strategy=_UNSET,
-        hallucinate_kappa=_UNSET,
-        proposal_space=_UNSET,
-        trust_region=_UNSET,
-        async_refit=_UNSET,
-        async_full_refit_every=_UNSET,
-        async_clock=_UNSET,
         seed=None,
         verbose: bool = False,
         callback=None,
-        *,
         initial_design: str = "lhs",
         name: str | None = None,
         surrogate: SurrogateConfig | None = None,
         acquisition_config: AcquisitionConfig | None = None,
         scheduler_config: SchedulerConfig | None = None,
     ):
-        surrogate = resolve_config_shim(
-            SurrogateConfig,
-            surrogate,
-            "surrogate",
-            {
-                "n_ensemble": n_ensemble,
-                "hidden_dims": hidden_dims,
-                "n_features": n_features,
-                "activation": activation,
-                "output_activation": output_activation,
-                "epochs": epochs,
-                "lr": lr,
-                "pretrain_epochs": pretrain_epochs,
-                "patience": patience,
-                "engine": engine,
-                "backend": backend,
-                "device": device,
-                "linalg_threads": linalg_threads,
-            },
-            {},
-            owner=type(self).__name__,
-        )
-        acquisition_config = resolve_config_shim(
-            AcquisitionConfig,
-            acquisition_config,
-            "acquisition_config",
-            {
-                "acquisition": acquisition,
-                "log_space": log_space_acq,
-                "fantasy": fantasy,
-                "pending_strategy": pending_strategy,
-                "hallucinate_kappa": hallucinate_kappa,
-                "proposal_space": proposal_space,
-                "trust_region": trust_region,
-            },
-            {"log_space": "log_space_acq"},
-            owner=type(self).__name__,
-        )
-        scheduler_config = resolve_config_shim(
-            SchedulerConfig,
-            scheduler_config,
-            "scheduler_config",
-            {
-                "q": q,
-                "executor": executor,
-                "n_eval_workers": n_eval_workers,
-                "async_refit": async_refit,
-                "async_full_refit_every": async_full_refit_every,
-                "clock": async_clock,
-            },
-            {"clock": "async_clock"},
-            owner=type(self).__name__,
-        )
+        if surrogate is None:
+            surrogate = SurrogateConfig()
+        if acquisition_config is None:
+            acquisition_config = AcquisitionConfig()
+        if scheduler_config is None:
+            scheduler_config = SchedulerConfig()
         self.surrogate_config = surrogate
-        # flat mirrors (historical introspection surface)
-        self.n_ensemble = surrogate.n_ensemble
-        self.hidden_dims = surrogate.hidden_dims
-        self.n_features = surrogate.n_features
-        self.activation = surrogate.activation
-        self.output_activation = surrogate.output_activation
-        self.epochs = surrogate.epochs
-        self.lr = surrogate.lr
-        self.pretrain_epochs = surrogate.pretrain_epochs
-        self.patience = surrogate.patience
+        #: the concrete training engine (``SurrogateConfig.engine="auto"``
+        #: resolved against the acquisition family and batch size)
         self.engine = surrogate.resolve_engine(
             acquisition_config.acquisition, scheduler_config.q
         )
-        self.backend = surrogate.backend
-        self.device = surrogate.device
-        self.linalg_threads = surrogate.linalg_threads
 
         member_factory = surrogate.member_factory(problem.dim)
         trainer_factory = surrogate.trainer_factory

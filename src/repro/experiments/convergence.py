@@ -20,6 +20,7 @@ import argparse
 import numpy as np
 
 from repro.baselines import DifferentialEvolution, GASPAD, WEIBO
+from repro.bo.config import SurrogateConfig
 from repro.circuits.testbenches import TwoStageOpAmpProblem
 from repro.core import NNBO
 from repro.experiments.runner import run_repeats
@@ -30,9 +31,11 @@ def make_optimizer(name: str, seed: int, n_initial: int, budget: int):
     """One of the four algorithms at a shared simulation budget."""
     problem = TwoStageOpAmpProblem()
     if name == "NN-BO":
+        surrogate = SurrogateConfig(
+            n_ensemble=3, hidden_dims=(32, 32), n_features=24, epochs=150
+        )
         return NNBO(problem, n_initial=n_initial, max_evaluations=budget,
-                    n_ensemble=3, hidden_dims=(32, 32), n_features=24,
-                    epochs=150, seed=seed)
+                    surrogate=surrogate, seed=seed)
     if name == "WEIBO":
         return WEIBO(problem, n_initial=n_initial, max_evaluations=budget,
                      seed=seed)

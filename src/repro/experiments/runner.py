@@ -160,8 +160,7 @@ def nnbo_configs(config):
     The Table I/II configs carry the same flat fields (budgets, model
     sizes, scheduler knobs); this maps them onto the
     (:class:`SurrogateConfig`, :class:`AcquisitionConfig`,
-    :class:`SchedulerConfig`) triple the ask/tell-era constructors take,
-    so the CLIs never touch the deprecated kwarg pile.
+    :class:`SchedulerConfig`) triple the optimizer constructors take.
     """
     surrogate = SurrogateConfig(
         n_ensemble=config.n_ensemble,

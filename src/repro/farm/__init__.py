@@ -13,8 +13,9 @@ shared worker pool:
   :class:`~repro.bo.config.SpeculationConfig`);
 * the :class:`FarmError` taxonomy with wire-stable codes.
 
-``NNBOLoop`` engages the driver automatically when
-``SchedulerConfig.farm`` is set with an asynchronous executor.
+``SurrogateBO.run`` (and so ``NNBO``) drives every asynchronous
+executor (``async-thread`` / ``async-process``) through a single-tenant
+farm; ``SchedulerConfig.farm`` tunes its policy.
 """
 
 from repro.farm.driver import FarmJob, FarmStudyDriver

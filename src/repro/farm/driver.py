@@ -1,9 +1,11 @@
 """Farm-backed study drivers: refill, speculation, elastic control.
 
-:class:`FarmStudyDriver` generalizes
-:meth:`~repro.bo.scheduler.AsyncEvaluationScheduler.run_study` to many
-concurrent studies sharing one :class:`~repro.farm.farm.EvaluationFarm`,
-plus three adaptive behaviours the fixed refill loop cannot express:
+:class:`FarmStudyDriver` is the library's one refill-on-completion loop:
+it keeps a study's in-flight target saturated, tells every landing in
+completion order and asks a replacement immediately — for a single study
+(``SurrogateBO.run`` with an ``async-*`` executor) or for many concurrent
+studies sharing one :class:`~repro.farm.farm.EvaluationFarm`.  On top of
+that fixed loop it adds three adaptive behaviours:
 
 * **elastic sizing** — a study's in-flight target tracks
   ``ceil(eval_ewma / propose_cost_s)`` (how many evaluations fit in one
@@ -24,9 +26,8 @@ Determinism contract: under a :class:`~repro.bo.scheduler.FakeClock`
 every decision input is a count, a virtual duration, or a seeded
 surrogate read, so the trace is a pure function of ``(seed, completion
 order)`` — and with the default fixed/no-speculation config the
-single-study trace is pinned *bitwise* against
-:class:`~repro.bo.scheduler.AsyncEvaluationScheduler`
-(``tests/farm/test_farm_driver.py``).
+single-study trace is pinned *bitwise* against a plain ask/tell replay
+of the same completion rule (``tests/farm/test_farm_driver.py``).
 """
 
 from __future__ import annotations
@@ -219,10 +220,10 @@ class FarmStudyDriver:
     def _run_initial(self, st: _JobState, trials) -> None:
         """Evaluate initial-design trials concurrently, tell in design order.
 
-        Mirrors :meth:`~repro.bo.scheduler.AsyncEvaluationScheduler.
-        run_initial_trials`: the initial design is generated jointly, so
-        its commit order is fixed to the design order, keeping the
-        post-initial surrogate state independent of worker timing.
+        The initial design is generated jointly (no pending-set
+        conditioning), so its commit order is fixed to the design order —
+        identical to the synchronous scheduler — keeping the post-initial
+        surrogate state independent of worker timing.
         """
         tasks: list[FarmTask] = [
             self.farm.submit(st.tenant, t.u) for t in trials
@@ -242,8 +243,7 @@ class FarmStudyDriver:
             None if self.clock is None else st.now + self.clock.duration(trial.u)
         )
         # the driver owns timing: annotate the study's ledger entry so
-        # checkpoints carry the virtual clock (same contract as the
-        # async scheduler)
+        # checkpoints carry the virtual clock
         st.study.ledger.entry(trial.proposal_id).virtual_ready = ready
         try:
             task = self.farm.submit(st.tenant, trial.u)

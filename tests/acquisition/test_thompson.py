@@ -99,6 +99,7 @@ class TestThompsonAcquisition:
 class TestThompsonNNBO:
     def test_nnbo_with_thompson_acquisition(self):
         """Algorithm 1 with TS instead of wEI still solves the toy problem."""
+        from repro.bo.config import AcquisitionConfig, SurrogateConfig
         from repro.core import NNBO
 
         problem = toy_constrained_quadratic(2)
@@ -106,11 +107,10 @@ class TestThompsonNNBO:
             problem,
             n_initial=8,
             max_evaluations=22,
-            n_ensemble=2,
-            hidden_dims=(12, 12),
-            n_features=8,
-            epochs=60,
-            acquisition="thompson",
+            surrogate=SurrogateConfig(
+                n_ensemble=2, hidden_dims=(12, 12), n_features=8, epochs=60
+            ),
+            acquisition_config=AcquisitionConfig(acquisition="thompson"),
             seed=2,
         ).run()
         assert result.n_evaluations == 22
@@ -118,7 +118,11 @@ class TestThompsonNNBO:
         assert result.best_objective() < 1.0
 
     def test_invalid_acquisition_name(self):
+        from repro.bo.config import AcquisitionConfig
         from repro.core import NNBO
 
         with pytest.raises(ValueError):
-            NNBO(toy_constrained_quadratic(2), acquisition="ucb")
+            NNBO(
+                toy_constrained_quadratic(2),
+                acquisition_config=AcquisitionConfig(acquisition="ucb"),
+            )

@@ -10,9 +10,8 @@ Pinned here:
 * the numpy namespace's transfer ops are identity (device round-trips
   return the same numpy data) and its portable ops are the numpy
   functions themselves — the bitwise guarantee is by construction;
-* the ``NNBO`` config shim maps the flat ``backend=``/``device=``/
-  ``linalg_threads=`` kwargs onto :class:`SurrogateConfig` with a
-  ``DeprecationWarning``;
+* ``NNBO`` builds its surrogate bank on the backend named by its
+  :class:`SurrogateConfig` (``backend=`` / ``linalg_threads=``);
 * when torch is importable, the torch posterior matches numpy within the
   1e-5 accelerator-equivalence gate (skips cleanly otherwise).
 """
@@ -135,22 +134,21 @@ class TestConfigWiring:
         with pytest.raises(ValueError, match="linalg_threads"):
             SurrogateConfig(linalg_threads=-1)
 
-    def test_nnbo_shim_maps_backend_kwargs(self):
+    def test_nnbo_bank_uses_configured_backend(self):
         from repro.benchfns import toy_constrained_quadratic
+        from repro.bo.config import SurrogateConfig
         from repro.core import NNBO
 
-        with pytest.warns(DeprecationWarning, match="backend"):
-            bo = NNBO(
-                toy_constrained_quadratic(2),
-                n_initial=4,
-                max_evaluations=6,
-                backend="numpy",
-                linalg_threads=2,
-            )
+        bo = NNBO(
+            toy_constrained_quadratic(2),
+            n_initial=4,
+            max_evaluations=6,
+            surrogate=SurrogateConfig(backend="numpy", linalg_threads=2),
+        )
         assert bo.surrogate_config.backend == "numpy"
         assert bo.surrogate_config.linalg_threads == 2
-        assert bo.backend == "numpy"
-        assert bo.linalg_threads == 2
+        bank = bo.surrogate_bank_factory(np.random.default_rng(0), 2)
+        assert bank.gp.xb.is_numpy and bank.gp.xb.linalg_threads == 2
 
 
 class TestTorchEquivalence:

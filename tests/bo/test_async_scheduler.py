@@ -1,6 +1,8 @@
-"""Tests for the asynchronous (refill-on-completion) BO scheduler.
+"""Tests for the asynchronous (refill-on-completion) BO loop.
 
-Determinism contracts pinned here:
+``SurrogateBO.run`` drives every ``async-*`` executor through a
+single-tenant evaluation farm (:mod:`repro.farm`).  Determinism contracts
+pinned here:
 
 * ``executor="async-*"`` with ``n_eval_workers=1`` reproduces the serial
   ``q=1`` loop bitwise (same proposals, same history, same regret trace);
@@ -20,11 +22,11 @@ import time
 import numpy as np
 import pytest
 
+from repro.bo.config import AcquisitionConfig, SchedulerConfig, SurrogateConfig
 from repro.bo.history import OptimizationResult
 from repro.bo.loop import SurrogateBO
 from repro.bo.problem import FunctionProblem
 from repro.bo.scheduler import (
-    AsyncEvaluationScheduler,
     AsyncProcessEvaluator,
     AsyncThreadEvaluator,
     EvaluationScheduler,
@@ -33,11 +35,17 @@ from repro.bo.scheduler import (
     make_evaluator,
 )
 from repro.benchfns import toy_constrained_quadratic
+from repro.bo.study import Study
 from repro.core import NNBO
 
 # shared with the synchronous scheduler suite: same GP factory, same
 # picklable problem (module-level callables pickle into pool workers)
 from test_scheduler import gp_factory, make_picklable_problem
+
+#: a small NN-GP ensemble that keeps the NNBO pins fast
+SMALL_NN = SurrogateConfig(
+    n_ensemble=2, hidden_dims=(10, 10), n_features=6, epochs=20
+)
 
 
 def _poison_objective(x):
@@ -57,16 +65,18 @@ class TestAsyncSingleWorkerMatchesSerial:
     """async-* with one worker degrades to the serial q=1 loop exactly."""
 
     def _pair(self, make_bo):
-        serial = make_bo(executor="serial", n_eval_workers=None).run()
-        asynchronous = make_bo(executor="async-thread", n_eval_workers=1).run()
+        serial = make_bo(SchedulerConfig(executor="serial")).run()
+        asynchronous = make_bo(
+            SchedulerConfig(executor="async-thread", n_eval_workers=1)
+        ).run()
         return serial, asynchronous
 
     def test_gp_surrogate_bitwise(self):
-        def make(executor, n_eval_workers):
+        def make(scheduler):
             return SurrogateBO(
                 toy_constrained_quadratic(2), gp_factory,
                 n_initial=5, max_evaluations=10,
-                executor=executor, n_eval_workers=n_eval_workers, seed=11,
+                scheduler_config=scheduler, seed=11,
             )
 
         serial, asynchronous = self._pair(make)
@@ -79,12 +89,11 @@ class TestAsyncSingleWorkerMatchesSerial:
         assert asynchronous.cache_misses == serial.cache_misses
 
     def test_nnbo_bank_bitwise(self):
-        def make(executor, n_eval_workers):
+        def make(scheduler):
             return NNBO(
                 toy_constrained_quadratic(2),
-                n_initial=5, max_evaluations=8, n_ensemble=2,
-                hidden_dims=(10, 10), n_features=6, epochs=20,
-                executor=executor, n_eval_workers=n_eval_workers, seed=3,
+                n_initial=5, max_evaluations=8, surrogate=SMALL_NN,
+                scheduler_config=scheduler, seed=3,
             )
 
         serial, asynchronous = self._pair(make)
@@ -106,9 +115,11 @@ class TestFakeClockReplay:
             gp_factory,
             n_initial=5,
             max_evaluations=self.BUDGET,
-            executor=executor,
-            n_eval_workers=self.WORKERS,
-            async_clock=FakeClock(),
+            scheduler_config=SchedulerConfig(
+                executor=executor,
+                n_eval_workers=self.WORKERS,
+                clock=FakeClock(),
+            ),
             seed=2024,
         ).run()
 
@@ -138,18 +149,16 @@ class TestFakeClockReplay:
 
 
 class TestAsyncBudgetAndLedger:
-    def _run(self, **kwargs) -> OptimizationResult:
-        defaults = dict(
+    def _run(self) -> OptimizationResult:
+        return SurrogateBO(
+            toy_constrained_quadratic(2),
+            gp_factory,
             n_initial=5,
             max_evaluations=14,
-            executor="async-thread",
-            n_eval_workers=3,
-            async_clock=FakeClock(),
+            scheduler_config=SchedulerConfig(
+                executor="async-thread", n_eval_workers=3, clock=FakeClock()
+            ),
             seed=5,
-        )
-        defaults.update(kwargs)
-        return SurrogateBO(
-            toy_constrained_quadratic(2), gp_factory, **defaults
         ).run()
 
     def test_exact_budget(self):
@@ -190,23 +199,27 @@ class TestAsyncBudgetAndLedger:
         SurrogateBO(
             toy_constrained_quadratic(2), gp_factory,
             n_initial=5, max_evaluations=11,
-            executor="async-thread", n_eval_workers=2,
-            async_clock=FakeClock(), seed=5,
+            scheduler_config=SchedulerConfig(
+                executor="async-thread", n_eval_workers=2, clock=FakeClock()
+            ),
+            seed=5,
             callback=lambda landing, res: seen.append(landing),
         ).run()
         assert seen == list(range(1, 7))
 
 
 class TestAsyncRefitPolicies:
-    def _make_nnbo(self, **kwargs):
-        defaults = dict(
-            n_initial=6, max_evaluations=14, n_ensemble=2,
-            hidden_dims=(10, 10), n_features=6, epochs=20,
-            executor="async-thread", n_eval_workers=2,
-            async_clock=FakeClock(), seed=1,
+    def _make_nnbo(self, acquisition=None, **scheduler):
+        return NNBO(
+            toy_constrained_quadratic(2),
+            n_initial=6, max_evaluations=14, surrogate=SMALL_NN,
+            acquisition_config=acquisition,
+            scheduler_config=SchedulerConfig(
+                executor="async-thread", n_eval_workers=2, clock=FakeClock(),
+                **scheduler,
+            ),
+            seed=1,
         )
-        defaults.update(kwargs)
-        return NNBO(toy_constrained_quadratic(2), **defaults)
 
     def test_fantasy_only_runs_to_budget(self):
         result = self._make_nnbo(
@@ -226,8 +239,11 @@ class TestAsyncRefitPolicies:
         bo = SurrogateBO(
             toy_constrained_quadratic(2), gp_factory,
             n_initial=5, max_evaluations=8,
-            executor="async-thread", n_eval_workers=2,
-            async_refit="fantasy-only", seed=0,
+            scheduler_config=SchedulerConfig(
+                executor="async-thread", n_eval_workers=2,
+                async_refit="fantasy-only",
+            ),
+            seed=0,
         )
         with pytest.raises(ValueError, match="fantasy-only"):
             bo.run()
@@ -236,16 +252,20 @@ class TestAsyncRefitPolicies:
         with pytest.raises(ValueError, match="async_refit"):
             SurrogateBO(
                 toy_constrained_quadratic(2), gp_factory,
-                n_initial=5, max_evaluations=8, async_refit="lazy",
+                n_initial=5, max_evaluations=8,
+                scheduler_config=SchedulerConfig(async_refit="lazy"),
             )
         with pytest.raises(ValueError, match="async_full_refit_every"):
             SurrogateBO(
                 toy_constrained_quadratic(2), gp_factory,
-                n_initial=5, max_evaluations=8, async_full_refit_every=0,
+                n_initial=5, max_evaluations=8,
+                scheduler_config=SchedulerConfig(async_full_refit_every=0),
             )
 
     def test_thompson_async(self):
-        result = self._make_nnbo(acquisition="thompson", q=2).run()
+        result = self._make_nnbo(
+            AcquisitionConfig(acquisition="thompson"), q=2
+        ).run()
         assert result.n_evaluations == 14
 
 
@@ -264,7 +284,10 @@ class TestAsyncExecutorSpecs:
             result = SurrogateBO(
                 toy_constrained_quadratic(2), gp_factory,
                 n_initial=5, max_evaluations=9,
-                executor=evaluator, async_clock=FakeClock(), seed=3,
+                scheduler_config=SchedulerConfig(
+                    executor=evaluator, clock=FakeClock()
+                ),
+                seed=3,
             ).run()
         finally:
             evaluator.close()
@@ -282,7 +305,7 @@ class TestPoisonedEvaluations:
         bo = SurrogateBO(
             make_poisoned_problem(), gp_factory,
             n_initial=4, max_evaluations=20,
-            executor=evaluator, seed=0,
+            scheduler_config=SchedulerConfig(executor=evaluator), seed=0,
         )
         start = time.perf_counter()
         try:
@@ -296,27 +319,28 @@ class TestPoisonedEvaluations:
         assert evaluator._pool is None
 
     def test_batch_scheduler_prefix_ordering_preserved(self):
-        """Records committed before the poison stay a clean batch-order prefix."""
+        """Trials told before the poison stay a clean batch-order prefix."""
         problem = make_poisoned_problem()
+        study = Study(
+            problem, surrogate_factory=gp_factory,
+            n_initial=4, max_evaluations=8, seed=5,
+        )
+        trials = study.start_initial()
+        # a 4-point LHS puts exactly one design in the x0 > 0.75 stratum;
+        # seed 5 places that poisoned design second in the batch
+        assert [t.x[0] > 0.75 for t in trials] == [False, True, False, False]
         evaluator = ProcessPoolEvaluator(n_workers=2)
-        result = OptimizationResult(problem.name, "test")
         scheduler = EvaluationScheduler(problem, evaluator)
-        batch = [
-            np.array([0.1, 0.1]),
-            np.array([0.9, 0.9]),  # poisoned
-            np.array([0.2, 0.2]),
-            np.array([0.3, 0.3]),
-        ]
         try:
             with pytest.raises(RuntimeError, match="simulator diverged"):
-                scheduler.run_batch(batch, result, [], phase="search", iteration=1)
+                scheduler.run_trials(trials, study)
         finally:
             evaluator.close()
         assert evaluator._pool is None
         # whatever landed before the failure is a contiguous batch prefix
-        assert [r.batch_index for r in result.records] == list(
-            range(len(result.records))
-        )
+        records = study.result.records
+        assert [r.batch_index for r in records] == list(range(len(records)))
+        assert len(records) <= 1  # the poisoned trial never commits
 
     def test_pool_usable_after_poisoned_batch(self):
         """The executor recovers: close + fresh evaluate works."""
@@ -336,29 +360,24 @@ class TestPoisonedEvaluations:
 
 
 class TestAsyncSchedulerUnit:
-    """Direct scheduler-level checks independent of the BO loop."""
+    """Refill-loop saturation (read off the ledger) and the fake clock."""
 
     def test_refill_keeps_pool_saturated(self):
-        problem = make_picklable_problem()
-        evaluator = AsyncThreadEvaluator(n_workers=3)
-        result = OptimizationResult(problem.name, "unit")
-        scheduler = AsyncEvaluationScheduler(
-            problem, evaluator, clock=FakeClock()
-        )
-        rng = np.random.default_rng(0)
-        observed_pending = []
-
-        def propose(pending_units):
-            observed_pending.append(len(pending_units))
-            return rng.uniform(size=2)
-
-        try:
-            scheduler.run_search(
-                result, [], propose=propose, n_workers=3, max_evaluations=9
-            )
-        finally:
-            evaluator.close()
-        assert result.n_evaluations == 9
+        result = SurrogateBO(
+            make_picklable_problem(),
+            gp_factory,
+            n_initial=4,
+            max_evaluations=10,
+            scheduler_config=SchedulerConfig(
+                executor="async-thread", n_eval_workers=3, clock=FakeClock()
+            ),
+            seed=0,
+        ).run()
+        assert result.n_evaluations == 10
+        observed_pending = [
+            len(entry.pending_at_proposal) for entry in result.ledger.entries
+        ]
+        assert len(observed_pending) == 10 - 4
         # steady state proposes against a full complement of pending designs
         assert max(observed_pending) == 2
         assert observed_pending[0] == 0  # first top-up starts empty

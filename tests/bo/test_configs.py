@@ -1,17 +1,17 @@
-"""Tests for the typed configs and the legacy-kwarg deprecation shim.
+"""Tests for the typed configs, the optimizers' one config path.
 
 Contracts pinned here:
 
 * configs validate at construction and every message names the
   offending value;
-* legacy constructor kwargs still work, emit a ``DeprecationWarning``
-  naming the replacement config, and produce bitwise-identical runs;
-* mixing legacy kwargs with an explicit config object is an error.
+* the legacy flat constructor kwargs (``q=``, ``n_ensemble=``, ...) are
+  gone: passing one is a ``TypeError``, and the optimizers keep no flat
+  mirrors of the config fields;
+* config-only construction is warning-free.
 """
 
 import warnings
 
-import numpy as np
 import pytest
 
 from repro.bo.config import (
@@ -157,59 +157,35 @@ class TestErrorMessagesNameValues:
 
 
 class TestDeprecationShim:
+    """The removed legacy-kwarg shim stays removed."""
+
     def _problem(self):
         return toy_constrained_quadratic(2)
 
-    def test_legacy_kwargs_warn_and_map(self):
-        with pytest.warns(DeprecationWarning, match="q=3"):
-            bo = SurrogateBO(
-                self._problem(),
-                gp_factory,
-                n_initial=5,
-                max_evaluations=11,
-                q=3,
-                executor="thread",
-                n_eval_workers=3,
-                seed=7,
-            )
-        assert bo.scheduler_config.q == 3
-        assert bo.scheduler_config.executor == "thread"
-        assert bo.q == 3
-
-    def test_legacy_and_config_runs_are_bitwise(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = SurrogateBO(
-                self._problem(),
-                gp_factory,
-                n_initial=5,
-                max_evaluations=11,
-                q=3,
-                fantasy="cl-min",
-                seed=7,
-            ).run()
-        modern = SurrogateBO(
-            self._problem(),
-            gp_factory,
-            n_initial=5,
-            max_evaluations=11,
-            acquisition_config=AcquisitionConfig(fantasy="cl-min"),
-            scheduler_config=SchedulerConfig(q=3),
-            seed=7,
-        ).run()
-        np.testing.assert_array_equal(modern.x_matrix, legacy.x_matrix)
-        np.testing.assert_array_equal(modern.objectives, legacy.objectives)
-
-    def test_conflict_with_explicit_config_raises(self):
-        with pytest.raises(ValueError, match="both"):
+    def test_legacy_kwargs_rejected(self):
+        with pytest.raises(TypeError, match="'q'"):
             SurrogateBO(
-                self._problem(),
-                gp_factory,
-                n_initial=5,
-                max_evaluations=8,
-                q=2,
-                scheduler_config=SchedulerConfig(q=2),
+                self._problem(), gp_factory, n_initial=5, max_evaluations=8, q=3
             )
+        with pytest.raises(TypeError, match="'n_ensemble'"):
+            NNBO(self._problem(), n_initial=5, max_evaluations=8, n_ensemble=2)
+
+    def test_only_derived_attributes_remain(self):
+        nnbo = NNBO(
+            self._problem(),
+            n_initial=5,
+            max_evaluations=8,
+            surrogate=SurrogateConfig(n_ensemble=2),
+            scheduler_config=SchedulerConfig(q=3),
+            seed=0,
+        )
+        assert nnbo.surrogate_config.n_ensemble == 2
+        assert nnbo.scheduler_config.q == 3
+        # the two values resolved against problem/config context stay
+        assert nnbo.engine == "batched"
+        assert nnbo.log_space_acq is False
+        for mirror in ("q", "executor", "fantasy", "async_refit", "n_ensemble"):
+            assert not hasattr(nnbo, mirror)
 
     def test_config_only_construction_is_warning_free(self):
         with warnings.catch_warnings():
@@ -233,21 +209,6 @@ class TestDeprecationShim:
                 seed=0,
             )
 
-    def test_nnbo_legacy_surrogate_kwargs_warn(self):
-        with pytest.warns(DeprecationWarning, match="n_ensemble=2"):
-            nnbo = NNBO(
-                self._problem(),
-                n_initial=5,
-                max_evaluations=8,
-                n_ensemble=2,
-                hidden_dims=(8, 8),
-                n_features=6,
-                epochs=10,
-                seed=0,
-            )
-        assert nnbo.surrogate_config.n_ensemble == 2
-        assert nnbo.engine == "batched"
-
     def test_validation_errors_still_raise_at_construction(self):
         with pytest.raises(ValueError, match="async_refit"):
             SurrogateBO(
@@ -255,7 +216,7 @@ class TestDeprecationShim:
                 gp_factory,
                 n_initial=5,
                 max_evaluations=8,
-                async_refit="lazy",
+                scheduler_config=SchedulerConfig(async_refit="lazy"),
             )
         with pytest.raises(ValueError, match="n_initial must be >= 2, got 1"):
             SurrogateBO(

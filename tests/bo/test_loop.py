@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.acquisition.maximize import AcquisitionMaximizer
+from repro.bo.config import AcquisitionConfig
 from repro.bo.loop import SurrogateBO, _sanitize_targets
 from repro.bo.problem import FunctionProblem
 from repro.benchfns import toy_constrained_quadratic
@@ -97,7 +98,7 @@ class TestLoopMechanics:
         bo = SurrogateBO(
             toy_constrained_quadratic(2),
             surrogate_bank_factory=tiny_bank_factory,
-            acquisition="thompson",
+            acquisition_config=AcquisitionConfig(acquisition="thompson"),
             n_initial=4,
             max_evaluations=6,
             seed=0,
@@ -175,7 +176,7 @@ class TestDuplicateResampling:
             n_initial=4,
             max_evaluations=8,
             acq_maximizer=self._ReturnExisting(holder),
-            duplicate_tol=1e-6,
+            acquisition_config=AcquisitionConfig(duplicate_tol=1e-6),
             seed=7,
         )
         original_propose = bo._propose
@@ -192,14 +193,15 @@ class TestDuplicateResampling:
         assert seen, "search phase never ran"
         for proposal, x_unit in seen:
             dists = np.max(np.abs(x_unit - proposal[None, :]), axis=1)
-            assert np.all(dists >= bo.duplicate_tol)
+            assert np.all(dists >= bo.acquisition_config.duplicate_tol)
 
     def test_resample_is_bounded(self):
         """When every draw is a duplicate the loop terminates anyway."""
         problem = toy_constrained_quadratic(1)
         bo = SurrogateBO(
             problem, gp_factory, n_initial=2, max_evaluations=3,
-            duplicate_tol=2.0,  # the whole unit box is "duplicate"
+            # the whole unit box is "duplicate"
+            acquisition_config=AcquisitionConfig(duplicate_tol=2.0),
             seed=0,
         )
         x_unit = np.array([[0.5]])

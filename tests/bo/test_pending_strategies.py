@@ -16,6 +16,7 @@ Contracts pinned here:
 import numpy as np
 import pytest
 
+from repro.bo.config import AcquisitionConfig, SchedulerConfig, SurrogateConfig
 from repro.bo.loop import SurrogateBO
 from repro.bo.scheduler import FakeClock
 from repro.core import NNBO
@@ -25,18 +26,24 @@ from repro.benchfns import toy_constrained_quadratic
 from test_scheduler import gp_factory, make_picklable_problem
 
 STRATEGIES = ("fantasy", "penalize", "hallucinate")
+TINY_NN = SurrogateConfig(n_ensemble=2, hidden_dims=(8, 8), n_features=6, epochs=15)
 
 
-def make_bo(pending_strategy=None, **overrides):
-    defaults = dict(
+def make_bo(pending_strategy=None, max_evaluations=13, **scheduler):
+    """A GP loop on the picklable problem; ``scheduler`` builds its config."""
+    return SurrogateBO(
+        make_picklable_problem(),
+        gp_factory,
         n_initial=5,
-        max_evaluations=13,
+        max_evaluations=max_evaluations,
+        acquisition_config=(
+            None
+            if pending_strategy is None
+            else AcquisitionConfig(pending_strategy=pending_strategy)
+        ),
+        scheduler_config=SchedulerConfig(**scheduler),
         seed=2024,
     )
-    if pending_strategy is not None:
-        defaults["pending_strategy"] = pending_strategy
-    defaults.update(overrides)
-    return SurrogateBO(make_picklable_problem(), gp_factory, **defaults)
 
 
 class TestFantasyIsBitwiseDefault:
@@ -51,9 +58,7 @@ class TestFantasyIsBitwiseDefault:
         np.testing.assert_array_equal(explicit.objectives, default.objectives)
 
     def test_async_bitwise(self):
-        kwargs = dict(
-            executor="async-thread", n_eval_workers=3, async_clock=FakeClock()
-        )
+        kwargs = dict(executor="async-thread", n_eval_workers=3, clock=FakeClock())
         default = make_bo(**kwargs).run()
         explicit = make_bo("fantasy", **kwargs).run()
         np.testing.assert_array_equal(explicit.x_matrix, default.x_matrix)
@@ -69,7 +74,7 @@ class TestNewStrategyDeterminism:
             strategy,
             executor=executor,
             n_eval_workers=3,
-            async_clock=FakeClock(),
+            clock=FakeClock(),
         ).run()
 
     def test_async_thread_equals_async_process(self, strategy):
@@ -137,9 +142,10 @@ class TestStrategySemantics:
         for strategy in STRATEGIES:
             result = NNBO(
                 toy_constrained_quadratic(2),
-                n_initial=5, max_evaluations=9, n_ensemble=2,
-                hidden_dims=(8, 8), n_features=6, epochs=15,
-                q=2, pending_strategy=strategy, seed=3,
+                n_initial=5, max_evaluations=9, surrogate=TINY_NN,
+                acquisition_config=AcquisitionConfig(pending_strategy=strategy),
+                scheduler_config=SchedulerConfig(q=2),
+                seed=3,
             ).run()
             assert result.n_evaluations == 9
 
@@ -148,11 +154,14 @@ class TestStrategySemantics:
         for strategy in ("penalize", "hallucinate"):
             result = NNBO(
                 toy_constrained_quadratic(2),
-                n_initial=5, max_evaluations=11, n_ensemble=2,
-                hidden_dims=(8, 8), n_features=6, epochs=15,
-                executor="async-thread", n_eval_workers=2,
-                async_refit="fantasy-only", async_full_refit_every=3,
-                async_clock=FakeClock(), pending_strategy=strategy, seed=2,
+                n_initial=5, max_evaluations=11, surrogate=TINY_NN,
+                acquisition_config=AcquisitionConfig(pending_strategy=strategy),
+                scheduler_config=SchedulerConfig(
+                    executor="async-thread", n_eval_workers=2,
+                    async_refit="fantasy-only", async_full_refit_every=3,
+                    clock=FakeClock(),
+                ),
+                seed=2,
             ).run()
             assert result.n_evaluations == 11
             assert all(e.strategy == strategy for e in result.ledger.entries)
@@ -168,9 +177,11 @@ class TestValidation:
             SurrogateBO(
                 toy_constrained_quadratic(2), gp_factory,
                 n_initial=5, max_evaluations=8,
-                acquisition="thompson", pending_strategy="penalize",
+                acquisition_config=AcquisitionConfig(
+                    acquisition="thompson", pending_strategy="penalize"
+                ),
             )
 
     def test_negative_kappa_rejected(self):
         with pytest.raises(ValueError, match="hallucinate_kappa"):
-            make_bo("hallucinate", hallucinate_kappa=-0.5)
+            AcquisitionConfig(pending_strategy="hallucinate", hallucinate_kappa=-0.5)

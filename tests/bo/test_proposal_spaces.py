@@ -31,15 +31,21 @@ from test_scheduler import gp_factory, make_picklable_problem
 SPACES = ("line", "trust-region")
 
 
-def make_bo(proposal_space=None, **overrides):
-    defaults = dict(n_initial=5, max_evaluations=10, seed=11)
-    defaults.update(overrides)
-    problem = defaults.pop("problem", None) or toy_constrained_quadratic(2)
-    if proposal_space is not None:
-        defaults["acquisition_config"] = AcquisitionConfig(
-            proposal_space=proposal_space
-        )
-    return SurrogateBO(problem, gp_factory, **defaults)
+def make_bo(proposal_space=None, *, problem=None, max_evaluations=10, seed=11, **scheduler):
+    """A GP loop; ``scheduler`` kwargs build its :class:`SchedulerConfig`."""
+    return SurrogateBO(
+        problem or toy_constrained_quadratic(2),
+        gp_factory,
+        n_initial=5,
+        max_evaluations=max_evaluations,
+        acquisition_config=(
+            None
+            if proposal_space is None
+            else AcquisitionConfig(proposal_space=proposal_space)
+        ),
+        scheduler_config=SchedulerConfig(**scheduler),
+        seed=seed,
+    )
 
 
 def assert_traces_equal(a, b):
@@ -67,7 +73,7 @@ class TestFullSpaceIsBitwiseDefault:
                 max_evaluations=13,
                 executor="async-thread",
                 n_eval_workers=3,
-                async_clock=FakeClock(),
+                clock=FakeClock(),
                 seed=2024,
             ).run()
 
@@ -96,7 +102,7 @@ class TestSubspaceDeterminism:
             max_evaluations=13,
             executor=executor,
             n_eval_workers=3,
-            async_clock=FakeClock(),
+            clock=FakeClock(),
             seed=2024,
         ).run()
 

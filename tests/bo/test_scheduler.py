@@ -12,6 +12,7 @@ Two determinism contracts anchor the refactor:
 import numpy as np
 import pytest
 
+from repro.bo.config import AcquisitionConfig, SchedulerConfig, SurrogateConfig
 from repro.bo.design import make_design
 from repro.bo.history import OptimizationResult
 from repro.bo.loop import SurrogateBO
@@ -30,6 +31,12 @@ from repro.gp import GPRegression
 
 def gp_factory(rng):
     return GPRegression(n_restarts=1, seed=rng)
+
+
+#: a small NN-GP ensemble that keeps the NNBO pins fast
+SMALL_NN = SurrogateConfig(
+    n_ensemble=2, hidden_dims=(10, 10), n_features=6, epochs=20
+)
 
 
 # module-level objective/constraint so the problem pickles into pool workers
@@ -94,8 +101,7 @@ class TestQ1MatchesLegacyLoop:
         self._compare(
             lambda: NNBO(
                 toy_constrained_quadratic(2),
-                n_initial=5, max_evaluations=8, n_ensemble=2,
-                hidden_dims=(10, 10), n_features=6, epochs=20, seed=3,
+                n_initial=5, max_evaluations=8, surrogate=SMALL_NN, seed=3,
             )
         )
 
@@ -109,8 +115,7 @@ class TestCrossExecutorDeterminism:
             gp_factory,
             n_initial=5,
             max_evaluations=13,
-            q=self.Q,
-            executor=executor,
+            scheduler_config=SchedulerConfig(q=self.Q, executor=executor),
             seed=2024,
         )
         return bo.run()
@@ -140,7 +145,8 @@ class TestBatchProvenance:
     def _result(self, q=3, budget=12):
         return SurrogateBO(
             toy_constrained_quadratic(2), gp_factory,
-            n_initial=5, max_evaluations=budget, q=q, seed=0,
+            n_initial=5, max_evaluations=budget,
+            scheduler_config=SchedulerConfig(q=q), seed=0,
         ).run()
 
     def test_budget_respected_with_truncated_final_batch(self):
@@ -177,7 +183,8 @@ class TestBatchProvenance:
         seen = []
         SurrogateBO(
             toy_constrained_quadratic(2), gp_factory,
-            n_initial=5, max_evaluations=11, q=3, seed=0,
+            n_initial=5, max_evaluations=11,
+            scheduler_config=SchedulerConfig(q=3), seed=0,
             callback=lambda it, res: seen.append((it, res.n_evaluations)),
         ).run()
         assert seen == [(1, 8), (2, 11)]
@@ -187,8 +194,8 @@ class TestNNBOBatchPaths:
     def test_wei_bank_q3(self):
         nnbo = NNBO(
             toy_constrained_quadratic(2),
-            n_initial=6, max_evaluations=12, n_ensemble=2,
-            hidden_dims=(10, 10), n_features=6, epochs=20, q=3, seed=1,
+            n_initial=6, max_evaluations=12, surrogate=SMALL_NN,
+            scheduler_config=SchedulerConfig(q=3), seed=1,
         )
         result = nnbo.run()
         assert result.n_evaluations == 12
@@ -197,9 +204,9 @@ class TestNNBOBatchPaths:
     def test_thompson_q2_uses_bank(self):
         nnbo = NNBO(
             toy_constrained_quadratic(2),
-            n_initial=6, max_evaluations=10, n_ensemble=2,
-            hidden_dims=(10, 10), n_features=6, epochs=20,
-            q=2, acquisition="thompson", seed=1,
+            n_initial=6, max_evaluations=10, surrogate=SMALL_NN,
+            acquisition_config=AcquisitionConfig(acquisition="thompson"),
+            scheduler_config=SchedulerConfig(q=2), seed=1,
         )
         assert nnbo.engine == "batched"
         result = nnbo.run()
@@ -209,8 +216,8 @@ class TestNNBOBatchPaths:
         def make():
             return NNBO(
                 toy_constrained_quadratic(2),
-                n_initial=6, max_evaluations=12, n_ensemble=2,
-                hidden_dims=(10, 10), n_features=6, epochs=20, q=3, seed=7,
+                n_initial=6, max_evaluations=12, surrogate=SMALL_NN,
+                scheduler_config=SchedulerConfig(q=3), seed=7,
             )
 
         np.testing.assert_array_equal(make().run().x_matrix, make().run().x_matrix)
@@ -262,11 +269,13 @@ class TestExecutors:
 
         problem = toy_constrained_quadratic(2)
         forward = SurrogateBO(
-            problem, gp_factory, n_initial=5, max_evaluations=11, q=3, seed=4,
+            problem, gp_factory, n_initial=5, max_evaluations=11,
+            scheduler_config=SchedulerConfig(q=3), seed=4,
         ).run()
         reversed_run = SurrogateBO(
-            problem, gp_factory, n_initial=5, max_evaluations=11, q=3,
-            executor=ReversedEvaluator(), seed=4,
+            problem, gp_factory, n_initial=5, max_evaluations=11,
+            scheduler_config=SchedulerConfig(q=3, executor=ReversedEvaluator()),
+            seed=4,
         ).run()
         np.testing.assert_array_equal(reversed_run.x_matrix, forward.x_matrix)
 

@@ -1,24 +1,27 @@
 """Tests for the complete NN-BO algorithm (paper Algorithm 1)."""
 
+from dataclasses import replace
+
 import numpy as np
 
 from repro.benchfns import toy_constrained_quadratic
+from repro.bo.config import AcquisitionConfig, SurrogateConfig
 from repro.core import NNBO
 from repro.core.bo import _TrainedEnsemble
 
+TINY_NN = SurrogateConfig(n_ensemble=2, hidden_dims=(12, 12), n_features=8, epochs=50)
 
-def tiny_nnbo(problem, **overrides):
-    defaults = dict(
+
+def tiny_nnbo(problem, *, max_evaluations=16, seed=0, acquisition_config=None, **surrogate):
+    """A small NNBO; ``surrogate`` overrides fields of :data:`TINY_NN`."""
+    return NNBO(
+        problem,
         n_initial=8,
-        max_evaluations=16,
-        n_ensemble=2,
-        hidden_dims=(12, 12),
-        n_features=8,
-        epochs=50,
-        seed=0,
+        max_evaluations=max_evaluations,
+        surrogate=replace(TINY_NN, **surrogate),
+        acquisition_config=acquisition_config,
+        seed=seed,
     )
-    defaults.update(overrides)
-    return NNBO(problem, **defaults)
 
 
 class TestNNBO:
@@ -85,7 +88,10 @@ class TestEngineSelection:
         assert nnbo.surrogate_bank_factory is not None
 
     def test_thompson_auto_falls_back_to_loop(self):
-        nnbo = tiny_nnbo(toy_constrained_quadratic(2), acquisition="thompson")
+        nnbo = tiny_nnbo(
+            toy_constrained_quadratic(2),
+            acquisition_config=AcquisitionConfig(acquisition="thompson"),
+        )
         assert nnbo.engine == "loop"
         assert nnbo.surrogate_bank_factory is None
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.bo.config import SurrogateConfig
 from repro.bo.history import OptimizationResult
 from repro.bo.problem import Evaluation
 from repro.experiments.convergence import (
@@ -45,6 +46,12 @@ class TestOptimizerFactory:
     def test_budgets_forwarded(self, name):
         opt = make_optimizer(name, seed=0, n_initial=10, budget=30)
         assert opt.max_evaluations == 30
+
+    def test_nnbo_surrogate_settings_pinned(self):
+        opt = make_optimizer("NN-BO", seed=0, n_initial=10, budget=30)
+        assert opt.surrogate_config == SurrogateConfig(
+            n_ensemble=3, hidden_dims=(32, 32), n_features=24, epochs=150
+        )
 
     def test_unknown(self):
         with pytest.raises(ValueError):

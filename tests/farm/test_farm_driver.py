@@ -2,10 +2,11 @@
 
 The two headline pins:
 
-* a speculation-off, fixed-target farm run is **bitwise identical** to
-  :class:`~repro.bo.scheduler.AsyncEvaluationScheduler` under a
-  :class:`~repro.bo.scheduler.FakeClock` — same designs, same commit
-  order, same provenance;
+* under a :class:`~repro.bo.scheduler.FakeClock`, a speculation-off,
+  fixed-target run — the route every ``async-*`` executor takes — is
+  **bitwise identical** to a plain ask/tell replay of the same completion
+  rule (``farm_helpers.replay_study``): same designs, same commit order,
+  same provenance;
 * with elastic sizing, adaptive q and speculation all enabled, the
   trace is still a pure function of the seed: async-thread and
   async-process runs match bitwise, and replays are stable.
@@ -13,11 +14,23 @@ The two headline pins:
 
 import numpy as np
 
-from repro.bo.config import FarmConfig, SchedulerConfig, SpeculationConfig
+from repro.bo.config import (
+    FarmConfig,
+    SchedulerConfig,
+    SpeculationConfig,
+    SurrogateConfig,
+)
 from repro.bo.loop import SurrogateBO
 from repro.bo.scheduler import FakeClock
+from repro.bo.study import Study
+from repro.core import NNBO
 from repro.farm import EvaluationFarm, FarmStudyDriver
-from farm_helpers import gp_factory, make_picklable_problem, make_second_problem
+from farm_helpers import (
+    gp_factory,
+    make_picklable_problem,
+    make_second_problem,
+    replay_study,
+)
 
 WORKERS = 3
 BUDGET = 13
@@ -47,22 +60,67 @@ def run_loop(
     ).run()
 
 
-class TestSpeculationOffParity:
-    """The acceptance pin: farm(default) == async scheduler, bitwise."""
+def assert_same_trace(result, reference):
+    """Designs, objectives, completion order and per-record provenance."""
+    np.testing.assert_array_equal(result.x_matrix, reference.x_matrix)
+    np.testing.assert_array_equal(result.objectives, reference.objectives)
+    assert result.ledger.completion_order == reference.ledger.completion_order
+    assert [(r.proposal_id, r.pending_at_proposal) for r in result.records] == [
+        (r.proposal_id, r.pending_at_proposal) for r in reference.records
+    ]
+    assert [e.virtual_ready for e in result.ledger.entries] == [
+        e.virtual_ready for e in reference.ledger.entries
+    ]
 
-    def test_bitwise_vs_async_scheduler(self):
-        reference = run_loop(farm=None)
-        farmed = run_loop(farm=FarmConfig())
-        np.testing.assert_array_equal(farmed.x_matrix, reference.x_matrix)
-        np.testing.assert_array_equal(farmed.objectives, reference.objectives)
-        assert (
-            farmed.ledger.completion_order == reference.ledger.completion_order
+
+class TestSpeculationOffParity:
+    """The acceptance pin: farm(default) == ask/tell replay, bitwise."""
+
+    def test_bitwise_vs_ask_tell_replay(self):
+        study = Study(
+            make_picklable_problem(),
+            surrogate_factory=gp_factory,
+            n_initial=5,
+            max_evaluations=BUDGET,
+            scheduler=SchedulerConfig(
+                executor="async-thread", n_eval_workers=WORKERS, clock=FakeClock()
+            ),
+            seed=2024,
         )
-        assert [
-            (r.proposal_id, r.pending_at_proposal) for r in farmed.records
-        ] == [
-            (r.proposal_id, r.pending_at_proposal) for r in reference.records
-        ]
+        reference = replay_study(study, FakeClock(), WORKERS)
+        # farm=None is the default route of every async run; an explicit
+        # default FarmConfig is the same driver
+        assert_same_trace(run_loop(farm=None), reference)
+        assert_same_trace(run_loop(farm=FarmConfig()), reference)
+
+    def test_nnbo_fantasy_only_bitwise_vs_ask_tell_replay(self):
+        surrogate = SurrogateConfig(
+            n_ensemble=2, hidden_dims=(10, 10), n_features=6, epochs=20
+        )
+        scheduler = SchedulerConfig(
+            executor="async-thread",
+            n_eval_workers=WORKERS,
+            async_refit="fantasy-only",
+            async_full_refit_every=3,
+            clock=FakeClock(),
+        )
+        farmed = NNBO(
+            make_picklable_problem(),
+            n_initial=6,
+            max_evaluations=14,
+            surrogate=surrogate,
+            scheduler_config=scheduler,
+            seed=1,
+        ).run()
+        study = Study(
+            make_picklable_problem(),
+            n_initial=6,
+            max_evaluations=14,
+            surrogate=surrogate,
+            scheduler=scheduler,
+            seed=1,
+        )
+        assert_same_trace(farmed, replay_study(study, FakeClock(), WORKERS))
 
     def test_commit_order_actually_interleaves(self):
         order = run_loop(farm=FarmConfig()).ledger.completion_order

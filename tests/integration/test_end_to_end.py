@@ -6,14 +6,20 @@ These are the closest CI analogue of the paper's experiments: every layer
 runs together.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.baselines import DifferentialEvolution, WEIBO
+from repro.bo.config import SurrogateConfig
 from repro.circuits.pvt import standard_corners
 from repro.circuits.testbenches import ChargePumpProblem, TwoStageOpAmpProblem
 from repro.core import NNBO
 from repro.experiments.runner import run_repeats, summarize
+
+#: miniature NN-GP ensemble shared by the end-to-end runs
+MINI_NN = SurrogateConfig(n_ensemble=2, hidden_dims=(16, 16), n_features=12, epochs=60)
 
 
 @pytest.fixture(scope="module")
@@ -23,10 +29,7 @@ def opamp_nnbo_result():
         problem,
         n_initial=10,
         max_evaluations=22,
-        n_ensemble=2,
-        hidden_dims=(16, 16),
-        n_features=12,
-        epochs=60,
+        surrogate=MINI_NN,
         seed=11,
     ).run()
 
@@ -57,8 +60,8 @@ class TestOpAmpWEIBOComparison:
         where the paper's weakest baseline (plain DE) typically has not
         converged to a comparable gain."""
         problem = TwoStageOpAmpProblem()
-        nnbo = NNBO(problem, n_initial=10, max_evaluations=20, n_ensemble=2,
-                    hidden_dims=(16, 16), n_features=12, epochs=60, seed=0).run()
+        nnbo = NNBO(problem, n_initial=10, max_evaluations=20,
+                    surrogate=MINI_NN, seed=0).run()
         weibo = WEIBO(problem, n_initial=10, max_evaluations=20, seed=0).run()
         assert nnbo.success and weibo.success
         de = DifferentialEvolution(problem, pop_size=10,
@@ -78,9 +81,8 @@ class TestChargePumpEndToEnd:
             corners=standard_corners(processes=("TT",), vdd_scales=(1.0,),
                                      temps_c=(27.0,))
         )
-        result = NNBO(problem, n_initial=10, max_evaluations=18, n_ensemble=2,
-                      hidden_dims=(16, 16), n_features=12, epochs=50,
-                      seed=5).run()
+        result = NNBO(problem, n_initial=10, max_evaluations=18,
+                      surrogate=replace(MINI_NN, epochs=50), seed=5).run()
         assert result.n_evaluations == 18
         violations = [r.evaluation.violation for r in result.records]
         # 8 search iterations cannot guarantee beating the best of 10 LHS

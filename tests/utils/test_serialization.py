@@ -70,6 +70,7 @@ class TestLedgerProvenanceRoundtrip:
 
     def async_result(self):
         """A short asynchronous run whose result carries a full ledger."""
+        from repro.bo.config import AcquisitionConfig, SchedulerConfig
         from repro.bo.loop import SurrogateBO
         from repro.bo.scheduler import FakeClock
         from repro.benchfns import toy_constrained_quadratic
@@ -80,10 +81,10 @@ class TestLedgerProvenanceRoundtrip:
             lambda rng: GPRegression(n_restarts=1, seed=rng),
             n_initial=4,
             max_evaluations=9,
-            executor="async-thread",
-            n_eval_workers=2,
-            async_clock=FakeClock(),
-            pending_strategy="penalize",
+            acquisition_config=AcquisitionConfig(pending_strategy="penalize"),
+            scheduler_config=SchedulerConfig(
+                executor="async-thread", n_eval_workers=2, clock=FakeClock()
+            ),
             seed=5,
         ).run()
 
