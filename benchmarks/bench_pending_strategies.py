@@ -18,10 +18,11 @@ beyond a small noise tolerance, in BOTH concurrent modes:
 
 Also pinned: **no duplicate in-flight proposals under penalization** —
 for every async-penalize proposal, its distance to each design it was
-conditioned against exceeds the duplicate tolerance, AND the loop's
+conditioned against exceeds the duplicate tolerance, AND the proposer's
 random-resample fallback never fired during those runs: the separation
 is attributable to the exclusion balls, not to the dedup safety net
-(a counting subclass instruments ``_resample_non_duplicate``).
+(a counting wrapper instruments the study proposer's
+``_resample_non_duplicate``).
 
 The measured means land in ``BENCH_pending_strategies.json`` (override
 with ``REPRO_BENCH_JSON``) for the CI artifact upload.
@@ -39,6 +40,7 @@ from repro.benchfns.constrained import gardner_problem
 from repro.bo.config import AcquisitionConfig, SchedulerConfig
 from repro.bo.loop import SurrogateBO
 from repro.bo.scheduler import FakeClock
+from repro.bo.study import Study
 from repro.gp import GPRegression
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
@@ -58,26 +60,15 @@ def gp_factory(rng):
     return GPRegression(n_restarts=1, seed=rng)
 
 
-class ResampleCountingBO(SurrogateBO):
-    """SurrogateBO that counts duplicate-resample fallback invocations.
-
-    Under penalization the exclusion balls must do the spreading; if a
-    proposal only stays clear of the in-flight set because the dedup
-    safety net redrew it at random, that is a silent strategy failure —
-    so the bench asserts this counter stays at zero.
-    """
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.n_resamples = 0
-
-    def _resample_non_duplicate(self, x_unit):
-        self.n_resamples += 1
-        return super()._resample_non_duplicate(x_unit)
-
-
 def run_one(strategy: str, mode: str, seed: int):
-    """One equal-budget run of the Gardner workload."""
+    """One equal-budget run of the Gardner workload.
+
+    Returns the result and how often the proposer's duplicate-resample
+    fallback fired.  Under penalization the exclusion balls must do the
+    spreading; if a proposal only stays clear of the in-flight set because
+    the dedup safety net redrew it at random, that is a silent strategy
+    failure, so the bench asserts this count stays at zero.
+    """
     if mode == "sync":
         scheduler = SchedulerConfig(
             q=WORKERS, executor="thread", n_eval_workers=WORKERS
@@ -86,7 +77,7 @@ def run_one(strategy: str, mode: str, seed: int):
         scheduler = SchedulerConfig(
             executor="async-thread", n_eval_workers=WORKERS, clock=FakeClock()
         )
-    optimizer = ResampleCountingBO(
+    optimizer = SurrogateBO(
         gardner_problem(),
         gp_factory,
         n_initial=N_INITIAL,
@@ -97,7 +88,17 @@ def run_one(strategy: str, mode: str, seed: int):
         scheduler_config=scheduler,
         seed=seed,
     )
-    return optimizer.run(), optimizer.n_resamples
+    study = Study.from_optimizer(optimizer)
+    resample = study.proposer._resample_non_duplicate
+    n_resamples = 0
+
+    def counting_resample(known):
+        nonlocal n_resamples
+        n_resamples += 1
+        return resample(known)
+
+    study.proposer._resample_non_duplicate = counting_resample
+    return optimizer.run_study(study), n_resamples
 
 
 def write_bench_json(payload: dict):

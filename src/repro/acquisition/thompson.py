@@ -28,9 +28,6 @@ def _draw_member(model, rng):
     """Pick the sampled model: ensembles first choose a member uniformly."""
     if isinstance(model, DeepEnsemble):
         return model.members[int(rng.integers(model.n_members))]
-    members = getattr(model, "members", None)
-    if members is not None:  # duck-typed ensemble adapters (_TrainedEnsemble)
-        return members[int(rng.integers(len(members)))]
     return model
 
 

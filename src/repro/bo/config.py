@@ -7,7 +7,7 @@ This module replaces that pile with three small dataclasses, grouped the
 way the knobs actually interact:
 
 * :class:`SurrogateConfig` — the paper's NN-feature-GP ensemble
-  hyper-parameters (Sec. III) and the training-engine choice,
+  hyper-parameters (Sec. III) and the stacked engine's array backend,
 * :class:`AcquisitionConfig` — how the next design is chosen (acquisition
   family, log-space evaluation, duplicate handling) and how concurrent
   proposals shape each other (fantasy lies, local penalization,
@@ -46,9 +46,6 @@ FARM_MODES = ("fixed", "elastic")
 #: adaptive schedules accepted by ``AcquisitionConfig.hallucinate_kappa``
 KAPPA_SCHEDULES = ("beta-t",)
 
-#: training engines for the NN-feature-GP ensembles
-SURROGATE_ENGINES = ("auto", "batched", "loop")
-
 #: array backends for the batched engine (see :mod:`repro.backend`)
 SURROGATE_BACKENDS = ("auto", "numpy", "torch", "cupy")
 
@@ -81,21 +78,18 @@ class SurrogateConfig:
     """NN-feature-GP ensemble hyper-parameters (paper Sec. III).
 
     The paper's defaults: K = 5 members per modelled quantity, two hidden
-    layers of 50 units, 50 features, 300 training epochs.  ``engine``
-    selects the training program: ``"batched"`` fits all K x T members as
-    one stacked tensor program, ``"loop"`` trains them one by one (the
-    original, numerically equivalent path), ``"auto"`` picks ``"batched"``
-    except for single-point Thompson (which keeps the loop path so
-    historical seeded runs are preserved).
+    layers of 50 units, 50 features, 300 training epochs.  All K x T
+    members (T = objective + constraints) train as one stacked tensor
+    program, a :class:`~repro.core.batched_gp.SurrogateBank` built by
+    :meth:`bank_factory`.
 
-    ``backend`` selects the batched engine's array backend
+    ``backend`` selects the stacked engine's array backend
     (:mod:`repro.backend`): ``"numpy"`` (default, bitwise-reference path),
     ``"torch"`` / ``"cupy"`` (soft dependencies), or ``"auto"`` (first
     importable accelerator, falling back to numpy).  ``device`` names the
     accelerator device (e.g. ``"cuda:0"``); ``linalg_threads`` spreads
     the numpy path's per-slice Cholesky/solve loops over a thread pool
-    (LAPACK releases the GIL), serial when ``None``.  The loop engine
-    ignores all three.
+    (LAPACK releases the GIL), serial when ``None``.
     """
 
     n_ensemble: int = 5
@@ -107,7 +101,6 @@ class SurrogateConfig:
     lr: float = 5e-3
     pretrain_epochs: int = 0
     patience: int | None = 60
-    engine: str = "auto"
     backend: str = "numpy"
     device: str | None = None
     linalg_threads: int | None = None
@@ -120,7 +113,6 @@ class SurrogateConfig:
         object.__setattr__(self, "pretrain_epochs", int(self.pretrain_epochs))
         if self.lr <= 0:
             raise ValueError(f"lr must be positive, got {self.lr}")
-        check_choice("engine", self.engine, SURROGATE_ENGINES)
         object.__setattr__(
             self,
             "backend",
@@ -134,15 +126,6 @@ class SurrogateConfig:
                 "linalg_threads",
                 check_count("linalg_threads", self.linalg_threads),
             )
-
-    def resolve_engine(self, acquisition: str, q: int) -> str:
-        """The concrete engine for an acquisition family and batch size."""
-        if self.engine != "auto":
-            return self.engine
-        # single-point Thompson stays on the loop path so seeded runs from
-        # before the bank grew posterior sampling are preserved; q-point
-        # Thompson wants the stacked predict path
-        return "loop" if (acquisition == "thompson" and q == 1) else "batched"
 
     def resolve_backend(self):
         """The configured :class:`~repro.backend.base.ArrayNamespace`.
@@ -161,35 +144,8 @@ class SurrogateConfig:
     # imports are deferred to keep repro.bo.config import-light and
     # cycle-free.
 
-    def member_factory(self, input_dim: int):
-        """``(rng) -> NeuralFeatureGP`` for one ensemble member."""
-        from repro.core.feature_gp import NeuralFeatureGP
-
-        def make_member(rng):
-            return NeuralFeatureGP(
-                input_dim=input_dim,
-                hidden_dims=self.hidden_dims,
-                n_features=self.n_features,
-                activation=self.activation,
-                output_activation=self.output_activation,
-                seed=rng,
-            )
-
-        return make_member
-
-    def trainer_factory(self):
-        """A fresh per-member trainer (loop engine)."""
-        from repro.core.trainer import FeatureGPTrainer
-
-        return FeatureGPTrainer(
-            epochs=self.epochs,
-            lr=self.lr,
-            pretrain_epochs=self.pretrain_epochs,
-            patience=self.patience,
-        )
-
     def batched_trainer_factory(self):
-        """A fresh stacked trainer (batched engine)."""
+        """A fresh stacked trainer (one per bank fit)."""
         from repro.core.trainer import BatchedFeatureGPTrainer
 
         return BatchedFeatureGPTrainer(
@@ -200,7 +156,7 @@ class SurrogateConfig:
         )
 
     def bank_factory(self, input_dim: int):
-        """``(rng, n_targets) -> SurrogateBank`` for the batched engine."""
+        """``(rng, n_targets) -> SurrogateBank``: a fresh ensemble bank."""
         from repro.core.batched_gp import SurrogateBank
 
         xb = self.resolve_backend()
@@ -609,7 +565,6 @@ __all__ = [
     "KAPPA_SCHEDULES",
     "PROPOSAL_SPACES",
     "SURROGATE_BACKENDS",
-    "SURROGATE_ENGINES",
     "SchedulerConfig",
     "SpeculationConfig",
     "SurrogateConfig",

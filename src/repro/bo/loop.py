@@ -1,17 +1,18 @@
 """Generic constrained surrogate-based Bayesian optimization (Algorithm 1).
 
 The driver is deliberately surrogate-agnostic: the paper's method and the
-WEIBO baseline differ *only* in the ``surrogate_factory`` they plug in
-(NN-feature-GP ensemble vs. explicit-kernel GP), exactly mirroring the
-paper's experimental control.
+WEIBO baseline differ *only* in the surrogate factory they plug in
+(NN-feature-GP ensemble bank vs. explicit-kernel GP), exactly mirroring
+the paper's experimental control.
 
-Since the ask/tell redesign, :class:`SurrogateBO` is a thin closed-loop
-driver over the :class:`~repro.bo.study.Study` state machine: ``run()``
-builds a study, pumps its ``ask``/``tell`` cycle through the configured
-evaluation executor, and returns the study's history.  All proposal
-machinery (surrogate fits, acquisition construction, fantasy/penalty
-conditioning, duplicate handling) lives on this class and is shared by
-the study, so driving a study manually reproduces ``run()`` bitwise.
+:class:`SurrogateBO` holds the validated configuration (surrogate
+factories, typed configs, maximizer, proposal space, RNG) and the closed
+loop: ``run()`` builds a :class:`~repro.bo.study.Study`, pumps its
+``ask``/``tell`` cycle through the configured evaluation executor, and
+returns the study's history.  Proposals are made by the study's
+:class:`~repro.bo.proposer.Proposer` (fit, acquisition, pending-point
+conditioning, maximization, duplicate handling), so driving a study
+manually reproduces ``run()`` bitwise.
 
 Configuration is grouped into typed dataclasses
 (:mod:`repro.bo.config`): an :class:`~repro.bo.config.AcquisitionConfig`
@@ -40,23 +41,13 @@ single-tenant evaluation farm (:mod:`repro.farm`; pinned by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.acquisition.fantasy import FantasyModelSet, fantasy_lies
 from repro.acquisition.maximize import (
     AcquisitionMaximizer,
     DifferentialEvolutionMaximizer,
 )
-from repro.acquisition.penalization import (
-    HallucinatedUCB,
-    LocalPenalizer,
-    PenalizedAcquisition,
-    estimate_lipschitz,
-)
-from repro.acquisition.spaces import SubspaceMaximizer, incumbent_index
-from repro.acquisition.wei import WeightedExpectedImprovement
+from repro.acquisition.spaces import SubspaceMaximizer
 from repro.bo.config import (
     ASYNC_REFIT_POLICIES,
     AcquisitionConfig,
@@ -72,27 +63,6 @@ __all__ = [
     "ASYNC_REFIT_POLICIES",
     "SurrogateBO",
 ]
-
-@dataclass
-class _IterationModels:
-    """One iteration's fitted surrogates plus their training data.
-
-    ``bank`` is the :class:`~repro.core.batched_gp.SurrogateBank` when the
-    batched engine fitted the targets jointly (``None`` on the legacy
-    per-target path); the fantasy machinery needs the raw sanitized
-    targets either way.  ``lipschitz`` caches the objective posterior's
-    Lipschitz estimate for the local-penalization pending strategy (one
-    finite-difference sweep per fit, shared by every proposal against
-    these models).
-    """
-
-    objective: object
-    constraints: list
-    bank: object | None
-    x: np.ndarray
-    objective_y: np.ndarray
-    constraint_ys: list
-    lipschitz: float | None = None
 
 
 class SurrogateBO:
@@ -137,6 +107,7 @@ class SurrogateBO:
         ``"async-process"`` or an executor instance), worker counts, the
         asynchronous refit policy, and an optional
         :class:`~repro.bo.scheduler.FakeClock` for deterministic replay.
+        ``async_refit="fantasy-only"`` needs ``surrogate_bank_factory``.
     seed, verbose, callback:
         Reproducibility / reporting hooks.  ``callback(iteration, result)``
         runs after every ingested batch (every landing in async mode).
@@ -176,6 +147,15 @@ class SurrogateBO:
             acquisition_config = AcquisitionConfig()
         if scheduler_config is None:
             scheduler_config = SchedulerConfig()
+        if (
+            scheduler_config.async_refit == "fantasy-only"
+            and surrogate_bank_factory is None
+        ):
+            raise ValueError(
+                "async_refit='fantasy-only' requires surrogate_bank_factory "
+                "(posterior-only absorbs go through the bank); per-target "
+                "surrogate factories must use async_refit='full'"
+            )
         self.problem = problem
         self.surrogate_factory = surrogate_factory
         self.surrogate_bank_factory = surrogate_bank_factory
@@ -204,10 +184,6 @@ class SurrogateBO:
         self.callback = callback
         if name is not None:
             self.algorithm_name = name
-        #: last models fitted by :meth:`_propose` (adopted by the study's
-        #: streaming proposer so fresh-fit single proposals are not refitted)
-        self._last_fitted: _IterationModels | None = None
-        self._cache_hits0, self._cache_misses0 = problem.cache_stats
 
     # -- main loop ---------------------------------------------------------------
 
@@ -288,12 +264,6 @@ class SurrogateBO:
         speculation are opted into through the scheduler config.
         """
         cfg = self.scheduler_config
-        if cfg.async_refit == "fantasy-only" and self.surrogate_bank_factory is None:
-            raise ValueError(
-                "async_refit='fantasy-only' requires surrogate_bank_factory "
-                "(posterior-only absorbs go through the bank); per-target "
-                "surrogate factories must use async_refit='full'"
-            )
         # the farm package builds on this module; imported here to avoid
         # a cycle
         from repro.farm import EvaluationFarm, FarmStudyDriver
@@ -331,287 +301,6 @@ class SurrogateBO:
                 speculation=cfg.speculation,
                 on_commit=on_commit,
             )
-
-    # -- helpers -------------------------------------------------------------------
-
-    def _sync_cache_counters(self, result: OptimizationResult):
-        hits, misses = self.problem.cache_stats
-        result.cache_hits = hits - self._cache_hits0
-        result.cache_misses = misses - self._cache_misses0
-
-    def _evaluate_and_record(self, u, result, unit_x, phase):
-        """Serial single-point evaluate (legacy path, kept for tests/tools)."""
-        evaluation = self.problem.evaluate_unit(u)
-        result.append(self.problem.scaler.inverse_transform(u), evaluation, phase=phase)
-        unit_x.append(np.asarray(u, dtype=float))
-        self._sync_cache_counters(result)
-
-    def _sanitized_targets(self, result: OptimizationResult):
-        """Surrogate-ready targets from the committed history.
-
-        Returns ``(objective, constraint_ys, targets)`` where ``targets``
-        stacks the objective and every constraint as the ``(T, N)`` matrix
-        the bank's :meth:`~repro.core.batched_gp.SurrogateBank.fit`
-        consumes.
-        """
-        objective = _sanitize_targets(result.objectives)
-        constraints = result.constraint_matrix
-        constraint_ys = [
-            _sanitize_targets(constraints[:, i])
-            for i in range(self.problem.n_constraints)
-        ]
-        targets = np.empty((1 + self.problem.n_constraints, objective.shape[0]))
-        targets[0] = objective
-        for i, y in enumerate(constraint_ys):
-            targets[1 + i] = y
-        return objective, constraint_ys, targets
-
-    def _fit_surrogates(self, x_unit: np.ndarray, result: OptimizationResult):
-        """Fit this iteration's models; returns an :class:`_IterationModels`.
-
-        With a bank factory the objective and every constraint ensemble are
-        fitted in ONE batched call; the legacy path invokes the per-target
-        factory ``n_constraints + 1`` times.
-        """
-        objective, constraint_ys, targets = self._sanitized_targets(result)
-
-        if self.surrogate_bank_factory is not None:
-            n_targets = 1 + self.problem.n_constraints
-            bank = self.surrogate_bank_factory(self.rng, n_targets)
-            bank.fit(x_unit, targets)
-            return _IterationModels(
-                objective=bank.target_model(0),
-                constraints=[
-                    bank.target_model(1 + i)
-                    for i in range(self.problem.n_constraints)
-                ],
-                bank=bank,
-                x=x_unit,
-                objective_y=objective,
-                constraint_ys=constraint_ys,
-            )
-
-        objective_model = self.surrogate_factory(self.rng)
-        objective_model.fit(x_unit, objective)
-        constraint_models = []
-        for y in constraint_ys:
-            model = self.surrogate_factory(self.rng)
-            model.fit(x_unit, y)
-            constraint_models.append(model)
-        return _IterationModels(
-            objective=objective_model,
-            constraints=constraint_models,
-            bank=None,
-            x=x_unit,
-            objective_y=objective,
-            constraint_ys=constraint_ys,
-        )
-
-    def _make_acquisition(self, fitted: _IterationModels, result: OptimizationResult):
-        """Build one acquisition callable over the current posterior.
-
-        The ``"hallucinate"`` pending strategy swaps wEI for the
-        optimistic-improvement bound (GP-BUCB criterion) — the hallucinated
-        believer updates between picks then act through the variance term.
-        """
-        acq = self.acquisition_config
-        if acq.acquisition == "thompson":
-            if fitted.bank is not None:
-                from repro.acquisition.thompson import BankThompsonAcquisition
-
-                return BankThompsonAcquisition(fitted.bank, rng=self.rng)
-            from repro.acquisition.thompson import ThompsonSamplingAcquisition
-
-            return ThompsonSamplingAcquisition(
-                fitted.objective, fitted.constraints, rng=self.rng
-            )
-        tau = result.best_objective()
-        tau = None if not np.isfinite(tau) else tau
-        if acq.pending_strategy == "hallucinate":
-            # a "beta-t" schedule re-resolves per proposal: t is the
-            # committed-evaluation count, so kappa grows ~ sqrt(log t)
-            kappa = acq.resolve_hallucinate_kappa(
-                self.problem.dim, result.n_evaluations
-            )
-            return HallucinatedUCB(
-                fitted.objective,
-                fitted.constraints,
-                tau=tau,
-                kappa=kappa,
-                log_space=self.log_space_acq,
-            )
-        return WeightedExpectedImprovement(
-            fitted.objective,
-            fitted.constraints,
-            tau=tau,
-            log_space=self.log_space_acq,
-        )
-
-    def _objective_lipschitz(self, fitted: _IterationModels) -> float:
-        """Lipschitz estimate of the objective posterior, cached per fit."""
-        if fitted.lipschitz is None:
-            if fitted.bank is not None:
-                fitted.lipschitz = fitted.bank.estimate_target_lipschitz(0)
-            else:
-                fitted.lipschitz = estimate_lipschitz(
-                    fitted.objective, self.problem.dim
-                )
-        return fitted.lipschitz
-
-    def _penalized_acquisition(
-        self, fitted: _IterationModels, base, pending_units
-    ):
-        """Wrap ``base`` with local penalties around the pending designs.
-
-        The penalizer incumbent is the best *observed objective* over the
-        fitted (sanitized) targets — feasibility ignored — exactly
-        Gonzalez et al.'s ``M``: the exclusion-ball argument concerns the
-        objective surface the surrogate models over the whole box, not
-        the constrained incumbent ``tau``.  Substituting the
-        best-feasible value was tried and measurably hurts when
-        infeasible low-objective valleys exist (it shrinks every radius
-        and the concurrent picks cluster; Gardner-problem regret in
-        ``benchmarks/bench_pending_strategies.py`` degrades ~0.17).
-        """
-        pending = np.atleast_2d(np.asarray(pending_units, dtype=float))
-        means, variances = fitted.objective.predict(pending)
-        finite = fitted.objective_y[np.isfinite(fitted.objective_y)]
-        best = float(np.min(finite)) if finite.size else float("nan")
-        penalizer = LocalPenalizer(
-            pending,
-            means,
-            variances,
-            best=best,
-            lipschitz=self._objective_lipschitz(fitted),
-        )
-        return PenalizedAcquisition(base, penalizer, log_space=self.log_space_acq)
-
-    def _prepare_proposal_space(
-        self, x_unit: np.ndarray, result: OptimizationResult
-    ) -> None:
-        """Point the active proposal subspace at the current incumbent.
-
-        A no-op on the full-space path.  ``x_unit`` rows parallel
-        ``result.records`` (both append per committed evaluation), so the
-        incumbent record's index addresses its unit design directly.
-        """
-        if self.proposal_space is None:
-            return
-        idx = incumbent_index(result)
-        self.acq_maximizer.set_incumbent(
-            None if idx is None or idx >= len(x_unit) else x_unit[idx]
-        )
-
-    def _propose(self, x_unit: np.ndarray, result: OptimizationResult) -> np.ndarray:
-        """Single-point proposal (the q=1 fast path; original loop semantics)."""
-        fitted = self._fit_surrogates(x_unit, result)
-        acquisition_fn = self._make_acquisition(fitted, result)
-        self._prepare_proposal_space(x_unit, result)
-        proposal = self.acq_maximizer.maximize(
-            acquisition_fn, self.problem.dim, self.rng
-        )
-        if self._is_duplicate(proposal, x_unit):
-            proposal = self._resample_non_duplicate(x_unit)
-        self._last_fitted = fitted
-        return proposal
-
-    def _propose_batch(
-        self, x_unit: np.ndarray, result: OptimizationResult, q: int
-    ) -> list[np.ndarray]:
-        """Greedy q-point proposal with fantasy updates between picks.
-
-        One surrogate fit serves all q picks.  On the wEI path the pending
-        strategy decides how batch-mates shape pick ``j+1``: ``"fantasy"``
-        and ``"hallucinate"`` condition the models on each pick (bank:
-        posterior-only ``fantasize``; legacy models:
-        :class:`FantasyModelSet` — hallucination always lies the believer
-        mean), while ``"penalize"`` leaves the posterior clean and wraps
-        the stage acquisition with local penalties around the picks so
-        far.  The Thompson path simply draws q independent posterior
-        functions.  Every pick also passes the duplicate filter against
-        both the evaluated data and its own batch-mates.
-        """
-        fitted = self._fit_surrogates(x_unit, result)
-        acq = self.acquisition_config
-        if acq.acquisition == "wei" and acq.pending_strategy == "penalize":
-            base = self._make_acquisition(fitted, result)
-
-            def stage_acquisition(j: int, picks: list[np.ndarray]):
-                if not picks:
-                    return base
-                return self._penalized_acquisition(fitted, base, picks)
-
-        else:
-            fantasy_set = None
-            if acq.acquisition == "wei" and fitted.bank is None:
-                fantasy_set = FantasyModelSet(
-                    fitted.x,
-                    fitted.objective,
-                    fitted.objective_y,
-                    fitted.constraints,
-                    fitted.constraint_ys,
-                )
-
-            def stage_acquisition(j: int, picks: list[np.ndarray]):
-                if j > 0 and acq.acquisition == "wei":
-                    self._apply_fantasy(fitted, fantasy_set, picks[-1])
-                return self._make_acquisition(fitted, result)
-
-        def deduplicate(pick: np.ndarray, picks: list[np.ndarray]):
-            known = np.vstack([x_unit, *[p[None, :] for p in picks]])
-            if self._is_duplicate(pick, known):
-                pick = self._resample_non_duplicate(known)
-            return pick
-
-        self._prepare_proposal_space(x_unit, result)
-        return self.acq_maximizer.maximize_batch(
-            stage_acquisition,
-            q,
-            self.problem.dim,
-            self.rng,
-            postprocess=deduplicate,
-        )
-
-    def _apply_fantasy(self, fitted: _IterationModels, fantasy_set, pending):
-        """Condition the iteration's models on one pending pick.
-
-        Under ``pending_strategy="hallucinate"`` the lie is always the
-        believer (posterior-mean) value — by definition a hallucinated
-        observation leaves the mean surface untouched and only collapses
-        variance at the pending point.
-        """
-        acq = self.acquisition_config
-        strategy = (
-            "believer" if acq.pending_strategy == "hallucinate" else acq.fantasy
-        )
-        obj_lie, cons_lies = fantasy_lies(
-            fitted.objective, fitted.constraints, pending,
-            fitted.objective_y, strategy,
-        )
-        if fitted.bank is not None:
-            fitted.bank.fantasize(pending, np.array([obj_lie, *cons_lies]))
-        else:
-            fantasy_set.add_fantasy(pending, obj_lie, cons_lies)
-
-    def _is_duplicate(self, proposal: np.ndarray, x_unit: np.ndarray) -> bool:
-        dists = np.max(np.abs(x_unit - proposal[None, :]), axis=1)
-        return bool(np.any(dists < self.acquisition_config.duplicate_tol))
-
-    _MAX_RESAMPLE_TRIES = 32
-
-    def _resample_non_duplicate(self, x_unit: np.ndarray) -> np.ndarray:
-        """Draw a random replacement point that is itself not a duplicate.
-
-        A single uniform draw can land on an already-evaluated design
-        (likely with coarse ``duplicate_tol`` or a near-exhausted discrete
-        region), which would waste a simulation on a known point; retry a
-        bounded number of times and keep the final draw regardless.
-        """
-        for _ in range(self._MAX_RESAMPLE_TRIES):
-            proposal = self.rng.uniform(0.0, 1.0, size=self.problem.dim)
-            if not self._is_duplicate(proposal, x_unit):
-                return proposal
-        return proposal
 
 
 def _sanitize_targets(y: np.ndarray) -> np.ndarray:

@@ -3,11 +3,12 @@
 The paper's Algorithm 1 is a propose -> simulate -> absorb cycle.  The
 historical ``SurrogateBO.run()`` owned all three stages, so only the
 executors this library ships could drive simulations.  :class:`Study`
-inverts that control flow: it owns the optimizer state — surrogate bank,
-history, proposal ledger, RNG, and the pending set — and exposes it as an
-ask/tell protocol, so *any* evaluation backend (a SPICE license queue, a
-cluster scheduler, a human at a lab bench) can supply results at its own
-pace::
+inverts that control flow: it owns the optimizer state — history,
+proposal ledger, RNG, the pending set, and a
+:class:`~repro.bo.proposer.Proposer` that makes every proposal and holds
+the live surrogate fit — and exposes it as an ask/tell protocol, so *any*
+evaluation backend (a SPICE license queue, a cluster scheduler, a human at
+a lab bench) can supply results at its own pace::
 
     study = Study(problem, surrogate=SurrogateConfig(), seed=0)
     for trial in study.start_initial():
@@ -27,16 +28,17 @@ the pinned serial, batch and asynchronous traces are bitwise unchanged:
 * ``ask(q)`` is the greedy q-point batch proposal, ``ask(1)`` with
   trials outstanding is the asynchronous pending-conditioned proposal
   (fantasy lies / local penalization / hallucinated bounds, per the
-  :class:`~repro.bo.config.AcquisitionConfig`);
+  :class:`~repro.bo.config.AcquisitionConfig`); both run the proposer's
+  one fit -> acquire -> condition -> maximize -> de-duplicate sequence;
 * the commit order is the tell order, so an external backend replaying a
   recorded completion order reproduces an asynchronous run bitwise.
 
 :meth:`checkpoint` / :meth:`Study.resume` persist the whole state machine
-(history, ledger, RNG stream, pending set, and — under
-``async_refit="fantasy-only"`` — the warm surrogate bank) through
+(history, ledger, RNG stream, pending set, and — whenever the next ask
+would reuse it — the proposer's warm surrogate bank) through
 :mod:`repro.utils.serialization`, so a killed 10k-evaluation run restarts
-losslessly: a resume at any landing continues on the exact trace of the
-uninterrupted run.
+losslessly: a resume at any landing, and on the bank between asks too,
+continues on the exact trace of the uninterrupted run.
 """
 
 from __future__ import annotations
@@ -47,11 +49,11 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.acquisition.fantasy import FantasyModelSet
 from repro.bo.design import make_design
 from repro.bo.history import EvaluationRecord, OptimizationResult
-from repro.bo.loop import SurrogateBO, _IterationModels, _sanitize_new_target
+from repro.bo.loop import SurrogateBO
 from repro.bo.problem import Evaluation, Problem
+from repro.bo.proposer import Proposer
 from repro.bo.scheduler import ProposalLedger
 
 CHECKPOINT_FORMAT = "repro.study/v1"
@@ -157,6 +159,7 @@ class Study:
         only reads its concurrency-policy fields (``async_refit``,
         ``async_full_refit_every``, worker counts for the refit period);
         the executor fields matter when a driver evaluates the trials.
+        ``async_refit="fantasy-only"`` needs a bank surrogate.
     n_initial, max_evaluations, initial_design, acq_maximizer, seed, name:
         As on :class:`~repro.bo.loop.SurrogateBO`.
 
@@ -180,11 +183,11 @@ class Study:
         acq_maximizer=None,
         seed=None,
         name: str | None = None,
-        _engine: SurrogateBO | None = None,
+        _optimizer: SurrogateBO | None = None,
         _defer_initial: bool = False,
     ):
-        if _engine is not None:
-            self.optimizer = _engine
+        if _optimizer is not None:
+            self.optimizer = _optimizer
         elif surrogate is not None:
             if surrogate_factory is not None or surrogate_bank_factory is not None:
                 raise StudyError(
@@ -236,24 +239,16 @@ class Study:
         self._next_id = 0
         self._iteration = 0
         self._cache_hits0, self._cache_misses0 = self.problem.cache_stats
-        # streaming-proposer state (the refit policy of the async loop)
-        cfg = self.optimizer.scheduler_config
-        every = cfg.async_full_refit_every
-        self._full_refit_every = (
-            max(1, cfg.resolve_in_flight()) if every is None else every
-        )
-        self._fitted: _IterationModels | None = None
-        self._fantasy_set: FantasyModelSet | None = None
-        self._n_fantasied = 0
-        self._landings_since_fit = 0
-        self._needs_refit = True
+        #: the proposal step (fits, acquisition, conditioning, maximize) and
+        #: the only holder of the surrogate refit state
+        self.proposer = Proposer(self.optimizer)
         if not _defer_initial:
             self._generate_initial()
 
     @classmethod
     def from_optimizer(cls, optimizer: SurrogateBO) -> "Study":
         """A study sharing an existing optimizer's configuration and RNG."""
-        return cls(optimizer.problem, _engine=optimizer)
+        return cls(optimizer.problem, _optimizer=optimizer)
 
     def _generate_initial(self) -> None:
         bo = self.optimizer
@@ -336,11 +331,7 @@ class Study:
         prediction is a pure read — no RNG, no state mutation — so
         calling it never perturbs the study's trace.
         """
-        if self._fitted is None:
-            return None
-        u = np.atleast_2d(np.asarray(u, dtype=float))
-        _, variance = self._fitted.objective.predict(u)
-        return float(np.sqrt(max(float(np.mean(variance)), 0.0)))
+        return self.proposer.posterior_std(u)
 
     def describe(self) -> dict:
         """JSON-safe snapshot of the study state.
@@ -483,57 +474,27 @@ class Study:
                 f"{self.result.n_evaluations} committed, "
                 f"{len(self._pending)} pending)"
             )
-        x_unit = np.stack(self._unit_x)
-        if n == 1:
-            return [self._ask_streaming(x_unit, speculative=speculative)]
-        return self._ask_batch(x_unit, n)
-
-    def _ask_streaming(
-        self, x_unit: np.ndarray, speculative: bool = False
-    ) -> Trial:
-        """One proposal conditioned on the current pending set."""
-        bo = self.optimizer
-        pending = list(self._pending.values())
-        pick = self._propose_streaming(x_unit, [t.u for t in pending])
-        entry = self.ledger.open(
-            pick,
-            tuple(t.proposal_id for t in pending),
-            strategy=bo.acquisition_config.pending_strategy,
-            speculative=speculative,
-        )
-        trial = Trial(
-            id=self._next_id,
-            u=pick,
-            x=self.problem.scaler.inverse_transform(pick),
-            phase="search",
-            batch_index=0,
-            proposal_id=entry.proposal_id,
-            pending_at_proposal=entry.pending_at_proposal,
-            speculative=speculative,
-        )
-        self._next_id += 1
-        self._pending[trial.id] = trial
-        return trial
-
-    def _ask_batch(self, x_unit: np.ndarray, q: int) -> list[Trial]:
-        """One greedy q-point proposal batch (no outstanding trials)."""
-        bo = self.optimizer
-        if self._pending:
-            raise StudyError(
-                f"ask(n={q}) proposes a joint batch and requires an empty "
-                f"pending set, but trials {sorted(self._pending)} are "
-                "pending; tell() them first or ask(1) for streaming "
-                "proposals"
-            )
-        self._iteration += 1
+        in_flight = list(self._pending.values())
+        if n > 1:
+            if in_flight:
+                raise StudyError(
+                    f"ask(n={n}) proposes a joint batch and requires an empty "
+                    f"pending set, but trials {sorted(self._pending)} are "
+                    "pending; tell() them first or ask(1) for streaming "
+                    "proposals"
+                )
+            self._iteration += 1
         base = self.result.n_evaluations
-        picks = bo._propose_batch(x_unit, self.result, q)
+        picks = self.proposer.propose(
+            np.stack(self._unit_x), self.result, n, [t.u for t in in_flight]
+        )
         trials: list[Trial] = []
         for j, pick in enumerate(picks):
             entry = self.ledger.open(
                 pick,
-                tuple(t.proposal_id for t in trials),
-                strategy=bo.acquisition_config.pending_strategy,
+                tuple(t.proposal_id for t in in_flight + trials),
+                strategy=self.optimizer.acquisition_config.pending_strategy,
+                speculative=speculative,
             )
             trial = Trial(
                 id=self._next_id,
@@ -541,10 +502,12 @@ class Study:
                 x=self.problem.scaler.inverse_transform(pick),
                 phase="search",
                 batch_index=j,
-                iteration=self._iteration,
+                # streaming trials are numbered at tell time (commit order)
+                iteration=self._iteration if n > 1 else None,
                 pending=tuple(range(base, base + j)),
                 proposal_id=entry.proposal_id,
                 pending_at_proposal=entry.pending_at_proposal,
+                speculative=speculative,
             )
             self._next_id += 1
             self._pending[trial.id] = trial
@@ -620,7 +583,7 @@ class Study:
         self._told.add(trial_id)
         self._sync_cache_counters()
         if task.phase == "search":
-            self._absorb(task.u, evaluation)
+            self.proposer.absorb(task.u, evaluation)
         if improved is not None:
             space.observe(improved)
         return self.result.records[-1]
@@ -664,7 +627,8 @@ class Study:
         out again by the next :meth:`ask`.  A *search* trial is removed
         from the pending set (its fantasies/penalties disappear from the
         next proposal automatically — conditioning is rebuilt from the
-        live pending set each ask) and its ledger entry is marked
+        live pending set each ask, and per-target models, which take lies
+        in place, are refit) and its ledger entry is marked
         retracted, keeping the provenance trail honest.  Telling a
         retracted trial afterwards raises; retraction round-trips through
         :meth:`checkpoint`/:meth:`resume`.
@@ -690,6 +654,7 @@ class Study:
         self._retracted.add(trial_id)
         if task.proposal_id is not None:
             self.ledger.retract(task.proposal_id)
+        self.proposer.retract()
         return task
 
     def _coerce_evaluation(self, evaluation) -> Evaluation:
@@ -723,169 +688,6 @@ class Study:
         hits, misses = self.problem.cache_stats
         self.result.cache_hits = hits - self._cache_hits0
         self.result.cache_misses = misses - self._cache_misses0
-
-    # -- streaming proposer (the async refit policy) -------------------------------
-
-    def _propose_streaming(self, x_unit: np.ndarray, pending_units) -> np.ndarray:
-        """One proposal conditioned on ``pending_units``.
-
-        The refit policy follows the scheduler config: ``"full"`` rebuilds
-        fresh surrogates after every landing, ``"fantasy-only"`` reuses
-        the posterior-absorbed models with warm full refits every
-        ``async_full_refit_every`` landings.  How the pending set enters
-        the acquisition follows the acquisition config's
-        ``pending_strategy`` (lies, penalties, or hallucinated bounds).
-        """
-        bo = self.optimizer
-        if self._fitted is None or self._needs_refit:
-            if bo.scheduler_config.async_refit == "full" and not pending_units:
-                # the canonical fresh-fit single-point proposal: same
-                # models, same RNG stream — and tools that wrap
-                # ``optimizer._propose`` keep observing every pick
-                pick = bo._propose(x_unit, self.result)
-                fitted = bo._last_fitted
-                if fitted is not None:
-                    self._fitted = fitted
-                    self._fantasy_set = None
-                    self._n_fantasied = 0
-                    self._landings_since_fit = 0
-                    self._needs_refit = False
-                return pick
-            self._refit(x_unit)
-        acq = bo.acquisition_config
-        if acq.acquisition == "wei" and acq.pending_strategy == "penalize":
-            acquisition = bo._make_acquisition(self._fitted, self.result)
-            if pending_units:
-                acquisition = bo._penalized_acquisition(
-                    self._fitted, acquisition, pending_units
-                )
-        else:
-            self._condition_on_pending(pending_units)
-            acquisition = bo._make_acquisition(self._fitted, self.result)
-        bo._prepare_proposal_space(x_unit, self.result)
-        pick = bo.acq_maximizer.maximize(acquisition, bo.problem.dim, bo.rng)
-        if pending_units:
-            known = np.vstack(
-                [x_unit]
-                + [np.asarray(u, dtype=float)[None, :] for u in pending_units]
-            )
-        else:
-            known = x_unit
-        if bo._is_duplicate(pick, known):
-            pick = bo._resample_non_duplicate(known)
-        return pick
-
-    def _refit(self, x_unit: np.ndarray) -> None:
-        """Rebuild the iteration models (warm-starting the bank when allowed)."""
-        bo = self.optimizer
-        warm_bank = (
-            self._fitted.bank
-            if (
-                bo.scheduler_config.async_refit == "fantasy-only"
-                and self._fitted is not None
-                and self._fitted.bank is not None
-            )
-            else None
-        )
-        if warm_bank is not None:
-            # periodic full refit under "fantasy-only": keep the bank so
-            # training warm-starts from the already-learned weights
-            objective, constraint_ys, targets = bo._sanitized_targets(self.result)
-            warm_bank.clear_fantasies(update=False)  # fit rebuilds anyway
-            warm_bank.fit(x_unit, targets)
-            self._fitted = _IterationModels(
-                objective=warm_bank.target_model(0),
-                constraints=[
-                    warm_bank.target_model(1 + i)
-                    for i in range(bo.problem.n_constraints)
-                ],
-                bank=warm_bank,
-                x=x_unit,
-                objective_y=objective,
-                constraint_ys=constraint_ys,
-            )
-        else:
-            self._fitted = bo._fit_surrogates(x_unit, self.result)
-        self._fantasy_set = None
-        self._n_fantasied = 0
-        self._landings_since_fit = 0
-        self._needs_refit = False
-
-    def _condition_on_pending(self, pending_units) -> None:
-        """Fantasy-condition the current models on the in-flight designs.
-
-        Serves both conditioning strategies: ``"fantasy"`` applies the
-        configured lie, ``"hallucinate"`` the believer mean; ``"penalize"``
-        never calls this — its posterior stays clean.  Bank path: the
-        fantasy stack is rebuilt from scratch each proposal (posterior-only
-        updates are cheap), so it always mirrors the exact pending set even
-        after landings removed members.  Legacy per-target models mutate in
-        place and only support a growing pending set — guaranteed because
-        the legacy path always runs ``async_refit="full"``, which refits
-        after every landing.
-        """
-        bo = self.optimizer
-        fitted = self._fitted
-        if bo.acquisition_config.acquisition != "wei":
-            # Thompson diversifies by posterior sampling, not by lies
-            return
-        if fitted.bank is not None:
-            # with pending lies about to be re-applied, the intermediate
-            # fantasy-free posterior would never be read — skip its rebuild
-            fitted.bank.clear_fantasies(update=not pending_units)
-            for u in pending_units:
-                bo._apply_fantasy(fitted, None, np.asarray(u, dtype=float))
-            return
-        if not pending_units:
-            return
-        if self._fantasy_set is None:
-            self._fantasy_set = FantasyModelSet(
-                fitted.x,
-                fitted.objective,
-                fitted.objective_y,
-                fitted.constraints,
-                fitted.constraint_ys,
-            )
-        for u in pending_units[self._n_fantasied:]:
-            bo._apply_fantasy(fitted, self._fantasy_set, np.asarray(u, dtype=float))
-        self._n_fantasied = len(pending_units)
-
-    def _absorb(self, u: np.ndarray, evaluation: Evaluation) -> None:
-        """Absorb one landed evaluation according to the refit policy."""
-        bo = self.optimizer
-        self._landings_since_fit += 1
-        if bo.scheduler_config.async_refit == "full" or self._fitted is None:
-            self._needs_refit = True
-            return
-        if self._landings_since_fit >= self._full_refit_every:
-            self._needs_refit = True
-            return
-        fitted = self._fitted
-        if fitted.bank is None:
-            # per-target models cannot absorb posterior-only; fall back to
-            # a full refit on the next ask
-            self._needs_refit = True
-            return
-        # observe() rebuilds the posterior; the intermediate fantasy-free
-        # rebuild would be wasted work on the landing hot path
-        fitted.bank.clear_fantasies(update=False)
-        u = np.asarray(u, dtype=float)
-        obj = _sanitize_new_target(evaluation.objective, fitted.objective_y)
-        cons = [
-            _sanitize_new_target(c, ys)
-            for c, ys in zip(evaluation.constraints, fitted.constraint_ys)
-        ]
-        fitted.bank.observe(u, np.array([obj, *cons]))
-        # the absorb moved the posterior-mean surface: a cached Lipschitz
-        # estimate would mis-scale the penalization exclusion balls until
-        # the next full refit, so force a fresh sweep on the next use
-        fitted.lipschitz = None
-        # keep the training-data view consistent for future lies/refits
-        fitted.x = np.vstack([fitted.x, u[None, :]])
-        fitted.objective_y = np.append(fitted.objective_y, obj)
-        fitted.constraint_ys = [
-            np.append(ys, c) for ys, c in zip(fitted.constraint_ys, cons)
-        ]
 
     # -- persistence --------------------------------------------------------------
 
@@ -929,7 +731,7 @@ class Study:
             "next_trial_id": self._next_id,
             "told": sorted(self._told),
             "retracted": sorted(self._retracted),
-            "landings_since_fit": self._landings_since_fit,
+            "landings_since_fit": self.proposer.landings_since_fit,
             "result": serialization.result_to_dict(self.result),
             "unit_x": [u.tolist() for u in self._unit_x],
             "initial_queue": [_trial_to_dict(t) for t in self._initial_queue],
@@ -944,38 +746,8 @@ class Study:
                 "name": space.name,
                 "state": space.state_to_dict(),
             }
-        fitted = self._fitted
-        if (
-            fitted is not None
-            and fitted.bank is not None
-            and (
-                self.optimizer.scheduler_config.async_refit == "fantasy-only"
-                or not self._needs_refit
-            )
-        ):
-            # the warm bank is live state under "fantasy-only" (absorbed
-            # landings and warm-started periodic refits both read it) and,
-            # under "full", whenever the current fit is still reusable
-            # (needs_refit False — i.e. the checkpoint was taken after an
-            # ask, before the next landing): the uninterrupted run would
-            # serve the next streaming proposal from this fit without
-            # touching the RNG, so a bitwise resume must restore it rather
-            # than refit (fantasies are rebuilt from the pending set per
-            # proposal and are deliberately dropped)
-            payload["needs_refit"] = bool(self._needs_refit)
-            payload["warm_surrogate"] = {
-                "bank": serialization.bank_state_to_dict(fitted.bank),
-                "objective_y": np.asarray(
-                    fitted.objective_y, dtype=float
-                ).tolist(),
-                "constraint_ys": [
-                    np.asarray(ys, dtype=float).tolist()
-                    for ys in fitted.constraint_ys
-                ],
-                "lipschitz": (
-                    None if fitted.lipschitz is None else float(fitted.lipschitz)
-                ),
-            }
+        # the live surrogate fit, when a bitwise resume needs it
+        payload.update(self.proposer.warm_state())
         path = Path(path)
         path.write_text(json.dumps(payload, indent=1))
         return path
@@ -1066,7 +838,6 @@ class Study:
                 expected="full",
                 actual=space.name,
             )
-        study._landings_since_fit = int(payload["landings_since_fit"])
         study._initial_queue = [
             _trial_from_dict(d, problem) for d in payload["initial_queue"]
         ]
@@ -1079,35 +850,7 @@ class Study:
         hits, misses = problem.cache_stats
         study._cache_hits0 = hits - study.result.cache_hits
         study._cache_misses0 = misses - study.result.cache_misses
-        warm = payload.get("warm_surrogate")
-        if warm is not None and study.optimizer.surrogate_bank_factory is not None:
-            # rebuild the warm bank under a throwaway RNG (the study's
-            # stream must stay exactly where the checkpoint left it) and
-            # overwrite the fresh weights with the serialized state
-            bank = study.optimizer.surrogate_bank_factory(
-                np.random.default_rng(0), 1 + problem.n_constraints
-            )
-            serialization.restore_bank_state(bank, warm["bank"])
-            study._fitted = _IterationModels(
-                objective=bank.target_model(0),
-                constraints=[
-                    bank.target_model(1 + i)
-                    for i in range(problem.n_constraints)
-                ],
-                bank=bank,
-                x=np.asarray(bank.gp._x_train, dtype=float),
-                objective_y=np.asarray(warm["objective_y"], dtype=float),
-                constraint_ys=[
-                    np.asarray(ys, dtype=float)
-                    for ys in warm["constraint_ys"]
-                ],
-                lipschitz=warm.get("lipschitz"),
-            )
-            study._needs_refit = bool(payload.get("needs_refit", True))
-        else:
-            # no warm surrogate travelled with the checkpoint; force a
-            # fresh fit on the first post-resume proposal
-            study._needs_refit = True
+        study.proposer.restore(payload)
         return study
 
     def __repr__(self) -> str:

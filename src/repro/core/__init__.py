@@ -28,11 +28,15 @@ target ``t``:
 * :class:`SurrogateBank` — the BO-facing front-end: one ``fit`` for all
   targets, per-target moment-matched ``predict`` views.
 
-The engine is numerically equivalent to the per-member loop (means
-bitwise, variances to ~1e-16; pinned by ``tests/core/test_batched_gp.py``)
-and is selected by ``NNBO(surrogate=SurrogateConfig(engine="batched"))``
-(the default via ``"auto"``).  ``benchmarks/bench_batched_engine.py`` measures the
-speedup on a charge-pump-sized workload.
+The engine is numerically equivalent to training the members one by one
+(means bitwise, variances to ~1e-16; pinned by
+``tests/core/test_batched_gp.py``), and :class:`NNBO` always fits through
+it, for wEI and Thompson sampling alike.  The per-member classes above
+stay as the reference those equivalence tests compare against; the
+complexity and ablation experiments build them directly, and
+:func:`repro.utils.save_model` persists them.
+``benchmarks/bench_batched_engine.py`` measures the speedup on a
+charge-pump-sized workload.
 """
 
 from repro.core.batched_gp import (

@@ -449,8 +449,13 @@ class StudyStore:
                 )
             entry.meta = meta
         problem = build_problem(meta["problem_spec"])
+        surrogate = meta["surrogate"]
+        if surrogate is not None:
+            # meta files persist the resolved SurrogateConfig; those written
+            # before the training-engine knob was retired still carry it
+            surrogate = {k: v for k, v in surrogate.items() if k != "engine"}
         configs = _build_configs(
-            surrogate=meta["surrogate"],
+            surrogate=surrogate,
             acquisition=meta["acquisition"],
             scheduler=meta["scheduler"],
         )

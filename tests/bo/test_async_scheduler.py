@@ -236,17 +236,26 @@ class TestAsyncRefitPolicies:
         np.testing.assert_array_equal(make().run().x_matrix, make().run().x_matrix)
 
     def test_fantasy_only_requires_bank(self):
-        bo = SurrogateBO(
-            toy_constrained_quadratic(2), gp_factory,
-            n_initial=5, max_evaluations=8,
-            scheduler_config=SchedulerConfig(
-                executor="async-thread", n_eval_workers=2,
-                async_refit="fantasy-only",
-            ),
-            seed=0,
-        )
+        """Rejected at construction on every entry point: the async and
+        sync closed loops and a standalone study."""
+        for executor in ("async-thread", "serial"):
+            with pytest.raises(ValueError, match="fantasy-only"):
+                SurrogateBO(
+                    toy_constrained_quadratic(2), gp_factory,
+                    n_initial=5, max_evaluations=8,
+                    scheduler_config=SchedulerConfig(
+                        executor=executor, async_refit="fantasy-only",
+                    ),
+                    seed=0,
+                )
         with pytest.raises(ValueError, match="fantasy-only"):
-            bo.run()
+            Study(
+                toy_constrained_quadratic(2),
+                surrogate_factory=gp_factory,
+                n_initial=5, max_evaluations=8,
+                scheduler=SchedulerConfig(async_refit="fantasy-only"),
+                seed=0,
+            )
 
     def test_invalid_policy_rejected(self):
         with pytest.raises(ValueError, match="async_refit"):

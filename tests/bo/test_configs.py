@@ -71,19 +71,13 @@ class TestConfigValidation:
             AcquisitionConfig(duplicate_tol=-1e-9)
 
     def test_surrogate_engine(self):
-        with pytest.raises(ValueError, match="'gpu'"):
-            SurrogateConfig(engine="gpu")
+        # the training-engine knob is retired: the bank is the only engine
+        with pytest.raises(TypeError, match="engine"):
+            SurrogateConfig(engine="batched")
         with pytest.raises(ValueError, match="n_ensemble must be >= 1, got 0"):
             SurrogateConfig(n_ensemble=0)
         with pytest.raises(ValueError, match="lr must be positive, got 0"):
             SurrogateConfig(lr=0.0)
-
-    def test_engine_resolution(self):
-        auto = SurrogateConfig()
-        assert auto.resolve_engine("wei", 1) == "batched"
-        assert auto.resolve_engine("thompson", 1) == "loop"
-        assert auto.resolve_engine("thompson", 2) == "batched"
-        assert SurrogateConfig(engine="loop").resolve_engine("wei", 4) == "loop"
 
     def test_configs_are_frozen(self):
         config = SchedulerConfig()
@@ -181,10 +175,9 @@ class TestDeprecationShim:
         )
         assert nnbo.surrogate_config.n_ensemble == 2
         assert nnbo.scheduler_config.q == 3
-        # the two values resolved against problem/config context stay
-        assert nnbo.engine == "batched"
+        # the one value resolved against problem/config context stays
         assert nnbo.log_space_acq is False
-        for mirror in ("q", "executor", "fantasy", "async_refit", "n_ensemble"):
+        for mirror in ("q", "executor", "fantasy", "async_refit", "n_ensemble", "engine"):
             assert not hasattr(nnbo, mirror)
 
     def test_config_only_construction_is_warning_free(self):

@@ -7,6 +7,8 @@ from repro.acquisition.maximize import AcquisitionMaximizer
 from repro.bo.config import AcquisitionConfig
 from repro.bo.loop import SurrogateBO, _sanitize_targets
 from repro.bo.problem import FunctionProblem
+from repro.bo.proposer import Proposer
+from repro.bo.study import Study
 from repro.benchfns import toy_constrained_quadratic
 from repro.core import BatchedFeatureGPTrainer, SurrogateBank
 from repro.gp import GPRegression
@@ -137,7 +139,7 @@ class TestBankPath:
         assert bo.surrogate_factory is None
 
     def test_bank_preferred_over_factory(self):
-        """With both sources configured, _propose fits through the bank."""
+        """With both sources configured, the proposer fits through the bank."""
         problem = toy_constrained_quadratic(2)
         calls = []
 
@@ -179,17 +181,18 @@ class TestDuplicateResampling:
             acquisition_config=AcquisitionConfig(duplicate_tol=1e-6),
             seed=7,
         )
-        original_propose = bo._propose
+        study = Study.from_optimizer(bo)
+        original_propose = study.proposer.propose
         seen = []
 
-        def spying_propose(x_unit, result):
+        def spying_propose(x_unit, result, n=1, pending=()):
             holder["x0"] = x_unit[0]
-            proposal = original_propose(x_unit, result)
-            seen.append((proposal, x_unit.copy()))
-            return proposal
+            proposals = original_propose(x_unit, result, n, pending)
+            seen.extend((proposal, x_unit.copy()) for proposal in proposals)
+            return proposals
 
-        bo._propose = spying_propose
-        bo.run()
+        study.proposer.propose = spying_propose
+        bo.run_study(study)
         assert seen, "search phase never ran"
         for proposal, x_unit in seen:
             dists = np.max(np.abs(x_unit - proposal[None, :]), axis=1)
@@ -205,7 +208,7 @@ class TestDuplicateResampling:
             seed=0,
         )
         x_unit = np.array([[0.5]])
-        proposal = bo._resample_non_duplicate(x_unit)
+        proposal = Proposer(bo)._resample_non_duplicate(x_unit)
         assert proposal.shape == (1,)
         assert 0.0 <= proposal[0] <= 1.0
 

@@ -17,6 +17,7 @@ from repro.bo.design import make_design
 from repro.bo.history import OptimizationResult
 from repro.bo.loop import SurrogateBO
 from repro.bo.problem import FunctionProblem
+from repro.bo.proposer import Proposer
 from repro.bo.scheduler import (
     EvaluationExecutor,
     ProcessPoolEvaluator,
@@ -61,19 +62,28 @@ def make_picklable_problem(dim: int = 2) -> FunctionProblem:
 def legacy_run(bo: SurrogateBO) -> OptimizationResult:
     """The pre-scheduler single-point loop, replicated verbatim.
 
-    Drives the same internal helpers (`_propose`, `_evaluate_and_record`)
-    in the same order the original ``run()`` did, so any scheduler-induced
-    deviation — extra RNG draws, reordered appends, changed bookkeeping —
-    shows up as a bitwise mismatch.
+    A fresh fit and proposal per iteration (a new :class:`Proposer` keeps
+    no state between iterations), then evaluate and append, in the same
+    order the original ``run()`` did, so any scheduler-induced deviation
+    — extra RNG draws, reordered appends, changed bookkeeping — shows up
+    as a bitwise mismatch.
     """
     result = OptimizationResult(bo.problem.name, bo.algorithm_name)
     unit_x: list[np.ndarray] = []
-    bo._cache_hits0, bo._cache_misses0 = bo.problem.cache_stats
+    hits0, misses0 = bo.problem.cache_stats
+
+    def evaluate_and_record(u, phase):
+        evaluation = bo.problem.evaluate_unit(u)
+        result.append(bo.problem.scaler.inverse_transform(u), evaluation, phase=phase)
+        unit_x.append(np.asarray(u, dtype=float))
+
     for u in make_design(bo.initial_design, bo.n_initial, bo.problem.dim, bo.rng):
-        bo._evaluate_and_record(u, result, unit_x, phase="initial")
+        evaluate_and_record(u, "initial")
     while result.n_evaluations < bo.max_evaluations:
-        proposal = bo._propose(np.stack(unit_x), result)
-        bo._evaluate_and_record(proposal, result, unit_x, phase="search")
+        (proposal,) = Proposer(bo).propose(np.stack(unit_x), result)
+        evaluate_and_record(proposal, "search")
+    hits, misses = bo.problem.cache_stats
+    result.cache_hits, result.cache_misses = hits - hits0, misses - misses0
     return result
 
 
@@ -208,7 +218,7 @@ class TestNNBOBatchPaths:
             acquisition_config=AcquisitionConfig(acquisition="thompson"),
             scheduler_config=SchedulerConfig(q=2), seed=1,
         )
-        assert nnbo.engine == "batched"
+        assert nnbo.surrogate_factory is None
         result = nnbo.run()
         assert result.n_evaluations == 10
 

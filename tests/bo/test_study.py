@@ -446,17 +446,17 @@ class TestCheckpointResume:
             surrogate=_tiny_surrogate(),
             scheduler=scheduler,
         )
-        assert resumed._fitted is not None
-        assert resumed._fitted.bank is not None
-        assert resumed._needs_refit is False
-        np.testing.assert_array_equal(resumed._fitted.x, study._fitted.x)
+        assert resumed.proposer.fitted is not None
+        assert resumed.proposer.fitted.bank is not None
+        assert resumed.proposer.needs_refit is False
+        np.testing.assert_array_equal(resumed.proposer.fitted.x, study.proposer.fitted.x)
         np.testing.assert_array_equal(
-            resumed._fitted.objective_y, study._fitted.objective_y
+            resumed.proposer.fitted.objective_y, study.proposer.fitted.objective_y
         )
         xq = np.random.default_rng(5).uniform(size=(7, 2))
         for t in range(1 + study.problem.n_constraints):
-            m0, v0 = study._fitted.bank.predict_target(t, xq)
-            m1, v1 = resumed._fitted.bank.predict_target(t, xq)
+            m0, v0 = study.proposer.fitted.bank.predict_target(t, xq)
+            m1, v1 = resumed.proposer.fitted.bank.predict_target(t, xq)
             np.testing.assert_array_equal(m0, m1)
             np.testing.assert_array_equal(v0, v1)
 
@@ -500,7 +500,7 @@ class TestCheckpointResume:
             surrogate=_tiny_surrogate(),
             scheduler=scheduler,
         )
-        assert resumed._fitted is not None and resumed._fitted.bank is not None
+        assert resumed.proposer.fitted is not None and resumed.proposer.fitted.bank is not None
         resumed.optimizer.run_study(resumed)
 
         np.testing.assert_array_equal(
@@ -583,6 +583,20 @@ class TestRetract:
         # a retracted entry can never be committed afterwards
         with pytest.raises(ValueError, match="retracted"):
             study.ledger.commit(trial.proposal_id, 0)
+
+    def test_retract_drops_the_lie_from_per_target_models(self, tmp_path):
+        """Regression: per-target models take pending lies in place, so a
+        retracted trial's lie used to linger in them until the next landing.
+        They are now refit: the next ask equals that of a study resumed
+        right after the retract, whose models are rebuilt from the history."""
+        study = self._warmed(max_evaluations=12)
+        trials = [study.ask(1)[0] for _ in range(3)]  # lies on the first two
+        study.retract(trials[1])
+        path = study.checkpoint(tmp_path / "after_retract.json")
+        resumed = Study.resume(
+            path, toy_constrained_quadratic(2), surrogate_factory=gp_factory
+        )
+        np.testing.assert_array_equal(resumed.ask(1)[0].u, study.ask(1)[0].u)
 
     def test_initial_trial_requeues_same_design(self):
         study = make_study()
@@ -777,3 +791,37 @@ class TestAskTimeCheckpoint:
         np.testing.assert_array_equal(
             resumed.result.objectives, uninterrupted.result.objectives
         )
+
+    @pytest.mark.parametrize("policy", ["full", "fantasy-only"])
+    def test_resume_between_streaming_asks_with_pending_lies(self, tmp_path, policy):
+        """Regression (found by the state-machine test): two streaming asks
+        leave a fantasy lie in the live bank; the next ask must draw its
+        lies from the fantasy-free posterior, as a resumed study (whose
+        checkpoint drops fantasies) does.  It used to read the stale,
+        still-fantasized posterior for the first lie and diverge."""
+        scheduler = SchedulerConfig(async_refit=policy)
+
+        def fresh():
+            study = Study(
+                toy_constrained_quadratic(2),
+                surrogate=_tiny_surrogate(),
+                scheduler=scheduler,
+                n_initial=5,
+                max_evaluations=10,
+                seed=1,
+            )
+            for trial in study.start_initial():
+                study.tell(trial, study.problem.evaluate_unit(trial.u))
+            return study
+
+        uninterrupted = fresh()
+        uninterrupted.ask(1)
+        uninterrupted.ask(1)
+        path = uninterrupted.checkpoint(tmp_path / "two_pending.json")
+        resumed = Study.resume(
+            path,
+            toy_constrained_quadratic(2),
+            surrogate=_tiny_surrogate(),
+            scheduler=scheduler,
+        )
+        np.testing.assert_array_equal(resumed.ask(1)[0].u, uninterrupted.ask(1)[0].u)

@@ -167,6 +167,28 @@ class TestDurability:
         assert not list(store.root.glob("*.tmp")), "atomic replace leaves no tmp"
 
 
+    def test_meta_with_retired_engine_key_still_loads(self, tmp_path):
+        """Meta files persist the resolved SurrogateConfig; those written
+        while it had an ``engine`` field carry ``"engine": "auto"``.  The
+        load path drops the retired key; ``create`` still rejects it."""
+        store = make_store(tmp_path)
+        create_toy(store, "old", seed=3)
+        meta_path = store.root / "old.meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["surrogate"]["engine"] = "auto"
+        meta_path.write_text(json.dumps(meta, indent=1))
+
+        reborn = StudyStore(tmp_path / "store")
+        drive_store(reborn, "old")  # initial design, then search asks
+        assert reborn.status("old")[0]["n_evaluations"] == 9
+        with pytest.raises(BadRequest, match="engine"):
+            reborn.create(
+                "new",
+                "toy_constrained_quadratic",
+                surrogate={**TINY, "engine": "auto"},
+            )
+
+
 class TestResidency:
     def test_eviction_and_reload_is_bitwise_invisible(self, tmp_path):
         # max_resident=1 with two interleaved studies = every touch is an
