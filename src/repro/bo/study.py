@@ -56,7 +56,10 @@ from repro.bo.problem import Evaluation, Problem
 from repro.bo.proposer import Proposer
 from repro.bo.scheduler import ProposalLedger
 
-CHECKPOINT_FORMAT = "repro.study/v1"
+CHECKPOINT_FORMAT = "repro.study/v2"
+#: formats :meth:`Study.resume` reads: v1 stored the warm bank's arrays as
+#: nested float lists, v2 stores them as base64 float64 blobs
+_READABLE_FORMATS = ("repro.study/v1", CHECKPOINT_FORMAT)
 
 
 class StudyError(ValueError):
@@ -749,7 +752,8 @@ class Study:
         # the live surrogate fit, when a bitwise resume needs it
         payload.update(self.proposer.warm_state())
         path = Path(path)
-        path.write_text(json.dumps(payload, indent=1))
+        # no indent: json's C encoder runs only when indent is None
+        path.write_text(json.dumps(payload))
         return path
 
     @classmethod
@@ -765,12 +769,22 @@ class Study:
         """
         from repro.utils import serialization
 
-        payload = json.loads(Path(path).read_text())
-        marker = payload.get("format")
-        if marker != CHECKPOINT_FORMAT:
+        try:
+            payload = json.loads(Path(path).read_text())
+        except ValueError as exc:
+            # a truncated or corrupted file is the store's fault, not the
+            # caller's: report it as a checkpoint conflict naming the file
+            raise CheckpointMismatch(
+                f"{path} is damaged: the document is not valid JSON ({exc})",
+                field="document",
+                expected="a JSON object",
+                actual=str(exc),
+            ) from exc
+        marker = payload.get("format") if isinstance(payload, dict) else None
+        if marker not in _READABLE_FORMATS:
             raise CheckpointMismatch(
                 f"{path} is not a study checkpoint: field 'format' is "
-                f"{marker!r}, expected {CHECKPOINT_FORMAT!r}",
+                f"{marker!r}, expected one of {_READABLE_FORMATS!r}",
                 field="format",
                 expected=CHECKPOINT_FORMAT,
                 actual=marker,
@@ -850,7 +864,16 @@ class Study:
         hits, misses = problem.cache_stats
         study._cache_hits0 = hits - study.result.cache_hits
         study._cache_misses0 = misses - study.result.cache_misses
-        study.proposer.restore(payload)
+        try:
+            study.proposer.restore(payload)
+        except serialization.DamagedArray as exc:
+            field = f"warm_surrogate.bank.{exc.field}"
+            raise CheckpointMismatch(
+                f"{path} is damaged: warm surrogate bank {exc}",
+                field=field,
+                expected=exc.expected,
+                actual=exc.actual,
+            ) from exc
         return study
 
     def __repr__(self) -> str:

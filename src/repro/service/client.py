@@ -105,19 +105,12 @@ class ServiceConnection:
             wire.setdefault("protocol_version", PROTOCOL_VERSION)
             body = json.dumps(wire).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        conn = self._connection()
-        try:
-            conn.request(method, path, body=body, headers=headers)
-            response = conn.getresponse()
-            data = response.read()
-        except (http.client.HTTPException, OSError):
-            # stale keep-alive (server restarted, idle timeout): one
-            # fresh-connection retry, then let the failure surface
-            self.close()
-            conn = self._connection()
-            conn.request(method, path, body=body, headers=headers)
-            response = conn.getresponse()
-            data = response.read()
+        exchange = self._exchange(method, path, body, headers)
+        if exchange is None:
+            # stale keep-alive (server restarted, idle timeout): it died
+            # before any reply started, so one fresh-connection retry
+            exchange = self._exchange(method, path, body, headers)
+        response, data = exchange
         try:
             parsed = json.loads(data)
         except json.JSONDecodeError as exc:
@@ -133,6 +126,31 @@ class ServiceConnection:
                 "error envelope"
             )
         return parsed
+
+    def _exchange(self, method, path, body, headers):
+        """Send one request; ``(response, body bytes)``, or ``None`` if stale.
+
+        ``None`` means a reused keep-alive connection was found closed
+        before any response started (``RemoteDisconnected`` is a
+        ``ConnectionResetError``).  Every other failure — a timeout above
+        all, whose request the server may still be serving — propagates:
+        replaying a non-idempotent ``ask`` would orphan a trial.
+        """
+        conn = self._connection()
+        reused = conn.sock is not None
+        response = None
+        try:
+            conn.request(method, path, body=body, headers=headers)
+            response = conn.getresponse()
+            return response, response.read()
+        except BaseException as exc:
+            # the socket is mid-exchange: a late reply would answer the
+            # next request, so never reuse it
+            self.close()
+            stale = isinstance(exc, (ConnectionResetError, BrokenPipeError))
+            if reused and response is None and stale:
+                return None
+            raise
 
     def close(self) -> None:
         conn = getattr(self._local, "conn", None)

@@ -110,9 +110,7 @@ class StudyServer:
         self.store = store
         self.quiet = quiet
         self.reap_interval_s = float(reap_interval_s)
-        handler = _make_handler(self)
-        self._httpd = ThreadingHTTPServer((host, port), handler)
-        self._httpd.daemon_threads = True
+        self._httpd = _HTTPServer((host, port), self)
         self._serve_thread: threading.Thread | None = None
         self._reaper_thread: threading.Thread | None = None
         self._stop_event = threading.Event()
@@ -288,12 +286,31 @@ def _require(method: str, expected: str, path: str) -> None:
         )
 
 
+class _HTTPServer(ThreadingHTTPServer):
+    """One thread per connection; error reports obey ``StudyServer.quiet``."""
+
+    daemon_threads = True
+
+    def __init__(self, address, owner: StudyServer):
+        self.owner = owner
+        super().__init__(address, _make_handler(owner))
+
+    def handle_error(self, request, client_address):
+        # e.g. the BrokenPipeError of a reply to a client that timed out
+        # and hung up; socketserver would print its traceback
+        if not self.owner.quiet:
+            super().handle_error(request, client_address)
+
+
 def _make_handler(server: StudyServer):
     class _Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
         # identify the wire protocol, not the host machine's python
         server_version = f"repro-service/{PROTOCOL_VERSION}"
         sys_version = ""
+        # TCP_NODELAY: a reply goes out as two writes (headers, body), and
+        # with Nagle on, the body waits ~40 ms for the client's delayed ACK
+        disable_nagle_algorithm = True
 
         def log_message(self, format, *args):
             if not server.quiet:

@@ -11,7 +11,9 @@ run can be audited exactly like a live one; these primitives also back
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -209,6 +211,66 @@ def config_digest(config) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
 
 
+# -- float64 array codec ----------------------------------------------------------
+
+
+class DamagedArray(ValueError):
+    """A stored array whose bytes cannot be decoded into its declared shape.
+
+    ``field`` names the array; ``expected`` is the byte count its shape
+    needs and ``actual`` the decoded byte count (or the base64 error text
+    when the blob does not decode at all).
+    """
+
+    def __init__(self, message, *, field, expected, actual):
+        super().__init__(message)
+        self.field = field
+        self.expected = expected
+        self.actual = actual
+
+
+def array_to_dict(array) -> dict:
+    """``{"shape", "f8"}``: the shape plus base64 of the little-endian float64 bytes.
+
+    Bitwise by construction (signed zeros, NaN payloads and subnormals
+    included), and the JSON encoder writes one string instead of one
+    float repr per element.
+    """
+    data = np.ascontiguousarray(array, dtype="<f8")
+    return {
+        "shape": list(data.shape),
+        "f8": base64.b64encode(data.tobytes()).decode("ascii"),
+    }
+
+
+def array_from_dict(data: dict, field: str = "array") -> np.ndarray:
+    """Inverse of :func:`array_to_dict`; a native float64 array.
+
+    Raises :class:`DamagedArray` naming ``field`` when the blob is not
+    base64 or its byte count does not match the shape.
+    """
+    shape = [int(n) for n in data["shape"]]
+    expected = 8 * math.prod(shape)
+    try:
+        raw = base64.b64decode(data["f8"], validate=True)
+    except ValueError as exc:
+        raise DamagedArray(
+            f"array {field!r} is not valid base64 ({exc})",
+            field=field,
+            expected=expected,
+            actual=str(exc),
+        ) from exc
+    if len(raw) != expected:
+        raise DamagedArray(
+            f"array {field!r} holds {len(raw)} bytes, but its shape "
+            f"{shape} needs {expected}",
+            field=field,
+            expected=expected,
+            actual=len(raw),
+        )
+    return np.frombuffer(raw, dtype="<f8").astype(float).reshape(shape)
+
+
 # -- surrogate-bank snapshots (warm fantasy-only resume) ----------------------------
 
 
@@ -218,8 +280,8 @@ def bank_state_to_dict(bank) -> dict:
     Captures the learned state only — stacked network weights, GP scales,
     target normalization, and the *real* training set (fantasies are
     deliberately dropped: the streaming proposer rebuilds them from the
-    pending set on every proposal).  Floats travel through JSON by
-    shortest round-trip repr, so the restored float64 arrays are bitwise
+    pending set on every proposal).  Each array travels through
+    :func:`array_to_dict`, so the restored float64 arrays are bitwise
     identical to the live ones.
     """
     gp = bank.gp
@@ -230,13 +292,13 @@ def bank_state_to_dict(bank) -> dict:
     return {
         "n_targets": bank.n_targets,
         "n_members": bank.n_members,
-        "network": np.asarray(host(gp.network.get_stacked_params())).tolist(),
-        "log_noise": np.asarray(host(gp.log_noise_variance)).tolist(),
-        "log_prior": np.asarray(host(gp.log_prior_variance)).tolist(),
-        "y_mean": np.asarray(host(gp._y_mean)).tolist(),
-        "y_scale": np.asarray(host(gp._y_scale)).tolist(),
-        "x_train": np.asarray(gp._x_train).tolist(),
-        "z_train": np.asarray(host(gp._z_train)).tolist(),
+        "network": array_to_dict(host(gp.network.get_stacked_params())),
+        "log_noise": array_to_dict(host(gp.log_noise_variance)),
+        "log_prior": array_to_dict(host(gp.log_prior_variance)),
+        "y_mean": array_to_dict(host(gp._y_mean)),
+        "y_scale": array_to_dict(host(gp._y_scale)),
+        "x_train": array_to_dict(gp._x_train),
+        "z_train": array_to_dict(host(gp._z_train)),
     }
 
 
@@ -247,6 +309,8 @@ def restore_bank_state(bank, data: dict):
     surrogate config's ``bank_factory`` guarantees that); this function
     overwrites its parameters and recomputes the cached posterior, after
     which predictions are bitwise identical to the snapshotted bank's.
+    Snapshots written as nested float lists (``repro.study/v1``
+    checkpoints) load too.
     """
     gp = bank.gp
     if (bank.n_targets, bank.n_members) != (
@@ -258,16 +322,21 @@ def restore_bank_state(bank, data: dict):
             f"{data['n_targets']} targets x {data['n_members']} members, "
             f"bank has {bank.n_targets} x {bank.n_members}"
         )
+
+    def load(key):
+        value = data[key]
+        if isinstance(value, dict):
+            return array_from_dict(value, field=key)
+        return np.asarray(value, dtype=float)
+
     xb = gp.xb
-    gp.network.set_stacked_params(
-        xb.to_device(np.asarray(data["network"], dtype=float))
-    )
-    gp.log_noise_variance = xb.to_device(np.asarray(data["log_noise"], dtype=float))
-    gp.log_prior_variance = xb.to_device(np.asarray(data["log_prior"], dtype=float))
-    gp._y_mean = xb.to_device(np.asarray(data["y_mean"], dtype=float))
-    gp._y_scale = xb.to_device(np.asarray(data["y_scale"], dtype=float))
-    gp._x_train = np.asarray(data["x_train"], dtype=float)
-    gp._z_train = xb.to_device(np.asarray(data["z_train"], dtype=float))
+    gp.network.set_stacked_params(xb.to_device(load("network")))
+    gp.log_noise_variance = xb.to_device(load("log_noise"))
+    gp.log_prior_variance = xb.to_device(load("log_prior"))
+    gp._y_mean = xb.to_device(load("y_mean"))
+    gp._y_scale = xb.to_device(load("y_scale"))
+    gp._x_train = load("x_train")
+    gp._z_train = xb.to_device(load("z_train"))
     gp._x_fantasy = []
     gp._z_fantasy = []
     gp.update_posterior()

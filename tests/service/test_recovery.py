@@ -5,11 +5,15 @@ process (no atexit, no flush, no goodbye) holding several studies with
 trials in flight, restart on the same store directory, and require every
 study to continue bitwise — plus the headline acceptance pin, a
 :class:`StudyClient`-driven study on the paper's charge-pump testbench
-bitwise-identical to an in-process :class:`Study`.
+bitwise-identical to an in-process :class:`Study`.  Checkpoints written
+by the previous on-disk format keep resuming bitwise, and a damaged
+checkpoint is reported as a checkpoint conflict, not as a bad request.
 """
 
+import hashlib
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -20,14 +24,27 @@ import pytest
 
 from repro.benchfns import toy_constrained_quadratic
 from repro.bo.config import SurrogateConfig
-from repro.bo.study import Study
+from repro.bo.study import CHECKPOINT_FORMAT, CheckpointMismatch, Study
 from repro.circuits.testbenches import ChargePumpProblem
 from repro.service import StudyClient, StudyServer
+from repro.service.problems import build_problem
+from repro.service.store import StudyStore
 
 TINY = {"n_ensemble": 2, "hidden_dims": [10, 10], "n_features": 6, "epochs": 20}
 PROBLEM = toy_constrained_quadratic(2)
 
 _SRC = Path(__file__).resolve().parents[2] / "src"
+
+#: a store written by the ``repro.study/v1`` checkpoint writer (commit
+#: 89dba6d): study "v1" on toy_constrained_quadratic, seed 5, a 2-member
+#: surrogate with one 4-unit layer, 3 features and 30 epochs,
+#: ``async_refit="fantasy-only"`` with a full refit every 2 landings, 4
+#: initial designs of a 9-evaluation budget.  It was checkpointed right
+#: after the first search ask (trial 4 pending), so the warm bank travels
+#: as nested float lists.  ``recorded.json`` holds, from that build, the
+#: SHA-256 of each bank array it restored from the file, and what its
+#: store did next (see ``replay_v1_store``).
+V1_STORE = Path(__file__).resolve().parent / "fixtures" / "v1_store"
 
 
 def boot_server(root):
@@ -184,3 +201,130 @@ class TestChargePumpAcceptance:
             reference.result.constraint_matrix,
             np.array([record.evaluation.constraints for record in remote]),
         )
+
+
+def bank_digests(store, name) -> dict:
+    """SHA-256 of each learned array of the study's live surrogate bank."""
+    with store._entry(name) as entry:
+        gp = entry.study.proposer.fitted.bank.gp
+    arrays = {
+        "network": gp.network.get_stacked_params(),
+        "log_noise": gp.log_noise_variance,
+        "log_prior": gp.log_prior_variance,
+        "y_mean": gp._y_mean,
+        "y_scale": gp._y_scale,
+        "x_train": gp._x_train,
+        "z_train": gp._z_train,
+    }
+    return {
+        key: hashlib.sha256(np.ascontiguousarray(value, dtype="<f8").tobytes()).hexdigest()
+        for key, value in arrays.items()
+    }
+
+
+def replay_v1_store(root):
+    """Resume the fixture, replay what the v1 build did next, finish the budget.
+
+    Ask one trial with trial 4 still pending, tell trial 4 and then that
+    trial, ask one more; returns the store and those two asked trials.
+    """
+    shutil.copytree(V1_STORE, root)
+    problem = build_problem("toy_constrained_quadratic")
+    store = StudyStore(root)
+    _, pending, _ = store.status("v1")
+    ((first, _),) = store.ask("v1", 1)
+    for trial in (*pending, first):
+        store.tell("v1", trial.id, problem.evaluate_unit(trial.u))
+    ((second, _),) = store.ask("v1", 1)
+    store.tell("v1", second.id, problem.evaluate_unit(second.u))
+    while not store.status("v1")[0]["done"]:
+        ((trial, _),) = store.ask("v1", 1)
+        store.tell("v1", trial.id, problem.evaluate_unit(trial.u))
+    return store, (first, second)
+
+
+class TestOldAndDamagedCheckpoints:
+    def test_v1_store_restores_the_v1_bank_bitwise_and_finishes(self, tmp_path):
+        recorded = json.loads((V1_STORE / "recorded.json").read_text())
+        assert json.loads((V1_STORE / "v1.study.json").read_text())["format"] == "repro.study/v1"
+        store = StudyStore(shutil.copytree(V1_STORE, tmp_path / "loaded"))
+        _, pending, _ = store.status("v1")
+        assert [t.id for t in pending] == recorded["pending"]
+        assert bank_digests(store, "v1") == recorded["bank_sha256"]
+
+        store, _ = replay_v1_store(tmp_path / "replayed")
+        describe, pending, _ = store.status("v1")
+        assert describe["n_evaluations"] == 9
+        assert pending == []
+        # every mutation re-checkpoints, now in the current format
+        study_file = tmp_path / "replayed" / "v1.study.json"
+        assert json.loads(study_file.read_text())["format"] == CHECKPOINT_FORMAT
+
+    def test_v1_store_replays_the_recorded_asks_bitwise(self, tmp_path):
+        # the recorded asks are floating-point results of the machine that
+        # wrote the fixture; BLAS and SIMD kernels of other machines round
+        # differently.  Rerun the study up to the fixture's checkpoint: when
+        # its bank matches the fixture's bit for bit, this machine computes
+        # what that one did, and the resumed asks must match too
+        meta = json.loads((V1_STORE / "v1.meta.json").read_text())
+        fresh = StudyStore(tmp_path / "fresh")
+        fresh.create(
+            "v1",
+            meta["problem_spec"],
+            n_initial=4,
+            max_evaluations=9,
+            seed=meta["seed"],
+            surrogate=meta["surrogate"],
+            acquisition=meta["acquisition"],
+            scheduler=meta["scheduler"],
+        )
+        problem = build_problem("toy_constrained_quadratic")
+        for trial, _ in fresh.ask("v1", 4):
+            fresh.tell("v1", trial.id, problem.evaluate_unit(trial.u))
+        fresh.ask("v1", 1)
+        recorded = json.loads((V1_STORE / "recorded.json").read_text())
+        if bank_digests(fresh, "v1") != recorded["bank_sha256"]:
+            pytest.skip("this machine's float arithmetic differs from the fixture's")
+
+        _, asked = replay_v1_store(tmp_path / "replayed")
+        for trial, want in zip(asked, recorded["asks"]):
+            assert trial.id == want["id"]
+            assert trial.u.tobytes() == np.asarray(want["u"], dtype=float).tobytes()
+
+    def test_damaged_checkpoint_is_a_checkpoint_mismatch_over_the_wire(self, tmp_path):
+        root = tmp_path / "store"
+        with StudyServer(root, port=0) as first:
+            client = StudyClient.create(
+                first.address,
+                "s",
+                problem="toy_constrained_quadratic",
+                n_initial=3,
+                max_evaluations=6,
+                seed=2,
+                surrogate=TINY,
+                scheduler={"async_refit": "fantasy-only"},
+            )
+            for trial in client.ask(3):
+                client.tell(trial, PROBLEM.evaluate(trial.x))
+            client.ask(1)  # the checkpoint now carries the warm bank
+        path = root / "s.study.json"
+        intact = path.read_bytes()
+        payload = json.loads(intact)
+        network = payload["warm_surrogate"]["bank"]["network"]
+        network["f8"] = network["f8"][:-8]  # still base64, too short for its shape
+        short_blob = json.dumps(payload).encode()
+
+        damaged = [(intact[:cut], "document") for cut in (0, len(intact) // 2, len(intact) - 1)]
+        damaged.append((short_blob, "warm_surrogate.bank.network"))
+        with StudyServer(root, port=0) as second:
+            client = StudyClient(second.address, "s")
+            for data, field in damaged:
+                path.write_bytes(data)
+                with pytest.raises(CheckpointMismatch) as err:
+                    client.ask(1)
+                assert err.value.code == "checkpoint-mismatch"
+                assert err.value.field == field
+                assert "s.study.json" in str(err.value)
+            # a failed load leaves nothing behind: the repaired file serves
+            path.write_bytes(intact)
+            assert len(client.ask(1)) == 1

@@ -7,7 +7,10 @@ trace — same proposals, same objectives, same error types.
 """
 
 import json
+import socket
+import statistics
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -28,7 +31,8 @@ from repro.service import (
     list_studies,
 )
 from repro.service.client import ServiceConnection
-from repro.service.protocol import PROTOCOL_VERSION
+from repro.service.protocol import PROTOCOL_VERSION, URL_PREFIX
+from repro.service.store import StudyStore
 
 TINY = {"n_ensemble": 2, "hidden_dims": [10, 10], "n_features": 6, "epochs": 20}
 PROBLEM = toy_constrained_quadratic(2)
@@ -298,6 +302,68 @@ class TestServerLifecycle:
             # it now is a protocol violation, not a commit)
             with pytest.raises(StudyError):
                 client.tell(abandoned, 1.0)
+
+
+class _SlowReplyStore(StudyStore):
+    """Serves every ask, then holds its reply for ``delay_s`` seconds."""
+
+    def __init__(self, root, delay_s):
+        super().__init__(root)
+        self.delay_s = delay_s
+        self.n_asks = 0
+
+    def ask(self, name, n=1, lease_s=None):
+        self.n_asks += 1
+        pairs = super().ask(name, n=n, lease_s=lease_s)
+        time.sleep(self.delay_s)
+        return pairs
+
+
+class TestWire:
+    def test_replies_do_not_wait_for_delayed_acks(self, server):
+        assert server._httpd.RequestHandlerClass.disable_nagle_algorithm is True
+        client = create_toy(server.address, "s", seed=0)
+        client.describe()  # open the keep-alive connection
+        latencies = []
+        for _ in range(20):
+            start = time.perf_counter()
+            client.describe()
+            latencies.append(time.perf_counter() - start)
+        # a reply's header and body writes used to stall ~40 ms on Nagle
+        assert statistics.median(latencies) < 0.010
+
+    def test_timed_out_ask_is_not_replayed(self, tmp_path):
+        store = _SlowReplyStore(tmp_path / "store", delay_s=0.6)
+        with StudyServer(store=store, port=0) as running:
+            create_toy(running.address, "s", seed=0)
+            impatient = StudyClient(running.address, "s", timeout=0.3)
+            with pytest.raises(TimeoutError):
+                impatient.ask(1)
+            # the server committed the one ask it got; a replay would
+            # have left a second trial that nobody holds
+            assert store.n_asks == 1
+            assert len(StudyClient(running.address, "s").pending_trials()) == 1
+
+    def test_stale_keep_alive_is_retried_on_a_fresh_connection(self, server):
+        conn = ServiceConnection(server.address)
+        conn.request("GET", f"{URL_PREFIX}/health")
+        stale = conn._local.conn
+        stale.sock.shutdown(socket.SHUT_RDWR)  # as if the server had closed it
+        assert conn.request("GET", f"{URL_PREFIX}/health")["status"] == "ok"
+        assert conn._local.conn is not stale
+        conn.close()
+
+    @pytest.mark.parametrize("quiet", [True, False])
+    def test_handler_error_report_obeys_quiet(self, tmp_path, capsys, quiet):
+        server = StudyServer(tmp_path / "store", port=0, quiet=quiet)
+        try:
+            try:
+                raise BrokenPipeError("client hung up before the reply")
+            except BrokenPipeError:
+                server._httpd.handle_error(None, ("127.0.0.1", 1))
+        finally:
+            server.stop()
+        assert ("BrokenPipeError" in capsys.readouterr().err) is not quiet
 
 
 class TestHammer:

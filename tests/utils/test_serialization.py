@@ -1,12 +1,19 @@
 """Tests for run/model persistence."""
 
+import json
+
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.bo.history import OptimizationResult
 from repro.bo.problem import Evaluation
 from repro.core import FeatureGPTrainer, NeuralFeatureGP
 from repro.utils.serialization import (
+    DamagedArray,
+    array_from_dict,
+    array_to_dict,
     load_model_into,
     load_result,
     result_from_dict,
@@ -14,6 +21,63 @@ from repro.utils.serialization import (
     save_model,
     save_result,
 )
+
+#: float64 bit patterns a float repr would lose or JSON cannot carry
+SPECIAL_BITS = (
+    0x8000000000000000,  # -0.0
+    0x7FF0000000000000,  # +inf
+    0xFFF0000000000000,  # -inf
+    0x7FF8000000000000,  # the default quiet NaN
+    0x7FF800000000BEEF,  # quiet NaN with a payload
+    0xFFF4000000000001,  # negative signalling NaN with a payload
+    0x0000000000000001,  # smallest subnormal
+    0x800FFFFFFFFFFFFF,  # largest-magnitude negative subnormal
+)
+
+#: any 1-D or 2-D float64 array, drawn as raw bit patterns
+float64_arrays = hnp.arrays(
+    np.uint64,
+    hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=6),
+    elements=st.one_of(st.sampled_from(SPECIAL_BITS), st.integers(0, 2**64 - 1)),
+).map(lambda bits: bits.view(np.float64))
+
+
+class TestArrayCodec:
+    @settings(max_examples=200)
+    @given(float64_arrays)
+    def test_any_float64_array_roundtrips_byte_for_byte(self, array):
+        wire = json.loads(json.dumps(array_to_dict(array)))
+        back = array_from_dict(wire)
+        assert back.dtype == np.float64
+        assert back.shape == array.shape
+        assert back.tobytes() == array.tobytes()
+
+    def test_special_values_roundtrip(self):
+        array = np.array(SPECIAL_BITS, dtype=np.uint64).view(np.float64)
+        back = array_from_dict(array_to_dict(array))
+        assert back.tobytes() == array.tobytes()
+        assert back.flags.writeable
+
+    def test_non_contiguous_and_big_endian_inputs_keep_their_values(self):
+        base = np.arange(12.0).reshape(3, 4) - 5.5
+        for variant in (base.T, base[:, ::2], base.astype(">f8")):
+            back = array_from_dict(array_to_dict(variant))
+            assert back.tobytes() == np.ascontiguousarray(variant, dtype=float).tobytes()
+
+    def test_byte_count_mismatch_names_the_array(self):
+        wire = array_to_dict(np.ones((3, 2)))
+        wire["f8"] = wire["f8"][:-4]  # still base64, three bytes short
+        with pytest.raises(DamagedArray, match="'weights' holds 45 bytes") as err:
+            array_from_dict(wire, field="weights")
+        assert (err.value.field, err.value.expected, err.value.actual) == ("weights", 48, 45)
+        assert isinstance(err.value, ValueError)
+
+    def test_invalid_base64_names_the_array(self):
+        wire = array_to_dict(np.ones(3))
+        wire["f8"] = "!" + wire["f8"][1:]
+        with pytest.raises(DamagedArray, match="'weights' is not valid base64") as err:
+            array_from_dict(wire, field="weights")
+        assert err.value.field == "weights"
 
 
 def sample_result():
