@@ -4,11 +4,11 @@ Problem definitions (eq. 1 form), initial experimental designs, run
 histories, the ask/tell :class:`Study` state machine, typed optimizer
 configs, and the generic surrogate-based Bayesian-optimization driver
 (Algorithm 1) that the paper's NN-GP method and the WEIBO baseline share.
-Evaluation dispatch is pluggable: synchronous q-point batches behind a
-barrier (:class:`EvaluationScheduler`), the fully asynchronous
-refill-on-completion loop of the evaluation farm (``async-*`` executors,
-:mod:`repro.farm`), or any external backend driving :class:`Study`
-directly.
+The closed loop runs every executor on a single-tenant evaluation farm
+(:mod:`repro.farm`): synchronous q-point batches behind its barrier, or
+the fully asynchronous refill-on-completion loop for the ``async-*``
+executors.  Any external backend can drive :class:`Study` directly
+instead.
 """
 
 from repro.bo.config import (
@@ -21,10 +21,7 @@ from repro.bo.history import EvaluationRecord, OptimizationResult
 from repro.bo.loop import SurrogateBO
 from repro.bo.problem import Evaluation, FunctionProblem, Problem
 from repro.bo.scheduler import (
-    AsyncProcessEvaluator,
-    AsyncThreadEvaluator,
     EvaluationExecutor,
-    EvaluationScheduler,
     FakeClock,
     ProcessPoolEvaluator,
     ProposalLedger,
@@ -36,13 +33,10 @@ from repro.bo.study import BudgetExhausted, Study, StudyError, Trial
 
 __all__ = [
     "AcquisitionConfig",
-    "AsyncProcessEvaluator",
-    "AsyncThreadEvaluator",
     "BudgetExhausted",
     "Evaluation",
     "EvaluationExecutor",
     "EvaluationRecord",
-    "EvaluationScheduler",
     "FakeClock",
     "FunctionProblem",
     "OptimizationResult",

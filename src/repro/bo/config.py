@@ -441,10 +441,12 @@ class SchedulerConfig:
     ``clock`` (a :class:`~repro.bo.scheduler.FakeClock`) optionally
     virtualizes the completion order for deterministic replay.
 
-    Asynchronous runs always go through the evaluation-farm driver
-    (:mod:`repro.farm`).  ``farm`` (a :class:`FarmConfig` or dict) sets
-    its policy — elastic sizing, adaptive q, timeouts; ``None`` runs the
-    default fixed-target :class:`FarmConfig`.  ``speculation`` (a
+    Every closed-loop run goes through a single-tenant evaluation farm
+    (:mod:`repro.farm`); other executors, instances included, evaluate
+    q-point batches behind its barrier.  ``farm`` (a :class:`FarmConfig`
+    or dict; asynchronous specs only) sets the refill loop's policy —
+    elastic sizing, adaptive q, timeouts; ``None`` runs the default
+    fixed-target :class:`FarmConfig`.  ``speculation`` (a
     :class:`SpeculationConfig` or dict) enables speculative evaluation
     and needs an explicit ``farm``.
     """
@@ -501,10 +503,13 @@ class SchedulerConfig:
 
     @property
     def is_async(self) -> bool:
-        """True when the executor spec opts into the refill-on-completion loop."""
-        if isinstance(self.executor, str):
-            return self.executor.lower().startswith("async-")
-        return bool(getattr(self.executor, "async_mode", False))
+        """True for the ``async-*`` specs: the closed loop refills on completion.
+
+        Every other executor — spec string or instance — evaluates q-point
+        batches behind a barrier.
+        """
+        spec = self.executor
+        return isinstance(spec, str) and spec.lower().startswith("async-")
 
     def resolve_pool_workers(self) -> int | None:
         """Worker count handed to :func:`~repro.bo.scheduler.make_evaluator`.

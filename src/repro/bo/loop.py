@@ -8,8 +8,9 @@ the paper's experimental control.
 :class:`SurrogateBO` holds the validated configuration (surrogate
 factories, typed configs, maximizer, proposal space, RNG) and the closed
 loop: ``run()`` builds a :class:`~repro.bo.study.Study`, pumps its
-``ask``/``tell`` cycle through the configured evaluation executor, and
-returns the study's history.  Proposals are made by the study's
+``ask``/``tell`` cycle through a single-tenant evaluation farm
+(:mod:`repro.farm`) over the configured executor, and returns the
+study's history.  Proposals are made by the study's
 :class:`~repro.bo.proposer.Proposer` (fit, acquisition, pending-point
 conditioning, maximization, duplicate handling), so driving a study
 manually reproduces ``run()`` bitwise.
@@ -28,15 +29,14 @@ Per iteration (Fig. 2):
 2. propose ``q`` designs by greedy q-point acquisition — the wEI path
    (eq. 7) keeps the batch diverse according to ``pending_strategy``,
    the Thompson path draws ``q`` independent posterior functions,
-3. dispatch the batch to the evaluation executor
-   (:mod:`repro.bo.scheduler`) and ingest the simulations as they land,
-   recording per-candidate provenance in the history.
+3. submit the batch to the farm and tell its simulations to the study
+   in batch order — the next fit waits for the whole batch (the
+   barrier) — recording per-candidate provenance in the history.
 
 ``q=1`` with the serial executor reproduces the original single-point
 loop bitwise (pinned by ``tests/bo/test_scheduler.py``); the
-``"async-*"`` executors switch to the refill-on-completion loop of a
-single-tenant evaluation farm (:mod:`repro.farm`; pinned by
-``tests/bo/test_async_scheduler.py`` and ``tests/farm/``).
+``"async-*"`` executors switch to the farm's refill-on-completion loop
+(pinned by ``tests/bo/test_async_scheduler.py`` and ``tests/farm/``).
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ from repro.bo.config import (
 )
 from repro.bo.history import OptimizationResult
 from repro.bo.problem import Problem
-from repro.bo.scheduler import EvaluationScheduler, make_evaluator
 from repro.utils.rng import ensure_rng
 
 __all__ = [
@@ -197,110 +196,73 @@ class SurrogateBO:
     def run_study(self, study) -> OptimizationResult:
         """Drive an ask/tell :class:`~repro.bo.study.Study` to its budget.
 
-        The closed-loop entry point: resolves the configured executor,
-        pumps the study's initial design and search proposals through it
-        (synchronous q-point batches behind a barrier, or the farm's
-        refill-on-completion loop for ``async-*`` executors), and returns
+        The closed-loop entry point: runs the study as the one tenant of
+        an evaluation farm (:mod:`repro.farm`) over the configured
+        executor — q-point batches behind a barrier, or the
+        refill-on-completion loop for the ``async-*`` specs — and returns
         the study's history.  Accepts a resumed study — already-committed
         evaluations are kept and pending trials are re-submitted.
+        ``callback(iteration, result)`` fires once per search batch (per
+        landing in the refill loop).  ``SchedulerConfig.farm=None`` runs
+        the refill loop under the default :class:`~repro.bo.config.
+        FarmConfig` (fixed in-flight target, no speculation).
         """
         cfg = self.scheduler_config
-        # an executor instance + explicit n_eval_workers is contradictory;
-        # make_evaluator raises rather than silently ignoring the count
-        evaluator = make_evaluator(cfg.executor, cfg.resolve_pool_workers())
-        owns_evaluator = evaluator is not cfg.executor
-        try:
-            if getattr(evaluator, "async_mode", False):
-                self._drive_farm(study, evaluator, cfg.resolve_in_flight())
-            elif cfg.farm is not None:
-                raise ValueError(
-                    "SchedulerConfig.farm requires an asynchronous "
-                    f"executor (async-thread/async-process), got "
-                    f"{cfg.executor!r}"
-                )
-            else:
-                self._drive_sync(study, evaluator)
-        finally:
-            if owns_evaluator:
-                evaluator.close()
-        return study.result
-
-    def _drive_sync(self, study, evaluator) -> None:
-        """The synchronous driver: q-point batches behind a barrier."""
-        scheduler = EvaluationScheduler(self.problem, evaluator)
-        initial = study.start_initial()
-        if initial:
-            scheduler.run_trials(initial, study)
-        # a resumed study may carry in-flight search trials; evaluate them
-        # first (in submission order) so the budget completes and the next
-        # batch ask sees a clean pending set
-        pending = study.pending_trials()
-        if pending:
-            scheduler.run_trials(pending, study)
-        while study.remaining_capacity > 0:
-            q = min(self.scheduler_config.q, study.remaining_capacity)
-            trials = study.ask(q)
-            scheduler.run_trials(trials, study)
-            iteration = study.result.records[-1].iteration
-            if self.verbose:
-                best = study.result.best_objective()
-                print(
-                    f"[{self.algorithm_name}] iter {iteration:3d} "
-                    f"evals {study.result.n_evaluations:4d} best {best:.6g}"
-                )
-            if self.callback is not None:
-                self.callback(iteration, study.result)
-
-    def _drive_farm(self, study, evaluator, n_workers: int) -> None:
-        """The asynchronous driver: a single-tenant evaluation farm.
-
-        The initial design evaluates as one deterministic batch;
-        afterwards the farm keeps ``n_workers`` simulations in flight,
-        asking the study for a replacement per landing.
-        ``callback(landing, result)`` fires per landing (the async
-        analogue of per-iteration).  ``SchedulerConfig.farm=None`` runs
-        the default :class:`~repro.bo.config.FarmConfig` (fixed in-flight
-        target, no speculation); elastic sizing, adaptive q and
-        speculation are opted into through the scheduler config.
-        """
-        cfg = self.scheduler_config
+        if cfg.farm is not None and not cfg.is_async:
+            raise ValueError(
+                "SchedulerConfig.farm requires an asynchronous "
+                f"executor (async-thread/async-process), got "
+                f"{cfg.executor!r}"
+            )
         # the farm package builds on this module; imported here to avoid
         # a cycle
         from repro.farm import EvaluationFarm, FarmStudyDriver
 
-        farm_cfg = cfg.farm or FarmConfig()
-        capacity = n_workers
-        if farm_cfg.max_in_flight is not None:
-            capacity = max(capacity, farm_cfg.max_in_flight)
-        if cfg.speculation is not None:
-            capacity += cfg.speculation.max_speculative
-
-        def on_commit(trial, evaluation, result):
-            landing = result.records[-1].iteration
+        def report(result):
+            iteration = result.records[-1].iteration
             if self.verbose:
                 best = result.best_objective()
                 print(
-                    f"[{self.algorithm_name}] landing {landing:3d} "
+                    f"[{self.algorithm_name}] iter {iteration:3d} "
                     f"evals {result.n_evaluations:4d} best {best:.6g}"
                 )
             if self.callback is not None:
-                self.callback(landing, result)
+                self.callback(iteration, result)
 
-        with EvaluationFarm(evaluator, capacity=capacity, clock=cfg.clock) as farm:
+        farm_cfg = cfg.farm or FarmConfig()
+        capacity = None  # the executor's worker count
+        if cfg.is_async:
+            n_workers = cfg.resolve_in_flight()
+            capacity = max(n_workers, farm_cfg.max_in_flight or 0)
+            if cfg.speculation is not None:
+                capacity += cfg.speculation.max_speculative
+        # an executor instance + explicit n_eval_workers is contradictory;
+        # the farm raises rather than silently ignoring the count
+        with EvaluationFarm(
+            cfg.executor,
+            capacity=capacity,
+            n_workers=cfg.resolve_pool_workers(),
+            clock=cfg.clock,
+        ) as farm:
             tenant = farm.register(
                 str(self.problem.name),
                 problem=self.problem,
                 weight=farm_cfg.weight,
                 max_queue=farm_cfg.max_queue,
             )
-            FarmStudyDriver(farm, clock=cfg.clock).run(
-                study,
-                tenant,
-                target=n_workers,
-                config=farm_cfg,
-                speculation=cfg.speculation,
-                on_commit=on_commit,
-            )
+            driver = FarmStudyDriver(farm, clock=cfg.clock)
+            if cfg.is_async:
+                driver.run(
+                    study,
+                    tenant,
+                    target=n_workers,
+                    config=farm_cfg,
+                    speculation=cfg.speculation,
+                    on_commit=lambda trial, evaluation, result: report(result),
+                )
+            else:
+                driver.run_batches(study, tenant, q=cfg.q, on_batch=report)
+        return study.result
 
 
 def _sanitize_targets(y: np.ndarray) -> np.ndarray:

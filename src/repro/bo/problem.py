@@ -71,7 +71,7 @@ class Problem:
     SPICE-level evaluations survive across processes and sessions: existing
     entries are loaded at construction and every fresh simulation is
     appended.  Cache lookups and stores are lock-protected, so the thread
-    executor of the batch scheduler can share one problem instance.
+    pool executor can share one problem instance.
     """
 
     #: unit-box coordinates are rounded to this many decimals for the cache

@@ -1,50 +1,53 @@
-"""Evaluation executors, the synchronous batch scheduler, and async replay.
+"""Evaluation executors, the async provenance ledger and replay clock.
 
 The single-point BO loop leaves any multi-core simulation budget idle:
 one design is proposed, simulated, and only then is the next one chosen.
 This module supplies the evaluation half of the q-point refactor — the
 proposal half (q-aware acquisition with constant-liar/fantasy updates)
-lives in :mod:`repro.bo.loop` and :mod:`repro.acquisition`.
+lives in :mod:`repro.bo.proposer` and :mod:`repro.acquisition`.
 
-Three pluggable executors implement the ``evaluate(problem, batch)``
-protocol, yielding ``(batch_index, Evaluation)`` pairs *in completion
-order*:
+Three pluggable executors implement one protocol:
+``submit(problem, u)`` returns a future of the design's
+:class:`~repro.bo.problem.Evaluation` (holding the exception when the
+simulation raises) and ``collect(problem, u, future)`` retrieves it:
 
-* :class:`SerialEvaluator` — in-process, in-order; with ``q=1`` this
-  reproduces the legacy loop bitwise.
+* :class:`SerialEvaluator` — simulates in the calling thread, at
+  submission; with ``q=1`` this reproduces the legacy loop bitwise.
 * :class:`ThreadPoolEvaluator` — a thread pool sharing one problem
   instance (the memoization cache is lock-protected).  Suited to
   simulators that release the GIL or block on subprocess/IO.
 * :class:`ProcessPoolEvaluator` — a process pool for CPU-bound Python
-  simulators.  The problem is shipped to each worker once (pool
-  initializer); workers simulate *uncached* and the parent ingests every
-  result into its own cache (:meth:`repro.bo.problem.Problem.
-  store_evaluation`), so hit/miss counters and the optional on-disk cache
-  stay consistent.  Falls back to serial with a warning when the problem
-  cannot be pickled.
+  simulators.  Each task carries a cache-stripped copy of its problem, so
+  one pool serves any number of problems; workers simulate *uncached* and
+  the parent ingests every result into its own cache
+  (:meth:`repro.bo.problem.Problem.store_evaluation`), so hit/miss
+  counters and the optional on-disk cache stay consistent.  A problem
+  that cannot be pickled is simulated in the calling thread instead, with
+  a warning.
 
-:class:`EvaluationScheduler` sits on top for synchronous q-point runs: it
-dispatches one batch of study trials, ingests results as they land (an
-``on_arrival`` hook fires in completion order), and tells them to the
-:class:`~repro.bo.study.Study` in *batch order* through a reorder buffer.
-Batch-order history is what keeps runs deterministic across executors:
-the surrogate refit of iteration ``i+1`` sees the same data matrix row
-order no matter which worker finished first, so the same seed and the
-same ``q`` yield identical proposal batches on every executor.
+The closed loop (:meth:`repro.bo.loop.SurrogateBO.run_study`) runs every
+executor through a single-tenant evaluation farm (:mod:`repro.farm`).
+By default it evaluates q-point batches behind a barrier: a batch is
+submitted at once and told to the :class:`~repro.bo.study.Study` in
+*batch order*, whichever worker finishes first.  Batch-order history is
+what keeps runs deterministic across executors: the surrogate refit of
+iteration ``i+1`` sees the same data matrix row order no matter which
+worker finished first, so the same seed and the same ``q`` yield
+identical proposal batches on every executor.
 
-The ``"async-*"`` executor specs opt the closed loop into the
-refill-on-completion loop instead, run by the evaluation farm
-(:mod:`repro.farm`): ``n_workers`` evaluations stay in flight, each
-landing is committed immediately (completion order) and a replacement
-proposal — conditioned on the still-pending set — is submitted the
-moment the surrogate has absorbed it.  Async determinism is
-*conditional*: the recorded trace is a pure function of ``(seed,
-completion order)``.  Every run carries a :class:`ProposalLedger`
-(``result.ledger``) recording, per proposal, the pending set it was
-conditioned on and the order in which proposals landed, so a trace can be
-audited or replayed.  A :class:`FakeClock` (virtual evaluation
-durations) makes the completion order deterministic, under which
-async-thread and async-process runs are bitwise identical.
+The ``"async-*"`` executor specs (the thread and process pools under
+another name) opt the closed loop into the farm's refill-on-completion
+loop instead: ``n_workers`` evaluations stay in flight, each landing is
+committed immediately (completion order) and a replacement proposal —
+conditioned on the still-pending set — is submitted the moment the
+surrogate has absorbed it.  Async determinism is *conditional*: the
+recorded trace is a pure function of ``(seed, completion order)``.
+Every run carries a :class:`ProposalLedger` (``result.ledger``)
+recording, per proposal, the pending set it was conditioned on and the
+order in which proposals landed, so a trace can be audited or replayed.
+A :class:`FakeClock` (virtual evaluation durations) makes the completion
+order deterministic, under which async-thread and async-process runs are
+bitwise identical.
 """
 
 from __future__ import annotations
@@ -53,14 +56,9 @@ import copy
 import os
 import pickle
 import warnings
+import weakref
 import zlib
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
+from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,10 +67,18 @@ from repro.bo.config import check_count
 from repro.bo.problem import Evaluation, Problem
 
 
-def _completed_future(value) -> Future:
-    """An already-resolved future (cached/serial results in async mode)."""
+def _run_inline(fn, *args) -> Future:
+    """Call ``fn(*args)`` in this thread; a resolved future of the outcome.
+
+    An exception is stored in the future, as a pool would store it, so an
+    in-process evaluation fails at ``collect`` — where the farm and its
+    drivers expect evaluation errors — and never inside ``submit``.
+    """
     future: Future = Future()
-    future.set_result(value)
+    try:
+        future.set_result(fn(*args))
+    except Exception as exc:
+        future.set_exception(exc)
     return future
 
 
@@ -88,35 +94,19 @@ def default_pool_workers() -> int:
 
 
 class EvaluationExecutor:
-    """Interface: evaluate a batch of unit-box designs on a problem.
+    """Interface: simulate unit-box designs of a problem, one future each.
 
-    Implementations yield ``(batch_index, evaluation)`` pairs in whatever
-    order simulations complete; callers must not rely on ordering.
-    ``close()`` releases worker resources and must be idempotent.
-
-    Pooled executors additionally implement the *async protocol* used by
-    the evaluation farm (:mod:`repro.farm`): ``submit(problem, u)``
-    returns a future resolving to the :class:`~repro.bo.problem.Evaluation`,
-    and ``collect(problem, u, future)`` retrieves the result (performing
-    any parent-side cache bookkeeping exactly once).  ``async_mode`` marks
-    the executor specs that opt the BO loop into the refill-on-completion
-    loop instead of the batch barrier.
+    ``submit(problem, u)`` returns a future resolving to the design's
+    :class:`~repro.bo.problem.Evaluation`, or holding the exception the
+    simulation raised; futures may complete in any order.
+    ``collect(problem, u, future)`` blocks on one future and returns its
+    evaluation, performing any parent-side cache bookkeeping exactly
+    once.  ``close()`` releases worker resources and must be idempotent.
     """
-
-    name = "abstract"
-    #: True for the ``"async-*"`` executor specs: the BO loop runs the
-    #: refill-on-completion scheduler instead of the q-point barrier.
-    async_mode = False
-
-    def evaluate(self, problem: Problem, batch):
-        """Yield ``(batch_index, Evaluation)`` as results complete."""
-        raise NotImplementedError
 
     def submit(self, problem: Problem, u: np.ndarray) -> Future:
         """Dispatch one unit-box design; returns a future of its Evaluation."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support asynchronous submission"
-        )
+        raise NotImplementedError
 
     def collect(self, problem: Problem, u: np.ndarray, future: Future) -> Evaluation:
         """Block on one submitted future and return its evaluation."""
@@ -137,25 +127,20 @@ class EvaluationExecutor:
 
 
 class SerialEvaluator(EvaluationExecutor):
-    """Evaluate the batch one by one in the calling process."""
+    """Simulate each design in the calling thread when it is submitted."""
 
-    name = "serial"
-
-    def evaluate(self, problem: Problem, batch):
-        for batch_index, u in enumerate(batch):
-            yield batch_index, problem.evaluate_unit(u)
+    def submit(self, problem: Problem, u: np.ndarray) -> Future:
+        return _run_inline(problem.evaluate_unit, np.asarray(u, dtype=float))
 
 
 class ThreadPoolEvaluator(EvaluationExecutor):
-    """Evaluate batch candidates concurrently on a shared thread pool.
+    """Evaluate designs concurrently on a shared thread pool.
 
     All threads call ``problem.evaluate_unit`` on the *same* problem
     instance; the problem's cache lock keeps the memoization bookkeeping
     consistent.  Python-level simulator code still contends for the GIL —
     use :class:`ProcessPoolEvaluator` for CPU-bound pure-Python simulators.
     """
-
-    name = "thread"
 
     def __init__(self, n_workers: int | None = None):
         if n_workers is None:
@@ -167,14 +152,6 @@ class ThreadPoolEvaluator(EvaluationExecutor):
         if self._pool is None:
             self._pool = ThreadPoolExecutor(max_workers=self.n_workers)
         return self._pool
-
-    def evaluate(self, problem: Problem, batch):
-        pool = self._ensure_pool()
-        futures = {
-            pool.submit(problem.evaluate_unit, u): batch_index
-            for batch_index, u in enumerate(batch)
-        }
-        yield from _drain_futures(futures)
 
     def submit(self, problem: Problem, u: np.ndarray) -> Future:
         """Dispatch one design to the pool (memoization stays parent-side)."""
@@ -195,117 +172,75 @@ class ThreadPoolEvaluator(EvaluationExecutor):
             self._pool = None
 
 
-# Worker-side state for the process pool: each worker receives the problem
-# once via the pool initializer instead of with every task.
-_WORKER_PROBLEM: Problem | None = None
-
-
-def _init_worker(problem: Problem):
-    global _WORKER_PROBLEM
-    _WORKER_PROBLEM = problem
-
-
-def _worker_evaluate(u: np.ndarray) -> Evaluation:
+def _worker_evaluate(problem: Problem, u: np.ndarray) -> Evaluation:
     """Simulate one design in a worker, bypassing the worker's cache copy.
 
     The parent process owns all caching: it checks its cache before
     dispatch and stores worker results afterwards, so worker-side caches
     would only drift (and double-write any on-disk store).
     """
-    assert _WORKER_PROBLEM is not None, "process pool not initialized"
-    return _WORKER_PROBLEM.evaluate_unit_uncached(u)
+    return problem.evaluate_unit_uncached(u)
 
 
 class ProcessPoolEvaluator(EvaluationExecutor):
-    """Evaluate batch candidates on a process pool (true CPU parallelism).
+    """Evaluate designs on a process pool (true CPU parallelism).
 
-    The problem must be picklable; otherwise the first ``evaluate`` call
-    warns and degrades to serial in-process evaluation.  Cache behaviour is
-    parent-owned (see :func:`_worker_evaluate`): already-cached candidates
+    Every task carries a cache-stripped copy of its problem, so one pool
+    serves any number of problems — a farm's tenants — without respawning
+    workers.  A problem that cannot be pickled is simulated in the calling
+    thread instead, with one warning per problem.  Cache behaviour is
+    parent-owned (see :func:`_worker_evaluate`): already-cached designs
     are answered without dispatch, and fresh simulations are ingested with
     :meth:`~repro.bo.problem.Problem.store_evaluation`.
     """
-
-    name = "process"
 
     def __init__(self, n_workers: int | None = None):
         if n_workers is None:
             n_workers = default_pool_workers()
         self.n_workers = check_count("n_workers", n_workers)
         self._pool: ProcessPoolExecutor | None = None
-        self._pool_problem: Problem | None = None
-        self._serial_fallback = False
+        # per problem: whether it pickles (checked once, warned once)
+        self._picklable = weakref.WeakKeyDictionary()
         # futures whose results still need ingesting into the parent cache
-        # (async submissions dispatched to workers; cached/serial-fallback
-        # futures are excluded)
+        # (dispatched to workers; cached/in-process futures are excluded)
         self._needs_store: set[Future] = set()
 
-    def _ensure_pool(self, problem: Problem) -> ProcessPoolExecutor | None:
-        if self._serial_fallback:
-            return None
-        if self._pool is not None and self._pool_problem is not problem:
-            # a new problem needs freshly initialized workers
-            self.close()
-        if self._pool is None:
-            # ship a cache-stripped copy: workers simulate uncached by
-            # design (the parent owns all caching), so serializing a
-            # possibly-large warm memoization cache to every worker would
-            # be pure pickle/transfer waste
-            shipped = copy.copy(problem)
-            shipped._eval_cache = {}
+    def _shippable(self, problem: Problem) -> Problem | None:
+        """The copy of ``problem`` sent with a task; ``None`` if unpicklable."""
+        # workers simulate uncached by design (the parent owns all
+        # caching), so serializing a possibly-large warm memoization cache
+        # with every task would be pure pickle/transfer waste
+        shipped = copy.copy(problem)
+        shipped._eval_cache = {}
+        if problem not in self._picklable:
             try:
                 pickle.dumps(shipped)
+                self._picklable[problem] = True
             except Exception:
                 warnings.warn(
-                    "problem is not picklable; ProcessPoolEvaluator falling "
-                    "back to serial evaluation (use module-level callables "
-                    "or a thread executor)",
+                    f"problem {problem.name!r} is not picklable; "
+                    "ProcessPoolEvaluator evaluates it in-process instead "
+                    "(use module-level callables or a thread executor)",
                     stacklevel=3,
                 )
-                self._serial_fallback = True
-                return None
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.n_workers,
-                initializer=_init_worker,
-                initargs=(shipped,),
-            )
-            self._pool_problem = problem
-        return self._pool
-
-    def evaluate(self, problem: Problem, batch):
-        batch = list(batch)
-        pool = self._ensure_pool(problem)
-        if pool is None:
-            yield from SerialEvaluator().evaluate(problem, batch)
-            return
-        futures = {}
-        for batch_index, u in enumerate(batch):
-            cached = problem.lookup_cached(u)
-            if cached is not None:
-                yield batch_index, cached
-            else:
-                futures[pool.submit(_worker_evaluate, np.asarray(u, dtype=float))] = (
-                    batch_index
-                )
-        for batch_index, evaluation in _drain_futures(futures):
-            problem.store_evaluation(batch[batch_index], evaluation)
-            yield batch_index, evaluation
+                self._picklable[problem] = False
+        return shipped if self._picklable[problem] else None
 
     def submit(self, problem: Problem, u: np.ndarray) -> Future:
         """Dispatch one design to a worker (cache answered parent-side).
 
-        Already-cached designs resolve immediately without touching the
-        pool; fresh simulations are ingested into the parent cache by
-        :meth:`collect` (exactly once per future).
+        Already-cached designs and unpicklable problems are evaluated in
+        the calling thread without touching the pool; fresh simulations
+        are ingested into the parent cache by :meth:`collect` (exactly
+        once per future).
         """
         u = np.asarray(u, dtype=float)
-        pool = self._ensure_pool(problem)
-        if pool is None:
-            return _completed_future(problem.evaluate_unit(u))
-        cached = problem.lookup_cached(u)
-        if cached is not None:
-            return _completed_future(cached)
-        future = pool.submit(_worker_evaluate, u)
+        shipped = self._shippable(problem)
+        if shipped is None or problem.lookup_cached(u, count=False) is not None:
+            return _run_inline(problem.evaluate_unit, u)
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(max_workers=self.n_workers)
+        future = self._pool.submit(_worker_evaluate, shipped, u)
         self._needs_store.add(future)
         return future
 
@@ -317,57 +252,21 @@ class ProcessPoolEvaluator(EvaluationExecutor):
         return evaluation
 
     def close(self):
-        """Shut the pool down, cancelling queued work (see base class)."""
+        """Shut the pool down, cancelling queued work (see the thread pool)."""
         if self._pool is not None:
             self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
-            self._pool_problem = None
             self._needs_store.clear()
-
-
-class AsyncThreadEvaluator(ThreadPoolEvaluator):
-    """Thread pool driven by the refill-on-completion loop.
-
-    Identical machinery to :class:`ThreadPoolEvaluator`; the distinct spec
-    (``executor="async-thread"``) is what opts the BO loop into the
-    evaluation farm's refill loop instead of the q-point barrier.
-    """
-
-    name = "async-thread"
-    async_mode = True
-
-
-class AsyncProcessEvaluator(ProcessPoolEvaluator):
-    """Process pool driven by the refill-on-completion loop."""
-
-    name = "async-process"
-    async_mode = True
-
-
-def _drain_futures(futures: dict):
-    """Yield ``(batch_index, result)`` pairs as futures complete.
-
-    Exception-safe: when a result raises (poisoned objective) or the
-    consumer abandons the generator, every still-outstanding future is
-    cancelled so pool shutdown never waits on work nobody will read.
-    """
-    outstanding = set(futures)
-    try:
-        while outstanding:
-            done, outstanding = wait(outstanding, return_when=FIRST_COMPLETED)
-            for future in done:
-                yield futures[future], future.result()
-    finally:
-        for future in outstanding:
-            future.cancel()
 
 
 _EXECUTORS = {
     "serial": SerialEvaluator,
     "thread": ThreadPoolEvaluator,
     "process": ProcessPoolEvaluator,
-    "async-thread": AsyncThreadEvaluator,
-    "async-process": AsyncProcessEvaluator,
+    # the same pools; SchedulerConfig.is_async reads the spec to choose
+    # the refill-on-completion loop over the batch barrier
+    "async-thread": ThreadPoolEvaluator,
+    "async-process": ProcessPoolEvaluator,
 }
 
 
@@ -377,11 +276,14 @@ def make_evaluator(spec, n_workers: int | None = None) -> EvaluationExecutor:
     ``spec`` is ``"serial"``, ``"thread"``, ``"process"``,
     ``"async-thread"``, ``"async-process"`` or an
     :class:`EvaluationExecutor` instance (returned unchanged, in which case
-    ``n_workers`` must be left unset).  Pooled specs default their worker
-    count to :func:`default_pool_workers`; the serial spec rejects an
-    explicit ``n_workers`` instead of silently ignoring it — a caller
-    writing ``make_evaluator("serial", n_workers=8)`` almost certainly
-    meant a pooled executor.
+    ``n_workers`` must be left unset).  The ``async-*`` specs build the
+    thread and process pools; they differ only in the loop the closed
+    loop runs (:attr:`~repro.bo.config.SchedulerConfig.is_async`).
+    Pooled specs default their worker count to
+    :func:`default_pool_workers`; the serial spec rejects an explicit
+    ``n_workers`` instead of silently ignoring it — a caller writing
+    ``make_evaluator("serial", n_workers=8)`` almost certainly meant a
+    pooled executor.
     """
     if isinstance(spec, EvaluationExecutor):
         if n_workers is not None:
@@ -406,55 +308,6 @@ def make_evaluator(spec, n_workers: int | None = None) -> EvaluationExecutor:
             )
         return cls()
     return cls(n_workers=n_workers)
-
-
-class EvaluationScheduler:
-    """Dispatch study trial batches and ingest results deterministically.
-
-    Results are handed to ``on_arrival(iteration, batch_index, evaluation)``
-    the moment they complete (monitoring/streaming), but are told to the
-    study in batch order via a reorder buffer, so the recorded trace — and
-    therefore every downstream surrogate fit — is independent of worker
-    scheduling.
-    """
-
-    def __init__(self, problem: Problem, executor: EvaluationExecutor, on_arrival=None):
-        self.problem = problem
-        self.executor = executor
-        self.on_arrival = on_arrival
-
-    def run_trials(self, trials, study) -> None:
-        """Evaluate one batch of study trials; tell the study in batch order.
-
-        ``trials`` come from :meth:`~repro.bo.study.Study.ask` and results
-        are committed via :meth:`~repro.bo.study.Study.tell` through the
-        reorder buffer, so the recorded history — and every downstream
-        surrogate fit — is independent of worker scheduling.  On an
-        evaluation error, the trials told so far are a contiguous
-        batch-order prefix.
-        """
-        trials = list(trials)
-        buffered: dict[int, Evaluation] = {}
-        next_up = 0
-        batch = [trial.u for trial in trials]
-        for batch_index, evaluation in self.executor.evaluate(self.problem, batch):
-            if self.on_arrival is not None:
-                # streaming (single-ask) trials are numbered at tell time;
-                # the tells of this call happen in batch order, so such a
-                # trial will land as the study's next iteration — report
-                # that, not None, to honor the on_arrival contract
-                iteration = trials[batch_index].iteration
-                if iteration is None:
-                    iteration = study._iteration + 1
-                self.on_arrival(iteration, batch_index, evaluation)
-            buffered[batch_index] = evaluation
-            while next_up in buffered:
-                study.tell(trials[next_up], buffered.pop(next_up))
-                next_up += 1
-        if next_up != len(trials):
-            raise RuntimeError(
-                f"executor returned {next_up}/{len(trials)} batch results"
-            )
 
 
 # -- asynchronous provenance and replay ---------------------------------------------

@@ -18,8 +18,8 @@ a lab bench) can supply results at its own pace::
         study.tell(trial, my_simulator(trial.x))
     print(study.best())
 
-``SurrogateBO.run()`` — the synchronous batch scheduler and the
-evaluation farm's refill loop — is a thin driver over this class, and
+``SurrogateBO.run()`` — the evaluation farm's batch-barrier and refill
+loops — is a thin driver over this class, and
 the pinned serial, batch and asynchronous traces are bitwise unchanged:
 
 * telling each ``ask()`` result immediately (serial, q = 1) reproduces

@@ -6,16 +6,18 @@ shared worker pool:
 * :class:`EvaluationFarm` — the pool itself: weighted fair-share
   dispatch across registered tenants, bounded per-tenant queues with
   backpressure, per-task cancel/timeout, live :meth:`resize`;
-* :class:`FarmStudyDriver` — drives one or many ask/tell studies
-  through a farm, adding elastic in-flight sizing, speculative
-  runner-up evaluation with promote/abandon, and adaptive batch
-  shrinking (see :class:`~repro.bo.config.FarmConfig` /
+* :class:`FarmStudyDriver` — drives one ask/tell study through a farm
+  in q-point batches behind a barrier, or one or many studies in the
+  refill-on-completion loop, adding elastic in-flight sizing,
+  speculative runner-up evaluation with promote/abandon, and adaptive
+  batch shrinking (see :class:`~repro.bo.config.FarmConfig` /
   :class:`~repro.bo.config.SpeculationConfig`);
 * the :class:`FarmError` taxonomy with wire-stable codes.
 
-``SurrogateBO.run`` (and so ``NNBO``) drives every asynchronous
-executor (``async-thread`` / ``async-process``) through a single-tenant
-farm; ``SchedulerConfig.farm`` tunes its policy.
+``SurrogateBO.run`` (and so ``NNBO``) drives every executor through a
+single-tenant farm: the barrier loop by default, the refill loop for the
+asynchronous specs (``async-thread`` / ``async-process``), whose policy
+``SchedulerConfig.farm`` tunes.
 """
 
 from repro.farm.driver import FarmJob, FarmStudyDriver

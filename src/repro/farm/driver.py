@@ -1,11 +1,22 @@
-"""Farm-backed study drivers: refill, speculation, elastic control.
+"""Farm-backed study drivers: barrier, refill, speculation, elastic control.
 
-:class:`FarmStudyDriver` is the library's one refill-on-completion loop:
-it keeps a study's in-flight target saturated, tells every landing in
-completion order and asks a replacement immediately — for a single study
-(``SurrogateBO.run`` with an ``async-*`` executor) or for many concurrent
-studies sharing one :class:`~repro.farm.farm.EvaluationFarm`.  On top of
-that fixed loop it adds three adaptive behaviours:
+:class:`FarmStudyDriver` runs the library's two closed loops, both over
+one :class:`~repro.farm.farm.EvaluationFarm` and one batch helper
+(``_run_batch``: submit a batch, tell it in batch order, cancel the rest
+on error):
+
+* the **barrier loop** (:meth:`FarmStudyDriver.run_batches`) — the
+  initial design, a resumed study's pending trials and then each
+  ``ask(q)`` batch go through the batch helper; ``SurrogateBO.run``
+  drives every executor but the ``async-*`` specs this way;
+* the **refill-on-completion loop** (:meth:`FarmStudyDriver.run` /
+  :meth:`~FarmStudyDriver.run_studies`) — after the initial design it
+  keeps a study's in-flight target saturated, tells every landing in
+  completion order and asks a replacement immediately, for a single
+  study (``SurrogateBO.run`` with an ``async-*`` executor) or for many
+  concurrent studies sharing one farm.
+
+On top of the fixed refill loop it adds three adaptive behaviours:
 
 * **elastic sizing** — a study's in-flight target tracks
   ``ceil(eval_ewma / propose_cost_s)`` (how many evaluations fit in one
@@ -143,6 +154,28 @@ class FarmStudyDriver:
         )
         return self.run_studies([job])[0]
 
+    def run_batches(self, study, tenant, *, q: int, on_batch=None):
+        """Drive a single study to its budget in q-point batches.
+
+        The barrier loop: the initial design, a resumed study's pending
+        trials, then each ``ask(min(q, remaining))`` batch are evaluated
+        concurrently and told in batch order (:meth:`_run_batch`), so the
+        trace is the same on every executor.  ``on_batch(result)`` fires
+        after each search batch.  Returns the study's result.
+        """
+        q = check_count("q", q)
+        self._run_batch(study, tenant, study.start_initial())
+        # a resumed study may carry in-flight search trials; evaluate them
+        # first (in submission order) so the budget completes and the next
+        # batch ask sees a clean pending set
+        self._run_batch(study, tenant, study.pending_trials())
+        while study.remaining_capacity > 0:
+            trials = study.ask(min(q, study.remaining_capacity))
+            self._run_batch(study, tenant, trials)
+            if on_batch is not None:
+                on_batch(study.result)
+        return study.result
+
     def run_studies(self, jobs):
         """Drive several studies concurrently on the shared farm.
 
@@ -157,9 +190,7 @@ class FarmStudyDriver:
         states = [_JobState(job, i) for i, job in enumerate(jobs)]
         try:
             for st in states:
-                initial = st.study.start_initial()
-                if initial:
-                    self._run_initial(st, initial)
+                self._run_batch(st.study, st.tenant, st.study.start_initial())
                 # recover the virtual clock from the committed ledger so a
                 # resumed fake-clock run continues on the original timeline
                 for entry in st.study.ledger.entries:
@@ -217,21 +248,23 @@ class FarmStudyDriver:
 
     # -- phases -------------------------------------------------------------------
 
-    def _run_initial(self, st: _JobState, trials) -> None:
-        """Evaluate initial-design trials concurrently, tell in design order.
+    def _run_batch(self, study, tenant, trials) -> None:
+        """Evaluate trials concurrently; tell them in batch order.
 
-        The initial design is generated jointly (no pending-set
-        conditioning), so its commit order is fixed to the design order —
-        identical to the synchronous scheduler — keeping the post-initial
-        surrogate state independent of worker timing.
+        The barrier of the initial design (generated jointly, with no
+        pending-set conditioning), of a resumed study's pending trials in
+        :meth:`run_batches` and of each q-point batch.  Commit order is
+        the batch order whatever the completion order, so the surrogate
+        state after the batch is independent of worker timing.  On an
+        error the trials told so far are a contiguous batch-order prefix
+        and the rest are cancelled.
         """
-        tasks: list[FarmTask] = [
-            self.farm.submit(st.tenant, t.u) for t in trials
-        ]
+        tasks: list[FarmTask] = []
         try:
+            for trial in trials:
+                tasks.append(self.farm.submit(tenant, trial.u))
             for trial, task in zip(trials, tasks):
-                evaluation = self.farm.collect(task)
-                st.study.tell(trial, evaluation)
+                study.tell(trial, self.farm.collect(task))
         except BaseException:
             for task in tasks:
                 self.farm.cancel(task)

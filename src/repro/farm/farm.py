@@ -2,12 +2,15 @@
 
 :class:`EvaluationFarm` decouples *who wants evaluations* (tenants —
 typically one per :class:`~repro.bo.study.Study`) from *who runs them*
-(one executor pool from :mod:`repro.bo.scheduler`).  Tenants submit
-unit-box designs; the farm forwards at most ``capacity`` of them to the
-executor at a time and queues the rest, picking the next dispatch by
-weighted round-robin — the queued tenant with the smallest
-``dispatched / weight`` credit goes first, registration order breaking
-ties — so one chatty study cannot starve the others.
+(one executor from :mod:`repro.bo.scheduler`: a thread or process pool,
+or the in-process serial executor).  Every closed-loop run goes through
+a farm: ``SurrogateBO.run`` registers its study as the only tenant of a
+private one.  Tenants submit unit-box designs; the farm forwards at most
+``capacity`` of them to the executor at a time and queues the rest,
+picking the next dispatch by weighted round-robin — the queued tenant
+with the smallest ``dispatched / weight`` credit goes first,
+registration order breaking ties — so one chatty study cannot starve
+the others.
 
 The farm is a *conduit*, not a scheduler: completion order, virtual
 clocks and budget accounting belong to the drivers
@@ -33,7 +36,7 @@ import numpy as np
 
 from repro.bo.config import check_count
 from repro.bo.problem import Evaluation, Problem
-from repro.bo.scheduler import EvaluationExecutor, make_evaluator
+from repro.bo.scheduler import make_evaluator
 from repro.farm.errors import (
     EvaluationTimeout,
     FarmError,
@@ -128,9 +131,11 @@ class EvaluationFarm:
     Parameters
     ----------
     executor:
-        An executor spec (``"async-thread"`` / ``"async-process"`` / ...)
-        or an :class:`~repro.bo.scheduler.EvaluationExecutor` instance.
-        Spec strings build (and own) the executor — it is closed with the
+        An executor spec resolved by
+        :func:`~repro.bo.scheduler.make_evaluator` (``"async-thread"`` and
+        ``"thread"`` build the same pool) or an
+        :class:`~repro.bo.scheduler.EvaluationExecutor` instance.  Spec
+        strings build (and own) the executor — it is closed with the
         farm; instances stay caller-owned.
     capacity:
         The dispatch limit: at most this many tasks are in the executor
@@ -152,18 +157,8 @@ class EvaluationFarm:
         n_workers: int | None = None,
         clock=None,
     ):
-        if isinstance(executor, EvaluationExecutor):
-            if n_workers is not None:
-                raise ValueError(
-                    f"n_workers={n_workers} cannot override the executor "
-                    f"instance {executor!r}; size the instance at "
-                    "construction"
-                )
-            self._evaluator = executor
-            self._owns_evaluator = False
-        else:
-            self._evaluator = make_evaluator(executor, n_workers)
-            self._owns_evaluator = True
+        self._evaluator = make_evaluator(executor, n_workers)
+        self._owns_evaluator = self._evaluator is not executor
         if capacity is None:
             capacity = int(getattr(self._evaluator, "n_workers", 1))
         self.capacity = check_count("capacity", capacity)

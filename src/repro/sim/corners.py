@@ -12,7 +12,7 @@ design by its worst corner —
 so a feasible robust design is feasible at *every* corner and the
 minimized objective is the guaranteed (worst-case) performance.  Corner
 evaluations are independent, so they fan out over a thread pool when
-``n_workers > 1`` — the same executor shape the batch scheduler uses,
+``n_workers > 1`` — the same executor shape the BO loop's thread pool uses,
 which composes with any simulator backend (the external ngspice backend
 runs one subprocess per corner in parallel).
 

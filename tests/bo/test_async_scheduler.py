@@ -17,26 +17,31 @@ Plus the exception-safety contract: a poisoned objective aborts the run
 without orphaning pool workers or corrupting history ordering.
 """
 
+import itertools
 import time
 
 import numpy as np
 import pytest
 
-from repro.bo.config import AcquisitionConfig, SchedulerConfig, SurrogateConfig
+from repro.bo.config import (
+    EXECUTOR_SPECS,
+    AcquisitionConfig,
+    SchedulerConfig,
+    SurrogateConfig,
+)
 from repro.bo.history import OptimizationResult
 from repro.bo.loop import SurrogateBO
 from repro.bo.problem import FunctionProblem
 from repro.bo.scheduler import (
-    AsyncProcessEvaluator,
-    AsyncThreadEvaluator,
-    EvaluationScheduler,
     FakeClock,
     ProcessPoolEvaluator,
+    ThreadPoolEvaluator,
     make_evaluator,
 )
 from repro.benchfns import toy_constrained_quadratic
 from repro.bo.study import Study
 from repro.core import NNBO
+from repro.farm import EvaluationFarm, FarmStudyDriver
 
 # shared with the synchronous scheduler suite: same GP factory, same
 # picklable problem (module-level callables pickle into pool workers)
@@ -58,6 +63,21 @@ def _poison_objective(x):
 def make_poisoned_problem(dim: int = 2) -> FunctionProblem:
     return FunctionProblem(
         "poisoned", np.zeros(dim), np.ones(dim), objective=_poison_objective
+    )
+
+
+def make_late_poisoned_problem(healthy: int, dim: int = 2) -> FunctionProblem:
+    """Simulations after the first ``healthy`` raise (thread pools only)."""
+    calls = itertools.count()
+
+    def objective(x):
+        if next(calls) >= healthy:
+            raise RuntimeError("simulator diverged")
+        time.sleep(0.05)
+        return float(np.sum(x**2))
+
+    return FunctionProblem(
+        "late_poisoned", np.zeros(dim), np.ones(dim), objective=objective
     )
 
 
@@ -280,92 +300,99 @@ class TestAsyncRefitPolicies:
 
 class TestAsyncExecutorSpecs:
     def test_make_evaluator_async_specs(self):
-        thread = make_evaluator("async-thread", 2)
-        process = make_evaluator("async-process", 2)
-        assert isinstance(thread, AsyncThreadEvaluator)
-        assert isinstance(process, AsyncProcessEvaluator)
-        assert thread.async_mode and process.async_mode
-        assert not make_evaluator("thread", 2).async_mode
+        """The async-* specs build the plain pools; only they are async."""
+        assert type(make_evaluator("async-thread", 2)) is ThreadPoolEvaluator
+        assert type(make_evaluator("async-process", 2)) is ProcessPoolEvaluator
+        for spec in EXECUTOR_SPECS:
+            config = SchedulerConfig(executor=spec)
+            assert config.is_async == spec.startswith("async-")
+        assert not SchedulerConfig(executor=ThreadPoolEvaluator(2)).is_async
 
     def test_async_instance_passthrough(self):
-        evaluator = AsyncThreadEvaluator(n_workers=2)
+        """A caller-owned pool refills through FarmStudyDriver."""
+        evaluator = ThreadPoolEvaluator(n_workers=2)
+        study = Study(
+            toy_constrained_quadratic(2), surrogate_factory=gp_factory,
+            n_initial=5, max_evaluations=9, seed=3,
+        )
+        clock = FakeClock()
         try:
-            result = SurrogateBO(
-                toy_constrained_quadratic(2), gp_factory,
-                n_initial=5, max_evaluations=9,
-                scheduler_config=SchedulerConfig(
-                    executor=evaluator, clock=FakeClock()
-                ),
-                seed=3,
-            ).run()
+            with EvaluationFarm(evaluator, clock=clock) as farm:
+                tenant = farm.register("toy", problem=study.problem)
+                result = FarmStudyDriver(farm, clock=clock).run(
+                    study, tenant, target=evaluator.n_workers
+                )
+            # the farm closed; the caller's pool stays open and serves
+            future = evaluator.submit(study.problem, np.array([0.5, 0.5]))
+            assert future.result(timeout=10.0).objective is not None
         finally:
             evaluator.close()
         assert result.n_evaluations == 9
-        # in-flight target came from the instance's worker count
-        for record in result.records:
-            assert len(record.pending_at_proposal) <= 1
+        # the refill conditioned proposals on the other in-flight design,
+        # and the in-flight target came from the instance's worker count
+        pending = [len(r.pending_at_proposal) for r in result.records]
+        assert max(pending) == 1
 
 
 class TestPoisonedEvaluations:
     """A raising objective must not orphan workers or corrupt ordering."""
 
     def test_async_run_propagates_and_cancels(self):
-        evaluator = AsyncThreadEvaluator(n_workers=2)
-        bo = SurrogateBO(
-            make_poisoned_problem(), gp_factory,
-            n_initial=4, max_evaluations=20,
-            scheduler_config=SchedulerConfig(executor=evaluator), seed=0,
+        evaluator = ThreadPoolEvaluator(n_workers=2)
+        study = Study(
+            make_late_poisoned_problem(healthy=8), surrogate_factory=gp_factory,
+            n_initial=4, max_evaluations=20, seed=0,
         )
         start = time.perf_counter()
         try:
-            with pytest.raises(RuntimeError, match="simulator diverged"):
-                bo.run()
-            evaluator.close()
+            with EvaluationFarm(evaluator) as farm:
+                tenant = farm.register("poisoned", problem=study.problem)
+                with pytest.raises(RuntimeError, match="simulator diverged"):
+                    FarmStudyDriver(farm).run(study, tenant, target=2)
+            # caller-owned: closing the farm leaves the pool open
+            assert evaluator._pool is not None
         finally:
             evaluator.close()
         # prompt shutdown: cancelled pending work, no multi-second drain
         assert time.perf_counter() - start < 30.0
         assert evaluator._pool is None
+        # the poison struck mid-refill, after proposals conditioned on
+        # in-flight designs
+        assert any(e.pending_at_proposal for e in study.ledger.entries)
+        assert study.result.n_evaluations < 20
 
     def test_batch_scheduler_prefix_ordering_preserved(self):
         """Trials told before the poison stay a clean batch-order prefix."""
-        problem = make_poisoned_problem()
         study = Study(
-            problem, surrogate_factory=gp_factory,
+            make_poisoned_problem(), surrogate_factory=gp_factory,
             n_initial=4, max_evaluations=8, seed=5,
+            scheduler=SchedulerConfig(executor="process", n_eval_workers=2),
         )
-        trials = study.start_initial()
         # a 4-point LHS puts exactly one design in the x0 > 0.75 stratum;
         # seed 5 places that poisoned design second in the batch
+        trials = study.start_initial()
         assert [t.x[0] > 0.75 for t in trials] == [False, True, False, False]
-        evaluator = ProcessPoolEvaluator(n_workers=2)
-        scheduler = EvaluationScheduler(problem, evaluator)
-        try:
-            with pytest.raises(RuntimeError, match="simulator diverged"):
-                scheduler.run_trials(trials, study)
-        finally:
-            evaluator.close()
-        assert evaluator._pool is None
+        with pytest.raises(RuntimeError, match="simulator diverged"):
+            study.optimizer.run_study(study)  # the body of SurrogateBO.run
         # whatever landed before the failure is a contiguous batch prefix
         records = study.result.records
         assert [r.batch_index for r in records] == list(range(len(records)))
         assert len(records) <= 1  # the poisoned trial never commits
 
     def test_pool_usable_after_poisoned_batch(self):
-        """The executor recovers: close + fresh evaluate works."""
+        """The executor recovers: close + fresh submit works."""
         problem = make_poisoned_problem()
         with ProcessPoolEvaluator(n_workers=2) as evaluator:
+            batch = [np.array([0.9, 0.9]), np.array([0.1, 0.1])]
+            futures = [evaluator.submit(problem, u) for u in batch]
             with pytest.raises(RuntimeError):
-                list(
-                    evaluator.evaluate(
-                        problem, [np.array([0.9, 0.9]), np.array([0.1, 0.1])]
-                    )
-                )
+                for u, future in zip(batch, futures):
+                    evaluator.collect(problem, u, future)
             evaluator.close()
-            results = dict(
-                evaluator.evaluate(problem, [np.array([0.2, 0.2])])
-            )
-        assert 0 in results
+            u = np.array([0.2, 0.2])
+            evaluation = evaluator.collect(problem, u, evaluator.submit(problem, u))
+        assert evaluation.objective == pytest.approx(0.08)
+        assert evaluator._pool is None
 
 
 class TestAsyncSchedulerUnit:

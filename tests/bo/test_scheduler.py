@@ -9,6 +9,9 @@ Two determinism contracts anchor the refactor:
   leak into the recorded history.
 """
 
+import itertools
+import time
+
 import numpy as np
 import pytest
 
@@ -19,7 +22,6 @@ from repro.bo.loop import SurrogateBO
 from repro.bo.problem import FunctionProblem
 from repro.bo.proposer import Proposer
 from repro.bo.scheduler import (
-    EvaluationExecutor,
     ProcessPoolEvaluator,
     SerialEvaluator,
     ThreadPoolEvaluator,
@@ -269,47 +271,86 @@ class TestExecutors:
 
     def test_completion_order_independence(self):
         """Results arriving out of order are committed in batch order."""
+        completions = []
 
-        class ReversedEvaluator(EvaluationExecutor):
-            def evaluate(self, problem, batch):
-                results = [
-                    (i, problem.evaluate_unit(u)) for i, u in enumerate(batch)
-                ]
-                yield from reversed(results)
+        class ReversedEvaluator(ThreadPoolEvaluator):
+            """Earlier submissions sleep longer, so a batch lands reversed."""
+
+            def __init__(self):
+                super().__init__(n_workers=3)
+                self._seq = itertools.count()
+
+            def submit(self, problem, u):
+                seq = next(self._seq)
+
+                def run():
+                    time.sleep(0.02 * max(0, 12 - seq))
+                    evaluation = problem.evaluate_unit(u)
+                    completions.append(seq)
+                    return evaluation
+
+                return self._ensure_pool().submit(run)
 
         problem = toy_constrained_quadratic(2)
         forward = SurrogateBO(
             problem, gp_factory, n_initial=5, max_evaluations=11,
             scheduler_config=SchedulerConfig(q=3), seed=4,
         ).run()
-        reversed_run = SurrogateBO(
-            problem, gp_factory, n_initial=5, max_evaluations=11,
-            scheduler_config=SchedulerConfig(q=3, executor=ReversedEvaluator()),
-            seed=4,
-        ).run()
+        with ReversedEvaluator() as evaluator:
+            reversed_run = SurrogateBO(
+                toy_constrained_quadratic(2), gp_factory, n_initial=5,
+                max_evaluations=11,
+                scheduler_config=SchedulerConfig(q=3, executor=evaluator),
+                seed=4,
+            ).run()
+        assert completions != sorted(completions)  # genuinely out of order
         np.testing.assert_array_equal(reversed_run.x_matrix, forward.x_matrix)
+        assert [(r.iteration, r.batch_index) for r in reversed_run.records] == [
+            (r.iteration, r.batch_index) for r in forward.records
+        ]
 
     def test_process_pool_falls_back_on_unpicklable_problem(self):
+        """The in-process fallback is per problem, not per executor."""
         problem = toy_constrained_quadratic(2)  # closures: not picklable
+        picklable = make_picklable_problem()
+        batch = [np.full(2, 0.25), np.full(2, 0.75)]
         evaluator = ProcessPoolEvaluator(n_workers=2)
         try:
-            with pytest.warns(UserWarning, match="not picklable"):
-                results = dict(
-                    evaluator.evaluate(problem, [np.full(2, 0.25), np.full(2, 0.75)])
-                )
+            with pytest.warns(UserWarning, match="not picklable") as caught:
+                futures = [evaluator.submit(problem, u) for u in batch]
+            assert len(caught) == 1  # checked once per problem
+            assert evaluator._pool is None and all(f.done() for f in futures)
+            results = [
+                evaluator.collect(problem, u, f) for u, f in zip(batch, futures)
+            ]
+            # a picklable problem still goes to the workers
+            u = np.full(2, 0.5)
+            evaluation = evaluator.collect(
+                picklable, u, evaluator.submit(picklable, u)
+            )
+            assert evaluator._pool is not None
         finally:
             evaluator.close()
-        assert set(results) == {0, 1}
+        assert [r.objective for r in results] == [
+            problem.evaluate_unit(u).objective for u in batch
+        ]
+        assert evaluation.objective == _quadratic_objective(np.full(2, 0.5))
+        assert picklable.cache_stats == (0, 1)
 
     def test_process_pool_syncs_parent_cache(self):
         problem = make_picklable_problem()
         evaluator = ProcessPoolEvaluator(n_workers=2)
+
+        def run_batch(batch):
+            futures = [evaluator.submit(problem, u) for u in batch]
+            return [evaluator.collect(problem, u, f) for u, f in zip(batch, futures)]
+
         try:
             batch = [np.full(2, 0.2), np.full(2, 0.8)]
-            list(evaluator.evaluate(problem, batch))
+            run_batch(batch)
             assert problem.cache_stats == (0, 2)
             # second pass: answered from the parent cache, no dispatch
-            list(evaluator.evaluate(problem, batch))
+            run_batch(batch)
             assert problem.cache_stats == (2, 2)
         finally:
             evaluator.close()

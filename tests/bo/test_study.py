@@ -165,25 +165,6 @@ class TestManualDrivingMatchesRun:
         assert study.optimizer.algorithm_name == "custom-run"
         assert study.result.algorithm == "custom-run"
 
-    def test_run_trials_arrival_iteration_contract(self):
-        """Regression: on_arrival must receive the landing iteration even
-        for streaming trials (whose number is assigned at tell time)."""
-        from repro.bo.scheduler import EvaluationScheduler, SerialEvaluator
-
-        study = make_study()
-        for trial in study.start_initial():
-            study.tell(trial, study.problem.evaluate_unit(trial.u))
-        seen = []
-        scheduler = EvaluationScheduler(
-            study.problem,
-            SerialEvaluator(),
-            on_arrival=lambda it, bi, ev: seen.append((it, bi)),
-        )
-        scheduler.run_trials(study.ask(1), study)
-        scheduler.run_trials(study.ask(1), study)
-        assert seen == [(1, 0), (2, 0)]
-        assert [r.iteration for r in study.result.records[-2:]] == [1, 2]
-
     def test_run_study_on_resumable_study(self):
         """run_study drives a fresh study identically to run()."""
         reference = SurrogateBO(

@@ -5,13 +5,20 @@ timeout/cancel, elastic resize, and the close lifecycle — all against a
 gated evaluator so dispatch order is observable deterministically.
 """
 
+import json
+import os
+import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.bo.problem import FunctionProblem
+from repro.bo.scheduler import ProcessPoolEvaluator, SerialEvaluator
 from repro.farm import (
     EvaluationFarm,
     EvaluationTimeout,
@@ -190,6 +197,99 @@ class TestTimeoutAndCancel:
             assert _DISPATCHES == ["a"]
 
 
+def flaky_problem() -> FunctionProblem:
+    """Raises for ``x0 > 0.5``; a closure, so it cannot be pickled."""
+
+    def objective(x):
+        if x[0] > 0.5:
+            raise RuntimeError("simulator diverged")
+        return float(np.sum(x**2))
+
+    return FunctionProblem("flaky", np.zeros(2), np.ones(2), objective=objective)
+
+
+class TestInProcessFailures:
+    @pytest.mark.filterwarnings("ignore:problem 'flaky' is not picklable")
+    @pytest.mark.parametrize(
+        "make_executor",
+        [lambda: ProcessPoolEvaluator(n_workers=2), SerialEvaluator],
+        ids=["process-fallback", "serial"],
+    )
+    def test_failed_evaluation_frees_its_slot(self, make_executor):
+        """Regression: an in-process evaluation that raised inside
+        ``submit`` left its task running forever, so two failures filled
+        a two-slot farm and the next design never dispatched."""
+        with make_executor() as evaluator, EvaluationFarm(evaluator, capacity=2) as farm:
+            tenant = farm.register("flaky", problem=flaky_problem())
+            for u in ([0.9, 0.9], [0.8, 0.8]):
+                with pytest.raises(RuntimeError, match="diverged"):
+                    farm.collect(farm.submit(tenant, u), timeout=2.0)
+            assert farm.n_running == 0
+            evaluation = farm.collect(farm.submit(tenant, [0.1, 0.2]), timeout=2.0)
+        assert evaluation.objective == pytest.approx(0.05)
+
+
+# two tenants with different problems on one process pool; run in a child
+# process so a deadlock fails the test through the timeout
+_TWO_TENANT_SCRIPT = """
+import json
+
+from farm_helpers import make_picklable_problem, make_second_problem
+from repro.farm import EvaluationFarm
+
+problems = {"a": make_picklable_problem(), "b": make_second_problem()}
+rounds = [[("a", [0.2, 0.2]), ("b", [0.2, 0.2]), ("a", [0.8, 0.8]),
+           ("b", [0.8, 0.8])], [("a", [0.2, 0.2]), ("b", [0.8, 0.8])]]
+results = []
+with EvaluationFarm("async-process", n_workers=2) as farm:
+    tenants = {name: farm.register(name, problem=p) for name, p in problems.items()}
+    for designs in rounds:
+        tasks = [farm.submit(tenants[name], u) for name, u in designs]
+        for task in tasks:
+            evaluation = farm.collect(task, timeout=30.0)
+            results.append([evaluation.objective, *evaluation.constraints.tolist()])
+print(json.dumps({
+    "results": results,
+    "cache": {name: list(p.cache_stats) for name, p in problems.items()},
+}))
+"""
+
+
+class TestProcessPoolTenancy:
+    def test_two_tenants_share_one_process_pool(self):
+        """Regression: a second tenant's problem made the pool close and
+        respawn inside ``farm.submit`` — under the farm lock the pool's
+        done-callbacks wait on, so the second submit hung forever."""
+        here = Path(__file__).resolve().parent
+        path = [str(here.parents[1] / "src"), str(here), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+        with subprocess.Popen(
+            [sys.executable, "-c", _TWO_TENANT_SCRIPT], env=env, text=True,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True,
+        ) as proc:
+            try:
+                stdout, stderr = proc.communicate(timeout=60)
+            except subprocess.TimeoutExpired:
+                # kill the pool workers too, not only the hung child
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.communicate()
+                pytest.fail("two tenants on one process-pool farm deadlocked")
+        assert proc.returncode == 0, stderr
+        report = json.loads(stdout)
+        problems = {"a": make_picklable_problem(), "b": make_second_problem()}
+        designs = [
+            ("a", [0.2, 0.2]), ("b", [0.2, 0.2]), ("a", [0.8, 0.8]),
+            ("b", [0.8, 0.8]), ("a", [0.2, 0.2]), ("b", [0.8, 0.8]),
+        ]
+        expected = []
+        for name, u in designs:
+            evaluation = problems[name].evaluate_unit_uncached(np.array(u))
+            expected.append([evaluation.objective, *evaluation.constraints.tolist()])
+        assert report["results"] == expected
+        # the repeats were answered from each tenant's own parent cache
+        assert report["cache"] == {"a": [1, 2], "b": [1, 2]}
+
+
 class TestResize:
     def test_grow_dispatches_queued_work(self):
         with EvaluationFarm("async-thread", n_workers=4, capacity=1) as farm:
@@ -251,9 +351,9 @@ class TestLifecycle:
         assert not closer.is_alive()
 
     def test_executor_instance_is_not_owned(self):
-        from repro.bo.scheduler import AsyncThreadEvaluator
+        from repro.bo.scheduler import ThreadPoolEvaluator
 
-        evaluator = AsyncThreadEvaluator(n_workers=1)
+        evaluator = ThreadPoolEvaluator(n_workers=1)
         try:
             with EvaluationFarm(evaluator) as farm:
                 a = farm.register("a", problem=make_picklable_problem())
@@ -265,9 +365,9 @@ class TestLifecycle:
             evaluator.close()
 
     def test_executor_instance_rejects_n_workers(self):
-        from repro.bo.scheduler import AsyncThreadEvaluator
+        from repro.bo.scheduler import ThreadPoolEvaluator
 
-        evaluator = AsyncThreadEvaluator(n_workers=1)
+        evaluator = ThreadPoolEvaluator(n_workers=1)
         try:
             with pytest.raises(ValueError, match="n_workers"):
                 EvaluationFarm(evaluator, n_workers=2)
