@@ -19,11 +19,6 @@ workload (K=5, 6 targets, M=50 features, d=36 design variables — the
   maximization) is >= 3x faster than the loop path, a per-target
   ``SurrogateBO`` over :class:`DeepEnsemble` members each trained by a
   :class:`FeatureGPTrainer`;
-* **threaded Cholesky** — the numpy backend's per-slice posterior
-  factorization stage (``linalg_threads``, the async fantasy-only
-  landing hot path) is >= 1.5x faster threaded than serial at S >= 64
-  slices (asserted only on multi-core hosts; single-core runs record the
-  number without enforcing the floor);
 * **backend axis** — per-backend timings land in
   ``BENCH_batched_engine.json`` under stable keys (each record carries
   its ``backend`` name); the torch measurement skips cleanly when torch
@@ -71,12 +66,7 @@ N_DATA = 100  # the paper's Table II initial design
 EPOCHS = 40 if QUICK else 150
 CYCLE_EPOCHS = 40 if QUICK else 150
 SPEEDUP_FLOOR = 3.0
-
-# threaded per-slice Cholesky workload: S >= 64 stacked slices
-THREADED_MEMBERS = 11  # S = 11 x 6 targets = 66 slices
-THREADED_FEATURES = 64
-THREADED_REPS = 5 if QUICK else 20
-THREADED_FLOOR = 1.5
+POSTERIOR_REPS = 5 if QUICK else 20  # best-of reps per posterior-update timing
 
 
 def _record(key: str, payload: dict) -> None:
@@ -253,111 +243,6 @@ class TestProposeCycleSpeedup:
         )
 
 
-def _make_threaded_bank(linalg_threads):
-    """A fitted S = 66 bank on the selected numpy namespace."""
-    rng = np.random.default_rng(3)
-    x = rng.uniform(size=(N_DATA, DIM))
-    targets = np.stack(
-        [np.sin((t + 1.0) * x[:, t % DIM]) + x[:, (t + 3) % DIM] for t in range(N_TARGETS)]
-    )
-    bank = SurrogateBank(
-        DIM,
-        n_targets=N_TARGETS,
-        n_members=THREADED_MEMBERS,
-        n_features=THREADED_FEATURES,
-        trainer_factory=lambda: BatchedFeatureGPTrainer(epochs=5),
-        seed=np.random.default_rng(21),
-        backend=get_namespace("numpy", linalg_threads=linalg_threads),
-    )
-    bank.fit(x, targets)
-    return bank
-
-
-def _time_posterior_linalg(bank, reps: int) -> float:
-    """Best-of-``reps`` time of the per-slice factorization stage.
-
-    This is exactly the region ``linalg_threads`` parallelizes: the
-    stacked ``A = Phi^T Phi + beta I`` Cholesky plus the coefficient /
-    inverse solves that every ``observe()`` landing and posterior rebuild
-    pays (the async fantasy-only hot path).
-    """
-    gp = bank.gp
-    x_data, z_data = gp._posterior_data()
-    feats = gp.features(x_data)
-    feats_t = gp.xb.swapaxes(feats, -1, -2)
-    a_mat = feats_t @ feats + gp.beta[:, None, None] * np.eye(feats.shape[2])
-    u = (feats_t @ z_data[..., None])[..., 0]
-    best = float("inf")
-    for _ in range(reps):
-        start = time.perf_counter()
-        chol = gp.xb.batched_cholesky(a_mat)
-        gp.xb.batched_solve_r_and_inverse(chol, u)
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-class TestThreadedCholesky:
-    def test_threaded_posterior_linalg(self):
-        """Threading the S = 66-slice factorization stage: >= 1.5x on
-        multi-core hosts, bitwise-identical results on any host.
-
-        Single-core runners cannot show a wall-clock win, so there the
-        numbers are recorded without enforcing the floor; one re-measure
-        absorbs scheduler noise before failing, as in the cycle bench.
-        """
-        cores = os.cpu_count() or 1
-        threads = min(cores, 8)
-        serial_bank = _make_threaded_bank(None)
-        threaded_bank = _make_threaded_bank(threads)
-        s_slices = serial_bank.n_stack
-
-        # the threaded engine must not perturb results at all
-        np.testing.assert_array_equal(
-            serial_bank.gp._chol_a, threaded_bank.gp._chol_a
-        )
-        np.testing.assert_array_equal(
-            serial_bank.gp._a_inv, threaded_bank.gp._a_inv
-        )
-
-        t_serial = _time_posterior_linalg(serial_bank, THREADED_REPS)
-        t_threaded = _time_posterior_linalg(threaded_bank, THREADED_REPS)
-        speedup = t_serial / t_threaded
-        attempts = [speedup]
-        enforce = cores >= 2
-        if enforce and speedup < THREADED_FLOOR:
-            t_serial = _time_posterior_linalg(serial_bank, THREADED_REPS)
-            t_threaded = _time_posterior_linalg(threaded_bank, THREADED_REPS)
-            attempts.append(t_serial / t_threaded)
-            speedup = max(attempts)
-        print(
-            f"\n[batched-engine] threaded Cholesky (S={s_slices}, "
-            f"M={THREADED_FEATURES + 1}, threads={threads}, cores={cores}): "
-            f"serial {t_serial * 1e3:.2f} ms, threaded {t_threaded * 1e3:.2f} ms "
-            f"-> {', '.join(f'{a:.2f}x' for a in attempts)}"
-        )
-        _record(
-            "threaded_cholesky_numpy",
-            {
-                "backend": "numpy",
-                "s_slices": s_slices,
-                "n_features": THREADED_FEATURES,
-                "linalg_threads": threads,
-                "host_cores": cores,
-                "wall_clock_serial_s": round(t_serial, 6),
-                "wall_clock_threaded_s": round(t_threaded, 6),
-                "speedup": round(speedup, 3),
-                "speedup_attempts": [round(a, 3) for a in attempts],
-                "floor": THREADED_FLOOR,
-                "floor_enforced": enforce,
-            },
-        )
-        if enforce:
-            assert speedup >= THREADED_FLOOR, (
-                f"threaded Cholesky speedup {speedup:.2f}x below the "
-                f"{THREADED_FLOOR}x floor after retry ({cores} cores)"
-            )
-
-
 class TestAcceleratorBackends:
     """Per-backend timings of the posterior-update stage (skip-if-absent)."""
 
@@ -401,7 +286,7 @@ class TestAcceleratorBackends:
 
         def time_updates(bank):
             best = float("inf")
-            for _ in range(THREADED_REPS):
+            for _ in range(POSTERIOR_REPS):
                 start = time.perf_counter()
                 bank.gp.update_posterior()
                 best = min(best, time.perf_counter() - start)

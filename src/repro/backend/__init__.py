@@ -6,9 +6,7 @@ The engine (``repro.nn.batched``, ``repro.core.batched_gp``,
 stacked tensor program runs on:
 
 * ``"numpy"`` — the default and reference path, bitwise identical to the
-  pre-backend engine (its namespace ops *are* the numpy functions), with
-  an optional ``linalg_threads`` knob that spreads the per-slice LAPACK
-  loops over a thread pool;
+  pre-backend engine (its namespace ops *are* the numpy functions);
 * ``"torch"`` — PyTorch tensors on CPU or CUDA (soft dependency);
 * ``"cupy"`` — CuPy arrays on CUDA (soft dependency);
 * ``"auto"`` — the first importable accelerator backend (torch, then
@@ -72,18 +70,13 @@ def available_backends() -> tuple[str, ...]:
     return tuple(names)
 
 
-def get_namespace(
-    name: str | None = "numpy",
-    device: str | None = None,
-    linalg_threads: int | None = None,
-) -> ArrayNamespace:
+def get_namespace(name: str | None = "numpy", device: str | None = None) -> ArrayNamespace:
     """Construct the array namespace for ``name``.
 
     ``name`` is one of ``"numpy"`` (default; ``None`` means numpy),
     ``"torch"``, ``"cupy"``, or ``"auto"`` (first importable of torch,
     cupy, numpy).  ``device`` selects the accelerator device (e.g.
-    ``"cuda:0"``; numpy accepts only ``"cpu"``); ``linalg_threads``
-    threads the numpy path's per-slice LAPACK loops.
+    ``"cuda:0"``; numpy accepts only ``"cpu"``).
 
     Raises :class:`BackendNotAvailable` when an explicitly requested
     soft-dependency backend is not importable — ``"auto"`` never raises,
@@ -97,23 +90,23 @@ def get_namespace(
             if candidate == "numpy" or _package_importable(
                 _BACKEND_PACKAGES[candidate]
             ):
-                return get_namespace(candidate, device, linalg_threads)
+                return get_namespace(candidate, device)
     if name == "numpy":
         from repro.backend.numpy_backend import NumpyNamespace
 
-        return NumpyNamespace(device=device, linalg_threads=linalg_threads)
+        return NumpyNamespace(device=device)
     if name == "torch":
         try:
             from repro.backend.torch_backend import TorchNamespace
         except ImportError as exc:
             raise BackendNotAvailable("torch", _BACKEND_PACKAGES["torch"]) from exc
-        return TorchNamespace(device=device, linalg_threads=linalg_threads)
+        return TorchNamespace(device=device)
     if name == "cupy":
         try:
             from repro.backend.cupy_backend import CupyNamespace
         except ImportError as exc:
             raise BackendNotAvailable("cupy", _BACKEND_PACKAGES["cupy"]) from exc
-        return CupyNamespace(device=device, linalg_threads=linalg_threads)
+        return CupyNamespace(device=device)
     raise ValueError(
         f"unknown array backend {name!r}; choose from "
         f"{('auto',) + BACKEND_NAMES}"
@@ -124,7 +117,7 @@ _DEFAULT_NAMESPACE: ArrayNamespace | None = None
 
 
 def default_namespace() -> ArrayNamespace:
-    """The shared default (plain numpy, serial) namespace singleton."""
+    """The shared default (plain numpy) namespace singleton."""
     global _DEFAULT_NAMESPACE
     if _DEFAULT_NAMESPACE is None:
         _DEFAULT_NAMESPACE = get_namespace("numpy")

@@ -27,10 +27,10 @@ A namespace provides four groups of operations:
   consumed;
 * **non-portable linalg** — batched Cholesky with jitter escalation
   (``batched_cholesky``), batched posterior solves
-  (``batched_solve_r_and_inverse`` / ``batched_cholesky_solve``), a
-  single-slice transposed triangular solve (``solve_lower_transposed``),
-  and the ``map_slices`` hook the numpy backend uses to thread per-slice
-  LAPACK loops.
+  (``batched_solve_r_and_inverse`` / ``batched_cholesky_solve``) and a
+  single-slice transposed triangular solve (``solve_lower_transposed``);
+  the last two serve accelerator branches only, so the numpy namespace
+  omits them (see :mod:`repro.backend.numpy_backend`).
 
 Dtype policy: all backends compute in float64.  The engine's numerical
 guarantees (numpy bitwise equivalence, 1e-5 accelerator gate) are stated
@@ -59,7 +59,6 @@ class ArrayNamespace:
     name: str = "abstract"
     is_numpy: bool = False
     device = None
-    linalg_threads: int | None = None
 
     # -- seeded randomness (shared policy: draw on host, then transfer) --------
 
@@ -82,13 +81,6 @@ class ArrayNamespace:
     def as_index(self, idx):
         """Adapt a host integer/boolean index array for fancy indexing."""
         raise NotImplementedError
-
-    # -- slice-loop hook --------------------------------------------------------
-
-    def map_slices(self, fn, count: int) -> None:
-        """Run ``fn(s)`` for ``s in range(count)``; backends may parallelize."""
-        for s in range(count):
-            fn(s)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(device={self.device!r})"

@@ -53,16 +53,13 @@ class CupyNamespace(ArrayNamespace):
     isfinite = staticmethod(cupy.isfinite)
     sum = staticmethod(cupy.sum)
 
-    def __init__(self, device: str | int | None = None, linalg_threads: int | None = None):
+    def __init__(self, device: str | int | None = None):
         if device is None:
             self._device_id = 0
         else:
             text = str(device)
             self._device_id = int(text.split(":")[-1]) if ":" in text else int(text)
         self.device = f"cuda:{self._device_id}"
-        # slice loops are fused into batched cupy calls on this backend;
-        # the CPU threading knob is numpy-path-only
-        self.linalg_threads = linalg_threads
 
     @staticmethod
     def diagonal(x):

@@ -6,25 +6,19 @@ call sequence the pre-backend engine made, which is how the numpy path
 keeps its bitwise-equivalence guarantee by construction rather than by
 testing alone.
 
-The one capability numpy gains over the raw functions is ``linalg_threads``:
-the per-slice LAPACK loops (Cholesky factorizations and posterior solves
-over the ``(S, M, M)`` stack) run across a thread pool when the knob is
-set.  Slices are independent, each executes the exact serial kernel, and
-LAPACK releases the GIL — so threading changes wall-clock only, never a
-bit of the results.
+The linalg ops are plain serial loops over the slices of the
+``(S, M, M)`` stack, one LAPACK call per slice.  Only ``batched_cholesky``
+and ``batched_solve_r_and_inverse`` exist here: the engine's numpy
+branches run their other solves inline (``marginal_nll``'s slice loop,
+the direct ``dtrtrs`` of posterior weight sampling).
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import lapack as _lapack
 
 from repro.backend.base import ArrayNamespace
-from repro.gp.linalg import (
-    batched_jitter_cholesky,
-    map_slices as _map_slices,
-    solve_r_and_inverse,
-)
+from repro.gp.linalg import batched_jitter_cholesky, solve_r_and_inverse
 
 
 class NumpyNamespace(ArrayNamespace):
@@ -59,14 +53,11 @@ class NumpyNamespace(ArrayNamespace):
     isfinite = staticmethod(np.isfinite)
     sum = staticmethod(np.sum)
 
-    def __init__(self, device: str | None = None, linalg_threads: int | None = None):
+    def __init__(self, device: str | None = None):
         if device not in (None, "cpu"):
             raise ValueError(
                 f"the numpy backend runs on the host CPU only, got device={device!r}"
             )
-        if linalg_threads is not None and int(linalg_threads) < 1:
-            raise ValueError(f"linalg_threads must be >= 1, got {linalg_threads}")
-        self.linalg_threads = None if linalg_threads is None else int(linalg_threads)
 
     # -- array helpers ----------------------------------------------------------
 
@@ -89,24 +80,11 @@ class NumpyNamespace(ArrayNamespace):
     def as_index(self, idx):
         return idx
 
-    # -- slice loops / linalg ----------------------------------------------------
-
-    def map_slices(self, fn, count: int) -> None:
-        _map_slices(fn, count, self.linalg_threads)
+    # -- linalg: per-slice LAPACK loops -----------------------------------------
 
     def batched_cholesky(self, mats: np.ndarray) -> np.ndarray:
-        """Per-slice LAPACK ``dpotrf`` with jitter fallback, optionally threaded."""
-        return batched_jitter_cholesky(mats, threads=self.linalg_threads)
-
-    def batched_cholesky_solve(self, chol: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Per-slice ``A^{-1} u`` from the stacked lower factors."""
-        out = np.empty_like(u)
-
-        def solve(s: int) -> None:
-            out[s] = _lapack.dpotrs(chol[s], u[s], lower=1)[0]
-
-        self.map_slices(solve, chol.shape[0])
-        return out
+        """Per-slice LAPACK ``dpotrf`` with jitter fallback."""
+        return batched_jitter_cholesky(mats)
 
     def batched_solve_r_and_inverse(
         self, chol: np.ndarray, u: np.ndarray
@@ -115,13 +93,6 @@ class NumpyNamespace(ArrayNamespace):
         s_stack, m = u.shape
         r = np.empty((s_stack, m))
         a_inv = np.empty_like(chol)
-
-        def solve(s: int) -> None:
+        for s in range(s_stack):
             r[s], a_inv[s] = solve_r_and_inverse(chol[s], u[s])
-
-        self.map_slices(solve, s_stack)
         return r, a_inv
-
-    def solve_lower_transposed(self, chol_2d: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """Single-slice ``L^T x = rhs`` (posterior weight sampling)."""
-        return _lapack.dtrtrs(chol_2d, rhs, lower=1, trans=1)[0]

@@ -34,13 +34,10 @@ class TorchNamespace(ArrayNamespace):
     name = "torch"
     is_numpy = False
 
-    def __init__(self, device: str | None = None, linalg_threads: int | None = None):
+    def __init__(self, device: str | None = None):
         self.torch = torch
         self.device = torch.device(device if device is not None else "cpu")
         self.dtype = torch.float64
-        # slice loops are fused into batched torch calls on this backend;
-        # the CPU threading knob is numpy-path-only
-        self.linalg_threads = linalg_threads
 
     # -- creation ---------------------------------------------------------------
 

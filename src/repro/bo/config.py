@@ -87,9 +87,7 @@ class SurrogateConfig:
     (:mod:`repro.backend`): ``"numpy"`` (default, bitwise-reference path),
     ``"torch"`` / ``"cupy"`` (soft dependencies), or ``"auto"`` (first
     importable accelerator, falling back to numpy).  ``device`` names the
-    accelerator device (e.g. ``"cuda:0"``); ``linalg_threads`` spreads
-    the numpy path's per-slice Cholesky/solve loops over a thread pool
-    (LAPACK releases the GIL), serial when ``None``.
+    accelerator device (e.g. ``"cuda:0"``).
     """
 
     n_ensemble: int = 5
@@ -103,7 +101,6 @@ class SurrogateConfig:
     patience: int | None = 60
     backend: str = "numpy"
     device: str | None = None
-    linalg_threads: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "n_ensemble", check_count("n_ensemble", self.n_ensemble))
@@ -120,12 +117,6 @@ class SurrogateConfig:
         )
         if self.device is not None:
             object.__setattr__(self, "device", str(self.device))
-        if self.linalg_threads is not None:
-            object.__setattr__(
-                self,
-                "linalg_threads",
-                check_count("linalg_threads", self.linalg_threads),
-            )
 
     def resolve_backend(self):
         """The configured :class:`~repro.backend.base.ArrayNamespace`.
@@ -135,9 +126,7 @@ class SurrogateConfig:
         """
         from repro.backend import get_namespace
 
-        return get_namespace(
-            self.backend, device=self.device, linalg_threads=self.linalg_threads
-        )
+        return get_namespace(self.backend, device=self.device)
 
     # -- factory builders -----------------------------------------------------
     # The core model classes import repro.bo (the driver layer), so these

@@ -50,10 +50,6 @@ from repro.utils.rng import ensure_rng, spawn_rngs
 from repro.utils.scaling import StandardScaler
 from repro.utils.validation import check_finite, check_matrix_2d
 
-# historical home of the fused [u | I] posterior solve; it moved to
-# repro.gp.linalg when the backend layer landed
-_solve_r_and_inverse = solve_r_and_inverse
-
 
 def _resolve_rngs(seed, count: int) -> list[np.random.Generator]:
     """One generator per slice from a seed, generator, or explicit list.
@@ -219,19 +215,14 @@ class BatchedNeuralFeatureGP:
             # a rounding error next to the stacked GEMMs above.  With gradients
             # the solve for ``r`` and for ``A^{-1}`` share one dpotrs call on
             # the concatenated right-hand side ``[u | I]`` — column-independent,
-            # so each column matches its standalone solve exactly.  Slices are
-            # independent, so the loop runs through the namespace's slice
-            # mapper (threaded when ``linalg_threads`` is set; LAPACK and the
-            # per-slice GEMM release the GIL, and results never depend on the
-            # thread count).
+            # so each column matches its standalone solve exactly.
             r = np.empty((s_stack, m))
             quad = np.empty(s_stack)
             logdet = np.empty(s_stack)
             gemm = np.empty_like(feats) if with_grads else None
             r_sq = np.empty(s_stack) if with_grads else None
             trace = np.empty(s_stack) if with_grads else None
-
-            def slice_terms(s: int) -> None:
+            for s in range(s_stack):
                 chol_s = lapack_jitter_cholesky(a_mat[s])
                 logdet[s] = log_det_from_cholesky(chol_s)
                 if with_grads:
@@ -242,8 +233,6 @@ class BatchedNeuralFeatureGP:
                 else:
                     r[s], _ = _lapack.dpotrs(chol_s, u[s], lower=1)
                 quad[s] = float(z[s] @ z[s] - u[s] @ r[s])
-
-            xb.map_slices(slice_terms, s_stack)
         else:
             # accelerator path: one fused factorization + solve for the whole
             # stack (numerical equivalence gated at 1e-5, not bitwise)
@@ -421,9 +410,8 @@ class BatchedNeuralFeatureGP:
         # BO iteration, where per-call LAPACK overhead would dominate.  A is
         # regularized (beta floor + jitter ladder), so the explicit inverse
         # stays well within the engine's 1e-8 prediction tolerance.  On the
-        # numpy backend these are the exact per-slice dpotrf/dpotrs loops
-        # (threaded when ``linalg_threads`` is set, results thread-count
-        # independent); accelerators run one fused batched factorization.
+        # numpy backend these are the exact per-slice dpotrf/dpotrs loops;
+        # accelerators run one fused batched factorization.
         self._chol_a = xb.batched_cholesky(a_mat)
         self._coef_r, self._a_inv = xb.batched_solve_r_and_inverse(self._chol_a, u)
 

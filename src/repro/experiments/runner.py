@@ -169,7 +169,6 @@ def nnbo_configs(config):
         epochs=config.epochs,
         backend=getattr(config, "backend", "numpy"),
         device=getattr(config, "device", None),
-        linalg_threads=getattr(config, "linalg_threads", None),
     )
     acquisition = AcquisitionConfig(
         pending_strategy=config.pending_strategy,
@@ -246,11 +245,6 @@ def add_scheduler_arguments(parser) -> None:
         help="accelerator device for the array backend (e.g. cuda:0)",
     )
     parser.add_argument(
-        "--linalg-threads", type=int, default=None,
-        help="thread count for the numpy backend's per-slice "
-        "Cholesky/solve loops (default: serial)",
-    )
-    parser.add_argument(
         "--sim-backend",
         choices=("mna", "ngspice"),
         default=None,
@@ -283,8 +277,6 @@ def apply_scheduler_arguments(args, config) -> None:
         config.backend = args.backend
     if args.device is not None:
         config.device = args.device
-    if args.linalg_threads is not None:
-        config.linalg_threads = args.linalg_threads
     if args.sim_backend is not None:
         config.sim_backend = args.sim_backend
 

@@ -17,7 +17,7 @@ or at paper scale (takes hours — each simulation solves 18 corners)::
 from __future__ import annotations
 
 import argparse
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.baselines import DifferentialEvolution, GASPAD, WEIBO
 from repro.circuits.testbenches import ChargePumpProblem
@@ -81,7 +81,6 @@ class Table2Config:
     proposal_space: str = "full"
     backend: str = "numpy"
     device: str | None = None
-    linalg_threads: int | None = None
     sim_backend: str = "mna"
     problem_kwargs: dict = field(default_factory=dict)
 
@@ -208,7 +207,8 @@ def main(argv=None) -> str:
     add_scheduler_arguments(parser)
     parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
-    config = QUICK if args.preset == "quick" else PAPER
+    # a copy: the flags below must not rewrite the shared module presets
+    config = replace(QUICK if args.preset == "quick" else PAPER)
     if args.repeats is not None:
         config.n_repeats = args.repeats
     if args.seed is not None:

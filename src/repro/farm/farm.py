@@ -395,8 +395,16 @@ class EvaluationFarm:
                     continue
                 task._started_at = time.monotonic()
                 tenant.dispatched += 1
+                try:
+                    future = self._evaluator.submit(tenant.problem, task.u)
+                except Exception as exc:
+                    # a refused submit frees its slot at once; its error
+                    # surfaces at collect, like any evaluation error
+                    task.future = Future()
+                    task.future.set_exception(exc)
+                    task._dispatched.set()
+                    continue
                 self._running.add(task)
-                future = self._evaluator.submit(tenant.problem, task.u)
                 task.future = future
                 task._dispatched.set()
                 # the callback frees the slot (and re-pumps) the moment

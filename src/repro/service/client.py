@@ -212,28 +212,37 @@ class StudyClient:
         :class:`~repro.service.protocol.CreateStudyRequest`.
         """
         client = cls(address, name, timeout=timeout)
-        client._conn.request(
-            "POST",
-            f"{URL_PREFIX}/studies",
-            {
-                "name": name,
-                "problem": problem,
-                "n_initial": n_initial,
-                "max_evaluations": max_evaluations,
-                "initial_design": initial_design,
-                "seed": seed,
-                "surrogate": surrogate,
-                "acquisition": acquisition,
-                "scheduler": scheduler,
-            },
-        )
+        try:
+            client._conn.request(
+                "POST",
+                f"{URL_PREFIX}/studies",
+                {
+                    "name": name,
+                    "problem": problem,
+                    "n_initial": n_initial,
+                    "max_evaluations": max_evaluations,
+                    "initial_design": initial_design,
+                    "seed": seed,
+                    "surrogate": surrogate,
+                    "acquisition": acquisition,
+                    "scheduler": scheduler,
+                },
+            )
+        except BaseException:
+            # a refused create hands the caller no client to close
+            client.close()
+            raise
         return client
 
     @classmethod
     def connect(cls, address, name: str, *, timeout: float = 60.0) -> "StudyClient":
         """Attach to an existing study (validates it exists server-side)."""
         client = cls(address, name, timeout=timeout)
-        client.describe()
+        try:
+            client.describe()
+        except BaseException:
+            client.close()
+            raise
         return client
 
     # -- the Study mirror -------------------------------------------------------------

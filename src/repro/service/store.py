@@ -53,6 +53,10 @@ _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,119}$")
 #: marker identifying a store meta file (see ``{name}.meta.json``)
 META_FORMAT = "repro.service.meta/v1"
 
+#: SurrogateConfig fields that no longer exist; meta files written while
+#: they did still carry them, so loading drops them (``create`` rejects them)
+_RETIRED_SURROGATE_KEYS = ("engine", "linalg_threads")
+
 
 class _Entry:
     """Book-keeping for one named study (resident or not)."""
@@ -451,9 +455,9 @@ class StudyStore:
         problem = build_problem(meta["problem_spec"])
         surrogate = meta["surrogate"]
         if surrogate is not None:
-            # meta files persist the resolved SurrogateConfig; those written
-            # before the training-engine knob was retired still carry it
-            surrogate = {k: v for k, v in surrogate.items() if k != "engine"}
+            surrogate = {
+                k: v for k, v in surrogate.items() if k not in _RETIRED_SURROGATE_KEYS
+            }
         configs = _build_configs(
             surrogate=surrogate,
             acquisition=meta["acquisition"],

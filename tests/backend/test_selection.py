@@ -11,7 +11,7 @@ Pinned here:
   return the same numpy data) and its portable ops are the numpy
   functions themselves — the bitwise guarantee is by construction;
 * ``NNBO`` builds its surrogate bank on the backend named by its
-  :class:`SurrogateConfig` (``backend=`` / ``linalg_threads=``);
+  :class:`SurrogateConfig` (``backend=``);
 * when torch is importable, the torch posterior matches numpy within the
   1e-5 accelerator-equivalence gate (skips cleanly otherwise).
 """
@@ -82,7 +82,7 @@ class TestResolveNamespace:
         assert resolve_namespace(None) is default_namespace()
 
     def test_instance_passes_through(self):
-        xb = get_namespace("numpy", linalg_threads=2)
+        xb = get_namespace("numpy")
         assert resolve_namespace(xb) is xb
 
     def test_name_resolves(self):
@@ -116,23 +116,16 @@ class TestNumpyNamespaceContract:
         with pytest.raises(ValueError, match="CPU only"):
             get_namespace("numpy", device="cuda:0")
 
-    def test_linalg_threads_validation(self):
-        assert get_namespace("numpy", linalg_threads=4).linalg_threads == 4
-        with pytest.raises(ValueError):
-            get_namespace("numpy", linalg_threads=0)
-
 
 class TestConfigWiring:
     def test_surrogate_config_fields(self):
         from repro.bo.config import SurrogateConfig
 
-        cfg = SurrogateConfig(backend="numpy", linalg_threads=3)
+        cfg = SurrogateConfig(backend="numpy")
         xb = cfg.resolve_backend()
-        assert xb.is_numpy and xb.linalg_threads == 3
+        assert xb.is_numpy
         with pytest.raises(ValueError, match="backend"):
             SurrogateConfig(backend="mlx")
-        with pytest.raises(ValueError, match="linalg_threads"):
-            SurrogateConfig(linalg_threads=-1)
 
     def test_nnbo_bank_uses_configured_backend(self):
         from repro.benchfns import toy_constrained_quadratic
@@ -143,12 +136,11 @@ class TestConfigWiring:
             toy_constrained_quadratic(2),
             n_initial=4,
             max_evaluations=6,
-            surrogate=SurrogateConfig(backend="numpy", linalg_threads=2),
+            surrogate=SurrogateConfig(backend="numpy"),
         )
         assert bo.surrogate_config.backend == "numpy"
-        assert bo.surrogate_config.linalg_threads == 2
         bank = bo.surrogate_bank_factory(np.random.default_rng(0), 2)
-        assert bank.gp.xb.is_numpy and bank.gp.xb.linalg_threads == 2
+        assert bank.gp.xb.is_numpy
 
 
 class TestTorchEquivalence:

@@ -71,9 +71,12 @@ class TestConfigValidation:
             AcquisitionConfig(duplicate_tol=-1e-9)
 
     def test_surrogate_engine(self):
-        # the training-engine knob is retired: the bank is the only engine
+        # retired knobs: the bank is the only training engine, and the
+        # serial per-slice loop the only linalg loop
         with pytest.raises(TypeError, match="engine"):
             SurrogateConfig(engine="batched")
+        with pytest.raises(TypeError, match="linalg_threads"):
+            SurrogateConfig(linalg_threads=2)
         with pytest.raises(ValueError, match="n_ensemble must be >= 1, got 0"):
             SurrogateConfig(n_ensemble=0)
         with pytest.raises(ValueError, match="lr must be positive, got 0"):

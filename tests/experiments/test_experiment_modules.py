@@ -4,11 +4,33 @@ Full paper-scale runs take hours; these tests exercise the machinery with
 miniature configs and check the *structure* of the outputs.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.experiments import complexity, table1, table2
 from repro.experiments.ablation import nlpd
+
+
+@pytest.mark.parametrize("module", [table1, table2], ids=["table1", "table2"])
+@pytest.mark.parametrize("preset", ["quick", "paper"])
+def test_cli_flags_leave_module_presets_alone(monkeypatch, module, preset):
+    """Regression: ``main`` assigned the parsed flags onto the shared
+    ``QUICK``/``PAPER`` instances, so one CLI call rewrote the presets
+    every later caller in the process saw."""
+    presets = (replace(module.QUICK), replace(module.PAPER))
+    ran = []
+    monkeypatch.setattr(module, "run_experiment", lambda config: ran.append(config) or {})
+    monkeypatch.setattr(module, "render_table", lambda *args: "")
+    module.main([
+        "--preset", preset, "--q", "3", "--repeats", "1",
+        "--eval-executor", "thread", "--seed", "7", "--quiet",
+    ])
+    (config,) = ran
+    assert (config.q, config.n_repeats, config.eval_executor, config.seed) == (3, 1, "thread", 7)
+    assert config.verbose is False
+    assert (module.QUICK, module.PAPER) == presets
 
 
 class TestTable1Machinery:

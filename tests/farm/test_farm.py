@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.bo.problem import FunctionProblem
-from repro.bo.scheduler import ProcessPoolEvaluator, SerialEvaluator
+from repro.bo.scheduler import ProcessPoolEvaluator, SerialEvaluator, ThreadPoolEvaluator
 from repro.farm import (
     EvaluationFarm,
     EvaluationTimeout,
@@ -227,6 +227,53 @@ class TestInProcessFailures:
             assert farm.n_running == 0
             evaluation = farm.collect(farm.submit(tenant, [0.1, 0.2]), timeout=2.0)
         assert evaluation.objective == pytest.approx(0.05)
+
+
+class RefusingEvaluator(ThreadPoolEvaluator):
+    """A one-worker thread pool whose ``refuse``-th submit raises."""
+
+    def __init__(self, refuse: int):
+        super().__init__(n_workers=1)
+        self.refuse = refuse
+        self.n_submits = 0
+
+    def submit(self, problem, u):
+        self.n_submits += 1
+        if self.n_submits == self.refuse:
+            raise RuntimeError("executor refused the task")
+        return super().submit(problem, u)
+
+
+class TestRefusedSubmit:
+    """Regression: a raising ``executor.submit`` kept its task in the
+    farm's running set, so the slot never freed and later tasks stalled."""
+
+    def test_direct_submit_error_surfaces_at_collect(self):
+        with RefusingEvaluator(refuse=1) as evaluator, EvaluationFarm(evaluator, capacity=1) as farm:
+            tenant = farm.register("a", problem=make_picklable_problem())
+            refused = farm.submit(tenant, [0.9, 0.9])
+            assert farm.n_running == 0
+            with pytest.raises(RuntimeError, match="refused"):
+                farm.collect(refused, timeout=2.0)
+            evaluation = farm.collect(farm.submit(tenant, [0.3, 0.3]), timeout=2.0)
+        assert evaluation.objective == pytest.approx(0.0)
+
+    def test_repump_submit_error_surfaces_at_collect(self):
+        """The refusal happens in the first task's done-callback, which
+        re-pumps the queued second task."""
+        with RefusingEvaluator(refuse=2) as evaluator, EvaluationFarm(evaluator, capacity=1) as farm:
+            tenant = farm.register("a", problem=gated_problem("a"))
+            first = farm.submit(tenant, [0.1, 0.1])
+            queued = farm.submit(tenant, [0.2, 0.2])
+            _await_dispatches(1)
+            _GATE.release()
+            farm.collect(first, timeout=2.0)
+            with pytest.raises(RuntimeError, match="refused"):
+                farm.collect(queued, timeout=2.0)
+            assert farm.n_running == 0
+            _GATE.release()
+            evaluation = farm.collect(farm.submit(tenant, [0.3, 0.4]), timeout=2.0)
+        assert evaluation.objective == pytest.approx(0.25)
 
 
 # two tenants with different problems on one process pool; run in a child

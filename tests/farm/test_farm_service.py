@@ -12,6 +12,7 @@ import os
 import signal
 import subprocess
 import sys
+from contextlib import closing
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +51,12 @@ def boot_server(root, farm_workers=None):
     return process, (banner["host"], banner["port"])
 
 
+def stop_server(process, signum):
+    process.send_signal(signum)
+    process.wait(timeout=30)
+    process.stdout.close()
+
+
 def make_client(server, name, seed=3, budget=9):
     return StudyClient.create(
         server.address if isinstance(server, StudyServer) else server,
@@ -66,32 +73,32 @@ class TestEvaluateVerb:
     def test_server_side_evaluation_matches_local_simulator(self, tmp_path):
         with EvaluationFarm("async-thread", n_workers=2) as farm:
             with StudyServer(tmp_path / "store", farm=farm) as server:
-                client = make_client(server, "farmed", seed=3)
-                trials = client.ask(2)
-                record = client.evaluate(trials[0])
-                reference = PROBLEM.evaluate(trials[0].x)
-                assert record.evaluation.objective == reference.objective
-                np.testing.assert_array_equal(
-                    record.evaluation.constraints, reference.constraints
-                )
-                # mixing verbs is fine: tell the second one client-side
-                client.tell(trials[1], PROBLEM.evaluate(trials[1].x))
-                assert client.describe()["n_evaluations"] == 2
+                with closing(make_client(server, "farmed", seed=3)) as client:
+                    trials = client.ask(2)
+                    record = client.evaluate(trials[0])
+                    reference = PROBLEM.evaluate(trials[0].x)
+                    assert record.evaluation.objective == reference.objective
+                    np.testing.assert_array_equal(
+                        record.evaluation.constraints, reference.constraints
+                    )
+                    # mixing verbs is fine: tell the second one client-side
+                    client.tell(trials[1], PROBLEM.evaluate(trials[1].x))
+                    assert client.describe()["n_evaluations"] == 2
 
     def test_evaluate_by_trial_id(self, tmp_path):
         with EvaluationFarm("async-thread", n_workers=2) as farm:
             with StudyServer(tmp_path / "store", farm=farm) as server:
-                client = make_client(server, "by-id", seed=5)
-                trial = client.ask(1)[0]
-                record = client.evaluate(trial.id)
-                assert record.index == 0
+                with closing(make_client(server, "by-id", seed=5)) as client:
+                    trial = client.ask(1)[0]
+                    record = client.evaluate(trial.id)
+                    assert record.index == 0
 
     def test_unknown_trial_rejected(self, tmp_path):
         with EvaluationFarm("async-thread", n_workers=2) as farm:
             with StudyServer(tmp_path / "store", farm=farm) as server:
-                client = make_client(server, "unknown", seed=5)
-                with pytest.raises(UnknownTrial, match="no pending trial"):
-                    client.evaluate(999)
+                with closing(make_client(server, "unknown", seed=5)) as client:
+                    with pytest.raises(UnknownTrial, match="no pending trial"):
+                        client.evaluate(999)
 
     def test_external_problem_refused(self, tmp_path):
         with EvaluationFarm("async-thread", n_workers=2) as farm:
@@ -109,16 +116,17 @@ class TestEvaluateVerb:
                     max_evaluations=4,
                     seed=0,
                 )
-                trial = client.ask(1)[0]
-                with pytest.raises(BadRequest, match="externally-evaluated"):
-                    client.evaluate(trial)
+                with closing(client):
+                    trial = client.ask(1)[0]
+                    with pytest.raises(BadRequest, match="externally-evaluated"):
+                        client.evaluate(trial)
 
     def test_farmless_server_refuses(self, tmp_path):
         with StudyServer(tmp_path / "store") as server:
-            client = make_client(server, "nofarm", seed=1)
-            trial = client.ask(1)[0]
-            with pytest.raises(BadRequest, match="disabled"):
-                client.evaluate(trial)
+            with closing(make_client(server, "nofarm", seed=1)) as client:
+                trial = client.ask(1)[0]
+                with pytest.raises(BadRequest, match="disabled"):
+                    client.evaluate(trial)
 
     def test_farm_with_prebuilt_store_rejected(self, tmp_path):
         from repro.service import StudyStore
@@ -131,11 +139,11 @@ class TestEvaluateVerb:
     def test_delete_unregisters_farm_tenant(self, tmp_path):
         with EvaluationFarm("async-thread", n_workers=2) as farm:
             with StudyServer(tmp_path / "store", farm=farm) as server:
-                client = make_client(server, "deleted", seed=2)
-                client.evaluate(client.ask(1)[0])
-                assert [t.name for t in farm.tenants()] == ["deleted"]
-                client.delete()
-                assert farm.tenants() == []
+                with closing(make_client(server, "deleted", seed=2)) as client:
+                    client.evaluate(client.ask(1)[0])
+                    assert [t.name for t in farm.tenants()] == ["deleted"]
+                    client.delete()
+                    assert farm.tenants() == []
 
 
 class TestSigkillFarmRecovery:
@@ -161,23 +169,24 @@ class TestSigkillFarmRecovery:
                 seed=seed,
                 surrogate=TINY,
             )
-            asked = client.ask(2)
-            client.evaluate(asked[0])  # lands server-side via the farm
-            in_flight = asked[1:]
+            with closing(client):
+                asked = client.ask(2)
+                client.evaluate(asked[0])  # lands server-side via the farm
+                in_flight = asked[1:]
         finally:
-            process.kill()
-            process.wait(timeout=30)
+            stop_server(process, signal.SIGKILL)
 
         process, address = boot_server(root, farm_workers=2)
         try:
-            client = StudyClient.connect(address, "farmed")
-            pending = client.pending_trials()
-            assert [t.id for t in pending] == [t.id for t in in_flight]
-            np.testing.assert_array_equal(pending[0].u, in_flight[0].u)
-            records = [client.evaluate(t) for t in pending]
-            while not client.done:
-                for trial in client.ask(1):
-                    records.append(client.evaluate(trial))
+            with closing(StudyClient.connect(address, "farmed")) as client:
+                pending = client.pending_trials()
+                assert [t.id for t in pending] == [t.id for t in in_flight]
+                np.testing.assert_array_equal(pending[0].u, in_flight[0].u)
+                records = [client.evaluate(t) for t in pending]
+                while not client.done:
+                    for trial in client.ask(1):
+                        records.append(client.evaluate(trial))
+                best = client.best()
 
             reference = Study(
                 toy_constrained_quadratic(2),
@@ -193,7 +202,7 @@ class TestSigkillFarmRecovery:
                 for trial in reference.ask(1):
                     reference.tell(trial, PROBLEM.evaluate(trial.x))
 
-            best, reference_best = client.best(), reference.best()
+            reference_best = reference.best()
             np.testing.assert_array_equal(best.x, reference_best.x)
             assert (
                 best.evaluation.objective
@@ -209,5 +218,4 @@ class TestSigkillFarmRecovery:
                 np.array([r.evaluation.objective for r in records]),
             )
         finally:
-            process.send_signal(signal.SIGTERM)
-            process.wait(timeout=30)
+            stop_server(process, signal.SIGTERM)

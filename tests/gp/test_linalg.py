@@ -100,25 +100,6 @@ class TestBatchedLinalg:
         for mat, chol in zip(mats, chols):
             np.testing.assert_array_equal(chol, jitter_cholesky(mat))
 
-    def test_batched_cholesky_threads_bitwise(self, rng):
-        """The threaded per-slice path returns the serial result exactly."""
-        from repro.gp.linalg import batched_jitter_cholesky
-
-        mats = self.make_stack(rng, s=6)
-        np.testing.assert_array_equal(
-            batched_jitter_cholesky(mats, threads=2),
-            batched_jitter_cholesky(mats),
-        )
-
-    def test_map_slices_threads_propagate_errors(self):
-        from repro.gp.linalg import map_slices
-
-        def boom(s):
-            raise RuntimeError(f"slice {s}")
-
-        with pytest.raises(RuntimeError, match="slice"):
-            map_slices(boom, 4, threads=2)
-
     def test_batched_cholesky_rejects_bad_shape(self):
         from repro.gp.linalg import batched_jitter_cholesky
         import pytest as _pytest

@@ -267,6 +267,9 @@ class TestOldAndDamagedCheckpoints:
         # its bank matches the fixture's bit for bit, this machine computes
         # what that one did, and the resumed asks must match too
         meta = json.loads((V1_STORE / "v1.meta.json").read_text())
+        # the fixture's meta still carries the retired ``linalg_threads``
+        # (null: the serial loop, now the only one), which create rejects
+        surrogate = {k: v for k, v in meta["surrogate"].items() if k != "linalg_threads"}
         fresh = StudyStore(tmp_path / "fresh")
         fresh.create(
             "v1",
@@ -274,7 +277,7 @@ class TestOldAndDamagedCheckpoints:
             n_initial=4,
             max_evaluations=9,
             seed=meta["seed"],
-            surrogate=meta["surrogate"],
+            surrogate=surrogate,
             acquisition=meta["acquisition"],
             scheduler=meta["scheduler"],
         )

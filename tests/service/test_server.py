@@ -6,11 +6,13 @@ The headline contract: a driver loop written against
 trace — same proposals, same objectives, same error types.
 """
 
+import gc
 import json
 import socket
 import statistics
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -172,6 +174,27 @@ class TestErrorsOverTheWire:
             create_toy(address, "toy", seed=1)
         with pytest.raises(UnknownProblem, match="not_a_problem"):
             StudyClient.create(address, "x", problem="not_a_problem")
+
+    def test_refused_constructors_close_their_connection(self, server):
+        """Regression: a refused ``create``/``connect`` left its client's
+        socket open, and the caller never got the client to close it."""
+        address = server.address
+        create_toy(address, "toy", seed=0).close()
+
+        def refused():
+            with pytest.raises(StudyExists):
+                create_toy(address, "toy", seed=1)
+            with pytest.raises(UnknownStudy):
+                StudyClient.connect(address, "ghost")
+
+        # clients that earlier tests dropped unclosed sit in reference
+        # cycles; collect them first so only this test's sockets are judged
+        gc.collect()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            refused()
+            gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
     def test_protocol_mismatch_rejected(self, server):
         conn = ServiceConnection(server.address)

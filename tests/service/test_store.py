@@ -168,25 +168,32 @@ class TestDurability:
 
 
     def test_meta_with_retired_engine_key_still_loads(self, tmp_path):
-        """Meta files persist the resolved SurrogateConfig; those written
-        while it had an ``engine`` field carry ``"engine": "auto"``.  The
-        load path drops the retired key; ``create`` still rejects it."""
-        store = make_store(tmp_path)
-        create_toy(store, "old", seed=3)
-        meta_path = store.root / "old.meta.json"
-        meta = json.loads(meta_path.read_text())
-        meta["surrogate"]["engine"] = "auto"
-        meta_path.write_text(json.dumps(meta, indent=1))
+        check_retired_key_loads(tmp_path, "engine", "auto")
 
-        reborn = StudyStore(tmp_path / "store")
-        drive_store(reborn, "old")  # initial design, then search asks
-        assert reborn.status("old")[0]["n_evaluations"] == 9
-        with pytest.raises(BadRequest, match="engine"):
-            reborn.create(
-                "new",
-                "toy_constrained_quadratic",
-                surrogate={**TINY, "engine": "auto"},
-            )
+    def test_meta_with_retired_linalg_threads_key_still_loads(self, tmp_path):
+        check_retired_key_loads(tmp_path, "linalg_threads", 2)
+
+
+def check_retired_key_loads(tmp_path, key, value):
+    """Meta files persist the resolved SurrogateConfig; those written
+    while it had an ``engine`` or ``linalg_threads`` field carry it.
+    The load path drops the retired key; ``create`` still rejects it."""
+    store = make_store(tmp_path)
+    create_toy(store, "old", seed=3)
+    meta_path = store.root / "old.meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta["surrogate"][key] = value
+    meta_path.write_text(json.dumps(meta, indent=1))
+
+    reborn = StudyStore(tmp_path / "store")
+    drive_store(reborn, "old")  # initial design, then search asks
+    assert reborn.status("old")[0]["n_evaluations"] == 9
+    with pytest.raises(BadRequest, match=key):
+        reborn.create(
+            "new",
+            "toy_constrained_quadratic",
+            surrogate={**TINY, key: value},
+        )
 
 
 class TestResidency:
