@@ -89,8 +89,17 @@ MAX_DEFAULT_WORKERS = 8
 
 
 def default_pool_workers() -> int:
-    """Default worker count for pooled executors: ``os.cpu_count()``, capped."""
-    return max(1, min(os.cpu_count() or 1, MAX_DEFAULT_WORKERS))
+    """Default worker count for pooled executors: the usable CPUs, capped.
+
+    Usable means this process's CPU affinity where the platform reports
+    it, so a cpuset or ``taskset`` limit does not oversubscribe the pools
+    (``os.cpu_count()`` counts the whole host).
+    """
+    try:
+        usable = len(os.sched_getaffinity(0))
+    except AttributeError:
+        usable = os.cpu_count() or 1
+    return max(1, min(usable, MAX_DEFAULT_WORKERS))
 
 
 class EvaluationExecutor:

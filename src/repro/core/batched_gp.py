@@ -22,6 +22,13 @@ loop (pinned to <= 1e-8 by ``tests/core/test_batched_gp.py`` and
 ``benchmarks/bench_batched_engine.py``) while removing the Python-level
 K x T x epochs loop from the hot path.
 
+The same per-slice property lets one fit use every core: on the numpy
+backend the trainer splits the S slices into contiguous groups, trains
+group 0 in the calling thread with BLAS pinned to one thread and the
+others in process-wide slice workers, and merges the groups bitwise
+(:mod:`repro.core.slice_workers`).  Stacked LAPACK and per-slice threads
+were measured and lose at M ~ 50; BLAS's own threads buy at most ~10%.
+
 Two classes realize the engine:
 
 * :class:`BatchedNeuralFeatureGP` — S independent GPs sharing one training

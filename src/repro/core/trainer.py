@@ -11,6 +11,14 @@ logarithmic likelihood".
 An optional DNGO-style mean-squared-error pre-training phase (a temporary
 linear read-out head trained on the raw targets) is provided for ablation;
 the paper itself trains the likelihood directly, which is the default.
+
+Performance architecture: :class:`BatchedFeatureGPTrainer` trains all
+``S = K * T`` models of a fit as one stacked program, drops early-stopped
+slices out of the stacked GEMMs (active-slice compaction), and on the
+numpy backend splits the likelihood phase into slice groups that train on
+separate cores (:meth:`BatchedFeatureGPTrainer._train_split`,
+:mod:`repro.core.slice_workers`).  Each is bitwise neutral: every stacked
+operation is per-slice.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ from repro.core.feature_gp import (
     LOG_PRIOR_BOUNDS,
     NeuralFeatureGP,
 )
+from repro.core.slice_workers import WORKERS
 from repro.nn.batched import BatchedLinear
 from repro.nn.layers import Linear
 from repro.nn.losses import mse_loss
@@ -47,9 +56,6 @@ class FeatureGPTrainer:
     patience:
         Early-stopping patience: training stops when the best NLL has not
         improved for this many epochs (``None`` disables).
-    optimizer_factory:
-        Callable returning a fresh :class:`repro.nn.Optimizer`; defaults to
-        Adam with ``lr``.
     seed:
         RNG seed for the pre-training head initialization.
     """
@@ -61,7 +67,6 @@ class FeatureGPTrainer:
         pretrain_epochs: int = 0,
         pretrain_lr: float = 1e-2,
         patience: int | None = 100,
-        optimizer_factory=None,
         seed=None,
     ):
         if epochs < 0 or pretrain_epochs < 0:
@@ -71,7 +76,6 @@ class FeatureGPTrainer:
         self.pretrain_epochs = int(pretrain_epochs)
         self.pretrain_lr = float(pretrain_lr)
         self.patience = patience
-        self._optimizer_factory = optimizer_factory or (lambda: Adam(lr=self.lr))
         self._rng = ensure_rng(seed)
         self.loss_history: list[float] = []
 
@@ -125,7 +129,7 @@ class FeatureGPTrainer:
 
     def _train_nll(self, model: NeuralFeatureGP, x: np.ndarray, z: np.ndarray) -> float:
         """Full-batch Adam on ``[log sigma_n^2, log sigma_p^2, eta]``."""
-        optimizer = self._optimizer_factory()
+        optimizer = Adam(lr=self.lr)
         net = model.network
         params = np.concatenate(
             [
@@ -210,6 +214,16 @@ class BatchedFeatureGPTrainer:
     difference is bookkeeping — with compaction, frozen slices' entries
     in ``loss_history`` are ``NaN`` instead of a recomputed NLL.
 
+    Process split (numpy backend with ``compact=True``): the likelihood
+    phase runs as ``min(default_pool_workers(), S)`` contiguous slice
+    groups, group 0 in the calling thread and the others on the
+    process-wide slice workers of :mod:`repro.core.slice_workers`; the
+    merge leaves bitwise what one pass over the whole stack leaves
+    (pinned in ``tests/core/test_slice_workers.py``).  Pretraining runs
+    in the caller over the full stack first.  Accelerator backends,
+    ``compact=False``, fits inside a multiprocessing child and fits that
+    find the workers busy with another thread's fit train as one group.
+
     Parameters mirror :class:`FeatureGPTrainer`; ``loss_history`` holds one
     ``(S,)`` NLL vector per epoch.
     """
@@ -221,7 +235,6 @@ class BatchedFeatureGPTrainer:
         pretrain_epochs: int = 0,
         pretrain_lr: float = 1e-2,
         patience: int | None = 100,
-        optimizer_factory=None,
         compact: bool = True,
         seed=None,
     ):
@@ -233,7 +246,6 @@ class BatchedFeatureGPTrainer:
         self.pretrain_lr = float(pretrain_lr)
         self.patience = patience
         self.compact = bool(compact)
-        self._optimizer_factory = optimizer_factory or (lambda: StackedAdam(lr=self.lr))
         self._rng = ensure_rng(seed)
         self.loss_history: list[np.ndarray] = []
 
@@ -255,6 +267,8 @@ class BatchedFeatureGPTrainer:
         if self.pretrain_epochs > 0:
             self._pretrain(model, x, z)
         if self.epochs > 0:
+            if model.xb.is_numpy and self.compact:
+                return self._train_split(model, x, z)
             return self._train_nll(model, x, z)
         feats = model.features(x)
         return model.marginal_nll(feats, z)
@@ -318,9 +332,8 @@ class BatchedFeatureGPTrainer:
         vector.
         """
         xb = model.xb
-        optimizer = self._optimizer_factory()
-        if hasattr(optimizer, "bind_backend"):
-            optimizer.bind_backend(xb)
+        optimizer = StackedAdam(lr=self.lr)
+        optimizer.bind_backend(xb)
         net = model.network
         s_stack = model.n_stack
         params = xb.concatenate(
@@ -405,9 +418,59 @@ class BatchedFeatureGPTrainer:
         )
         return np.where(np.isfinite(best_nll), best_nll, fallback)
 
+    def _train_split(self, model, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """The likelihood phase over contiguous slice groups on the slice workers.
+
+        Every stacked operation is per-slice, so each group trains exactly
+        as its rows would inside one :meth:`_train_nll` over the whole
+        stack; the merge writes back params, log-variances, per-slice best
+        NLL and ``loss_history``, whose rows past a group's last epoch are
+        ``NaN`` as compaction marks frozen slices.  With no worker to lend
+        (see :mod:`repro.core.slice_workers`) the stack trains as one group.
+        """
+        with WORKERS.checkout(model.n_stack) as workers:
+            if not workers:
+                return self._train_nll(model, x, z)
+            groups = np.array_split(np.arange(model.n_stack), len(workers) + 1)
+            settings = {
+                "epochs": self.epochs,
+                "lr": self.lr,
+                "patience": self.patience,
+                "compact": self.compact,
+            }
+            tasks = [(settings, model.gather_slices(idx), x, z[idx]) for idx in groups]
+            results = WORKERS.run(workers, fit_slice_group, tasks)
+        self._write_params(model, np.concatenate([params for params, _, _ in results]))
+        history = np.full((max(len(h) for _, _, h in results), model.n_stack), np.nan)
+        for idx, (_, _, group_history) in zip(groups, results):
+            history[: len(group_history), idx] = group_history
+        self.loss_history = list(history)
+        return np.concatenate([best for _, best, _ in results])
+
     @staticmethod
     def _write_params(model, params: np.ndarray):
         xb = model.xb
         model.log_noise_variance = xb.copy(params[:, 0])
         model.log_prior_variance = xb.copy(params[:, 1])
         model.network.set_stacked_params(params[:, 2:])
+
+
+def fit_slice_group(settings: dict, model, x: np.ndarray, z: np.ndarray):
+    """Train one group of a split fit; runs in the caller or a slice worker.
+
+    ``settings`` are the trainer's plain fields (``epochs``, ``lr``,
+    ``patience``, ``compact``) and ``model`` the group's gathered slices.
+    Returns the trained ``(S_g, 2 + P)`` parameter rows
+    ``[log sigma_n^2, log sigma_p^2, eta]``, the per-slice best NLL and the
+    ``(epochs, S_g)`` loss history.
+    """
+    trainer = BatchedFeatureGPTrainer(**settings)
+    best = trainer._train_nll(model, x, z)
+    params = np.concatenate(
+        [
+            np.stack([model.log_noise_variance, model.log_prior_variance], axis=1),
+            model.network.get_stacked_params(),
+        ],
+        axis=1,
+    )
+    return params, best, np.array(trainer.loss_history)

@@ -12,10 +12,11 @@ class CholeskyError(RuntimeError):
 
 
 #: first rung of the jitter ladder, relative to ``mean(diag(mat))``.  The
-#: escalation below computes rung ``k`` as ``10.0 ** (k - 10)`` — whose
-#: ``k = 0`` value equals this constant bitwise (``10.0 ** -10 == 1e-10``)
-#: while keeping every later rung identical to the historical ladder
-#: (naive cumulative ``jitter *= 10`` drifts by one ulp at rung 3).
+#: escalation below computes rung ``k`` (attempt ``k + 1``; attempt 0 adds
+#: no jitter) as ``10.0 ** (k - 10)`` — whose ``k = 0`` value equals this
+#: constant bitwise (``10.0 ** -10 == 1e-10``) while keeping every later
+#: rung identical to the historical ladder (naive cumulative
+#: ``jitter *= 10`` drifts by one ulp at rung 3).
 JITTER_START = 1e-10
 
 
@@ -40,10 +41,12 @@ def jitter_cholesky(mat: np.ndarray, max_tries: int = 6) -> np.ndarray:
     eye = np.eye(mat.shape[0])
     jitter = 0.0
     for attempt in range(max_tries):
+        if attempt:
+            jitter = diag_mean * 10.0 ** (attempt - 1 - 10)
         try:
             return sla.cholesky(mat + jitter * eye, lower=True)
         except sla.LinAlgError:
-            jitter = diag_mean * 10.0 ** (attempt - 10)
+            pass
     raise CholeskyError(
         f"Cholesky failed after {max_tries} jitter attempts (last jitter {jitter:g})"
     )

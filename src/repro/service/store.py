@@ -38,7 +38,7 @@ import threading
 import time
 from pathlib import Path
 
-from repro.bo.study import Study, StudyError, UnknownTrial
+from repro.bo.study import CheckpointMismatch, Study, StudyError, UnknownTrial
 from repro.service.errors import (
     BadRequest,
     ServiceBusy,
@@ -439,19 +439,7 @@ class StudyStore:
             return
         meta = entry.meta
         if meta is None:
-            meta_path = self._meta_path(entry.name)
-            try:
-                meta = json.loads(meta_path.read_text())
-            except FileNotFoundError:
-                raise UnknownStudy(
-                    f"study {entry.name!r} has no meta file at {meta_path}"
-                ) from None
-            if meta.get("format") != META_FORMAT:
-                raise UnknownStudy(
-                    f"{meta_path} is not a store meta file: field 'format' "
-                    f"is {meta.get('format')!r}, expected {META_FORMAT!r}"
-                )
-            entry.meta = meta
+            meta = entry.meta = _read_meta(entry.name, self._meta_path(entry.name))
         problem = build_problem(meta["problem_spec"])
         surrogate = meta["surrogate"]
         if surrogate is not None:
@@ -550,6 +538,56 @@ class _LockedEntry:
     def __exit__(self, *exc_info):
         self._entry.lock.release()
         return False
+
+
+#: meta fields a resident load reads unconditionally
+_META_KEYS = ("problem_spec", "surrogate", "acquisition", "scheduler")
+
+
+def _read_meta(name: str, meta_path: Path) -> dict:
+    """A study's parsed meta file; damage is a :class:`CheckpointMismatch`.
+
+    Like a damaged ``.study.json``, a damaged meta file is the store's
+    fault, not the request's: the error names the file and the field
+    (``document``, ``format`` or the missing key) instead of surfacing as a
+    parse error or a crash.
+    """
+    try:
+        meta = json.loads(meta_path.read_text())
+    except FileNotFoundError:
+        raise UnknownStudy(f"study {name!r} has no meta file at {meta_path}") from None
+    except ValueError as exc:
+        raise CheckpointMismatch(
+            f"{meta_path} is damaged: the document is not valid JSON ({exc})",
+            field="document",
+            expected="a JSON object",
+            actual=str(exc),
+        ) from exc
+    if not isinstance(meta, dict):
+        raise CheckpointMismatch(
+            f"{meta_path} is damaged: the document is a JSON "
+            f"{type(meta).__name__}, not an object",
+            field="document",
+            expected="a JSON object",
+            actual=type(meta).__name__,
+        )
+    if meta.get("format") != META_FORMAT:
+        raise CheckpointMismatch(
+            f"{meta_path} is not a store meta file: field 'format' is "
+            f"{meta.get('format')!r}, expected {META_FORMAT!r}",
+            field="format",
+            expected=META_FORMAT,
+            actual=meta.get("format"),
+        )
+    for key in _META_KEYS:
+        if key not in meta:
+            raise CheckpointMismatch(
+                f"{meta_path} is damaged: field {key!r} is missing",
+                field=key,
+                expected="present",
+                actual=None,
+            )
+    return meta
 
 
 def _build_configs(*, surrogate, acquisition, scheduler) -> dict:

@@ -254,13 +254,18 @@ class TestExecutors:
         with pytest.raises(ValueError, match="serial"):
             make_evaluator("serial", 8)
 
-    def test_pool_defaults_follow_cpu_count(self):
-        """Regression: pools hard-coded 4 workers regardless of the host."""
+    def test_pool_defaults_follow_cpu_count(self, monkeypatch):
+        """Regression: pools hard-coded 4 workers regardless of the host,
+        then counted the host's CPUs instead of the usable ones."""
         import os
 
         from repro.bo.scheduler import MAX_DEFAULT_WORKERS, default_pool_workers
 
-        expected = max(1, min(os.cpu_count() or 1, MAX_DEFAULT_WORKERS))
+        try:
+            usable = len(os.sched_getaffinity(0))
+        except AttributeError:  # no affinity API on this platform
+            usable = os.cpu_count() or 1
+        expected = max(1, min(usable, MAX_DEFAULT_WORKERS))
         assert default_pool_workers() == expected
         assert ThreadPoolEvaluator().n_workers == expected
         assert ProcessPoolEvaluator().n_workers == expected
@@ -268,6 +273,12 @@ class TestExecutors:
         assert make_evaluator("async-process").n_workers == expected
         # explicit counts are never capped or overridden
         assert make_evaluator("thread", 2 * expected).n_workers == 2 * expected
+        # a one-CPU affinity mask (cpuset, taskset) wins over the host count
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert default_pool_workers() == 1
+        assert make_evaluator("thread").n_workers == 1
+        assert make_evaluator("async-process").n_workers == 1
 
     def test_completion_order_independence(self):
         """Results arriving out of order are committed in batch order."""

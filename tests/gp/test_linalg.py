@@ -29,6 +29,27 @@ class TestJitterCholesky:
         with pytest.raises(CholeskyError):
             jitter_cholesky(mat, max_tries=3)
 
+    def test_error_names_the_last_jitter_tried(self, monkeypatch):
+        """Regression: the message named the rung after the last one tried."""
+        import scipy.linalg as sla
+
+        tried = []
+        cholesky = sla.cholesky
+
+        def spy(a, *args, **kwargs):
+            tried.append(np.array(a))
+            return cholesky(a, *args, **kwargs)
+
+        monkeypatch.setattr(sla, "cholesky", spy)
+        mat = -2.0 * np.eye(3)
+        with pytest.raises(CholeskyError, match=r"last jitter 1e-06\)"):
+            jitter_cholesky(mat)
+        # attempt 0 adds nothing, then 1e-10 .. 1e-6 (mean(diag) <= 0 -> 1)
+        assert [float(a[0, 0] - mat[0, 0]) for a in tried] == pytest.approx(
+            [0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6], rel=1e-6
+        )
+        np.testing.assert_array_equal(tried[-1], mat + 10.0**-6 * np.eye(3))
+
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             jitter_cholesky(np.zeros((2, 3)))

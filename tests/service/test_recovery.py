@@ -331,3 +331,42 @@ class TestOldAndDamagedCheckpoints:
             # a failed load leaves nothing behind: the repaired file serves
             path.write_bytes(intact)
             assert len(client.ask(1)) == 1
+
+    def test_damaged_meta_is_a_checkpoint_mismatch_over_the_wire(self, tmp_path):
+        """Regression: a damaged meta file surfaced as a 400 parse error,
+        a 500 ``AttributeError`` or a 400 ``KeyError``."""
+        root = tmp_path / "store"
+        with StudyServer(root, port=0) as first:
+            client = StudyClient.create(
+                first.address,
+                "s",
+                problem="toy_constrained_quadratic",
+                n_initial=3,
+                max_evaluations=6,
+                seed=2,
+                surrogate=TINY,
+            )
+            for trial in client.ask(3):
+                client.tell(trial, PROBLEM.evaluate(trial.x))
+        path = root / "s.meta.json"
+        intact = path.read_bytes()
+        meta = json.loads(intact)
+        no_spec = {k: v for k, v in meta.items() if k != "problem_spec"}
+        damaged = [
+            (intact[: len(intact) // 2], "document"),
+            (b"[]", "document"),
+            (json.dumps(dict(meta, format="other/v1")).encode(), "format"),
+            (json.dumps(no_spec).encode(), "problem_spec"),
+        ]
+        with StudyServer(root, port=0) as second:
+            client = StudyClient(second.address, "s")
+            for data, field in damaged:
+                path.write_bytes(data)
+                with pytest.raises(CheckpointMismatch) as err:
+                    client.ask(1)
+                assert err.value.code == "checkpoint-mismatch"
+                assert err.value.field == field
+                assert "s.meta.json" in str(err.value)
+            # a failed load leaves nothing behind: the repaired file serves
+            path.write_bytes(intact)
+            assert len(client.ask(1)) == 1
