@@ -42,13 +42,13 @@ Run: ``PYTHONPATH=src python -m pytest benchmarks/bench_async_bo.py -v -s``
 (set ``REPRO_BENCH_QUICK=1`` for the CI smoke configuration).
 """
 
-import json
 import os
 import time
 import zlib
 
 import numpy as np
 
+from artifacts import write_bench_json
 from repro.acquisition.maximize import DifferentialEvolutionMaximizer
 from repro.bo.config import (
     FarmConfig,
@@ -211,23 +211,13 @@ def make_bursty_nnbo(mode: str) -> NNBO:
     )
 
 
-def write_bench_json(payload: dict):
+def record_bench(payload: dict):
     """Merge the measured trajectory into the CI artifact JSON.
 
     Both bench classes write the same file (the async baseline axes and
     the farm axes), so merge-on-write keeps whichever ran first.
     """
-    path = os.environ.get("REPRO_BENCH_JSON", "BENCH_async_bo.json")
-    merged = {}
-    if os.path.exists(path):
-        try:
-            with open(path, encoding="utf-8") as fh:
-                merged = json.load(fh)
-        except (OSError, json.JSONDecodeError):
-            merged = {}
-    merged.update(payload)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(merged, fh, indent=2, sort_keys=True)
+    path = write_bench_json("BENCH_async_bo.json", payload)
     print(f"[async-bo] wrote {path}")
 
 
@@ -282,7 +272,7 @@ class TestAsyncSchedulerSpeedup:
             f"async x{WORKERS} {t_async:.2f}s -> "
             f"{', '.join(f'{a:.2f}x' for a in attempts)} (quick={QUICK})"
         )
-        write_bench_json(
+        record_bench(
             {
                 "bench": "async_bo",
                 "budget": BUDGET,
@@ -354,7 +344,7 @@ class TestFarmElasticSpeedup:
             f"speculation waste {speculation_waste} sims, "
             f"regret gap {regret_gap:+.4f} (quick={QUICK})"
         )
-        write_bench_json(
+        record_bench(
             {
                 "farm": {
                     "budget": BUDGET,

@@ -27,13 +27,13 @@ Run: ``PYTHONPATH=src python -m pytest benchmarks/bench_batch_bo.py -v -s``
 (set ``REPRO_BENCH_QUICK=1`` for the CI smoke configuration).
 """
 
-import json
 import os
 import time
 
 import numpy as np
 import pytest
 
+from artifacts import write_bench_json
 from repro.acquisition.maximize import DifferentialEvolutionMaximizer
 from repro.bo.config import SchedulerConfig, SurrogateConfig
 from repro.bo.problem import Evaluation, Problem
@@ -137,26 +137,22 @@ class TestBatchSchedulerSpeedup:
             f"serial q=1 {t_serial:.2f}s, process q={Q} {t_batched:.2f}s -> "
             f"{', '.join(f'{a:.2f}x' for a in attempts)} (quick={QUICK})"
         )
-        path = os.environ.get("REPRO_BENCH_JSON", "BENCH_batch_bo.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(
-                {
-                    "bench": "batch_bo",
-                    "budget": BUDGET,
-                    "n_initial": N_INITIAL,
-                    "q": Q,
-                    "sim_seconds": SIM_SECONDS,
-                    "quick": QUICK,
-                    "wall_clock_serial_s": round(t_serial, 3),
-                    "wall_clock_batched_s": round(t_batched, 3),
-                    "speedup": round(speedup, 3),
-                    "speedup_attempts": [round(a, 3) for a in attempts],
-                    "floor": SPEEDUP_FLOOR,
-                },
-                fh,
-                indent=2,
-                sort_keys=True,
-            )
+        path = write_bench_json(
+            "BENCH_batch_bo.json",
+            {
+                "bench": "batch_bo",
+                "budget": BUDGET,
+                "n_initial": N_INITIAL,
+                "q": Q,
+                "sim_seconds": SIM_SECONDS,
+                "quick": QUICK,
+                "wall_clock_serial_s": round(t_serial, 3),
+                "wall_clock_batched_s": round(t_batched, 3),
+                "speedup": round(speedup, 3),
+                "speedup_attempts": [round(a, 3) for a in attempts],
+                "floor": SPEEDUP_FLOOR,
+            },
+        )
         print(f"[batch-bo] wrote {path}")
         assert speedup >= SPEEDUP_FLOOR, (
             f"batch scheduler speedup {speedup:.2f}x below the "

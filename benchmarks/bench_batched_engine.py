@@ -33,13 +33,13 @@ epochs default to a reduced-but-realistic budget (150; NNBO's default is
 Run: ``PYTHONPATH=src python -m pytest benchmarks/bench_batched_engine.py -v``
 """
 
-import json
 import os
 import time
 
 import numpy as np
 import pytest
 
+from artifacts import write_bench_json
 from repro.backend import available_backends, get_namespace
 from repro.bo.config import SurrogateConfig
 from repro.bo.loop import SurrogateBO
@@ -76,20 +76,10 @@ def _record(key: str, payload: dict) -> None:
     carries its ``backend`` name, so downstream tooling can track every
     (stage, backend) pair across commits without positional guessing.
     """
-    path = os.environ.get("REPRO_BENCH_JSON", "BENCH_batched_engine.json")
-    data: dict = {"bench": "batched_engine", "results": {}}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            existing = json.load(fh)
-        if isinstance(existing, dict) and isinstance(existing.get("results"), dict):
-            data = existing
-    except (OSError, ValueError):
-        pass
-    data["bench"] = "batched_engine"
-    data["quick"] = QUICK
-    data["results"][key] = payload
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
+    path = write_bench_json(
+        "BENCH_batched_engine.json",
+        {"bench": "batched_engine", "quick": QUICK, "results": {key: payload}},
+    )
     print(f"[batched-engine] recorded {key!r} in {path}")
 
 

@@ -31,13 +31,13 @@ Run: ``PYTHONPATH=src python -m pytest benchmarks/bench_highdim_proposals.py -v 
 (set ``REPRO_BENCH_QUICK=1`` for the CI smoke configuration).
 """
 
-import json
 import os
 import time
 
 import numpy as np
 import pytest
 
+from artifacts import write_bench_json
 from repro.acquisition.maximize import DifferentialEvolutionMaximizer
 from repro.acquisition.spaces import (
     LineSpace,
@@ -125,11 +125,9 @@ def run_regret(problem, space: str, seed: int):
     return optimizer.run()
 
 
-def write_bench_json(payload: dict):
+def record_bench(payload: dict):
     """Persist the measurements for the CI artifact upload."""
-    path = os.environ.get("REPRO_BENCH_JSON", "BENCH_highdim_proposals.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+    path = write_bench_json("BENCH_highdim_proposals.json", payload)
     print(f"[highdim-proposals] wrote {path}")
 
 
@@ -216,7 +214,7 @@ class TestHighdimProposals:
             + "  ".join(f"{space}={aggregate[space]:.4f}" for space in SPACES)
         )
 
-        write_bench_json(
+        record_bench(
             {
                 "bench": "highdim_proposals",
                 "dim": DIM,

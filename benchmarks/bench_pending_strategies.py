@@ -31,11 +31,11 @@ Run: ``PYTHONPATH=src python -m pytest benchmarks/bench_pending_strategies.py -v
 (set ``REPRO_BENCH_QUICK=1`` for the CI smoke configuration).
 """
 
-import json
 import os
 
 import numpy as np
 
+from artifacts import write_bench_json
 from repro.benchfns.constrained import gardner_problem
 from repro.bo.config import AcquisitionConfig, SchedulerConfig
 from repro.bo.loop import SurrogateBO
@@ -101,11 +101,9 @@ def run_one(strategy: str, mode: str, seed: int):
     return optimizer.run_study(study), n_resamples
 
 
-def write_bench_json(payload: dict):
+def record_bench(payload: dict):
     """Persist the measured trajectory for the CI artifact upload."""
-    path = os.environ.get("REPRO_BENCH_JSON", "BENCH_pending_strategies.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+    path = write_bench_json("BENCH_pending_strategies.json", payload)
     print(f"[pending-strategies] wrote {path}")
 
 
@@ -170,7 +168,7 @@ class TestPendingStrategyRegret:
             f"{min_separation:.4g} (0 resample fallbacks)"
         )
 
-        write_bench_json(
+        record_bench(
             {
                 "bench": "pending_strategies",
                 "problem": "gardner",

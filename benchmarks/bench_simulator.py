@@ -5,6 +5,10 @@ substitution, which is what the optimization budgets of Tables I/II are
 denominated in.  Useful for regression-testing simulator performance,
 since the table benches' wall time is dominated by these calls.
 
+The charge-pump tests time one full Table II evaluation (18 PVT corners)
+and check that corner batching pays: the same corners solved one at a
+time on the same engine must be at least ``CORNER_BATCH_FLOOR`` slower.
+
 The backend-axis test compares the in-process MNA backend against a
 subprocess ngspice-protocol backend (the repo's fake-ngspice stub, which
 runs the same MNA engine behind the real deck-write/raw-parse path) on
@@ -14,7 +18,6 @@ identical op-amp evaluations, recording the per-eval process overhead in
 Run: ``pytest benchmarks/bench_simulator.py --benchmark-only``
 """
 
-import json
 import os
 import sys
 import time
@@ -23,6 +26,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from artifacts import write_bench_json
 from repro.circuits import ACAnalysis, Circuit, DCAnalysis, nmos_180
 from repro.circuits.ac import log_freqs
 from repro.circuits.pvt import NOMINAL, standard_corners
@@ -37,6 +41,9 @@ OPAMP_X = np.array(
 
 FAKE_NGSPICE = Path(__file__).resolve().parents[1] / "tests" / "sim" / "fake_ngspice.py"
 
+#: batched 18-corner charge-pump simulation vs the same corners one at a time
+CORNER_BATCH_FLOOR = 3.0
+
 
 def _record(key: str, payload: dict) -> None:
     """Merge one result record into ``BENCH_simulator.json``.
@@ -44,20 +51,10 @@ def _record(key: str, payload: dict) -> None:
     Same stable-key ``results`` mapping as the other BENCH_*.json
     artifacts, so the per-backend eval costs are trackable across PRs.
     """
-    path = os.environ.get("REPRO_BENCH_JSON", "BENCH_simulator.json")
-    data: dict = {"bench": "simulator", "results": {}}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            existing = json.load(fh)
-        if isinstance(existing, dict) and isinstance(existing.get("results"), dict):
-            data = existing
-    except (OSError, ValueError):
-        pass
-    data["bench"] = "simulator"
-    data["quick"] = QUICK
-    data["results"][key] = payload
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
+    path = write_bench_json(
+        "BENCH_simulator.json",
+        {"bench": "simulator", "quick": QUICK, "results": {key: payload}},
+    )
     print(f"[simulator] recorded {key!r} in {path}")
 
 
@@ -89,6 +86,71 @@ def test_charge_pump_single_corner(benchmark):
     p = {v.name: 0.5 * (v.lower + v.upper) for v in problem.variables}
     currents = benchmark(lambda: problem._branch_currents(p, "n", NOMINAL))
     assert currents.shape == (problem.n_sweep,)
+
+
+@pytest.mark.benchmark(group="simulator")
+def test_charge_pump_full_evaluation(benchmark):
+    """One Table II 'simulation': both branches at all 18 PVT corners."""
+    problem = ChargePumpProblem()
+    x = 0.5 * (problem.lower + problem.upper)
+    metrics = benchmark(lambda: problem.simulate(x))
+    assert np.isfinite(metrics["fom"])
+
+
+def test_charge_pump_corner_batching():
+    """One 18-corner charge-pump evaluation, batched vs one corner at a time.
+
+    ``simulate`` hands the backend all 36 branches (18 corners x 2
+    polarities) as one batch per analysis; the baseline runs the same
+    branches one at a time on the same engine.  The currents must match
+    bit for bit and batching must pay at least ``CORNER_BATCH_FLOOR``.
+    """
+    reps = 2 if QUICK else 5
+    problem = ChargePumpProblem()
+    x = 0.5 * (problem.lower + problem.upper)
+    p = problem.as_dict(x)
+    branches = [(pol, c) for pol in "pn" for c in problem.corners]
+
+    def batched():
+        return problem._sweep_currents(p, branches)
+
+    def one_by_one():
+        return np.array([problem._sweep_currents(p, [b])[0] for b in branches])
+
+    assert batched().tobytes() == one_by_one().tobytes()
+
+    def best_of(fn):
+        times = []
+        for _ in range(reps):
+            start = time.perf_counter()
+            fn()
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    t_eval = best_of(lambda: problem.simulate(x))
+    t_batched = best_of(batched)
+    t_single = best_of(one_by_one)
+    speedup = t_single / t_batched
+    _record(
+        "charge_pump_eval",
+        {
+            "reps": reps,
+            "corners": len(problem.corners),
+            "s_per_eval": t_eval,
+            "batched_s": t_batched,
+            "one_corner_at_a_time_s": t_single,
+            "corner_batch_speedup_x": speedup,
+            "floor": CORNER_BATCH_FLOOR,
+        },
+    )
+    print(
+        f"[simulator] charge-pump eval {t_eval * 1e3:.1f} ms; corners batched "
+        f"{t_batched * 1e3:.1f} ms vs one at a time {t_single * 1e3:.1f} ms "
+        f"({speedup:.1f}x)"
+    )
+    assert speedup >= CORNER_BATCH_FLOOR, (
+        f"corner batching {speedup:.2f}x below the {CORNER_BATCH_FLOOR}x floor"
+    )
 
 
 @pytest.mark.benchmark(group="simulator")

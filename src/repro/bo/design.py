@@ -9,7 +9,6 @@ unexplored.
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import qmc
 
 from repro.utils.rng import ensure_rng
 
@@ -39,7 +38,14 @@ def latin_hypercube(n: int, dim: int, rng=None) -> np.ndarray:
 
 
 def sobol_points(n: int, dim: int, rng=None) -> np.ndarray:
-    """Scrambled Sobol low-discrepancy points (via scipy.stats.qmc)."""
+    """Scrambled Sobol low-discrepancy points (via scipy.stats.qmc).
+
+    ``scipy.stats`` is imported here, not at module level: it is the
+    slowest import under ``import repro`` and only this opt-in design
+    needs it.
+    """
+    from scipy.stats import qmc
+
     _check_counts(n, dim)
     rng = ensure_rng(rng)
     seed = int(rng.integers(0, 2**31 - 1))

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.circuits.dc import DCAnalysis, DCSolution
-from repro.circuits.mna import ACSystem
+from repro.circuits.mna import plan_for
 from repro.circuits.netlist import Circuit
 
 
@@ -42,9 +42,9 @@ class ACResult:
 class ACAnalysis:
     """Linearized frequency sweep around a converged DC solution.
 
-    The DC solve (which caches every MOSFET's operating point) must be done
-    first; :meth:`sweep` accepts the :class:`DCSolution` to make that
-    ordering explicit.
+    The small-signal model is linearized at the DC solution passed to
+    :meth:`sweep`.  The circuit is stamped once and the ``(F, n, n)``
+    stack ``G + j omega C`` solves in one batched call.
     """
 
     def __init__(self, circuit: Circuit, gmin: float = 1e-12):
@@ -53,22 +53,18 @@ class ACAnalysis:
         circuit.finalize()
 
     def sweep(self, dc_solution: DCSolution, freqs) -> ACResult:
-        """Solve the complex MNA system at each frequency."""
+        """Solve the complex MNA system at every frequency."""
         if dc_solution.circuit is not self.circuit:
             raise ValueError("DC solution belongs to a different circuit")
         freqs = np.asarray(freqs, dtype=float).ravel()
         if freqs.size == 0 or np.any(freqs <= 0):
             raise ValueError("frequencies must be positive and non-empty")
-        n = self.circuit.n_unknowns
-        out = np.empty((freqs.size, n), dtype=complex)
-        for k, freq in enumerate(freqs):
-            omega = 2.0 * np.pi * freq
-            system = ACSystem(n, gmin=self.gmin)
-            for device in self.circuit.devices:
-                device.stamp_ac(system, omega)
-            system.apply_gmin(self.circuit.n_nodes)
-            out[k] = system.solve()
-        return ACResult(self.circuit, freqs, out)
+        plan = plan_for(self.circuit)
+        _, op = dc_solution.mos_operating_points()
+        y, b = plan.ac_system(
+            plan.gather([self.circuit]), op, 2.0 * np.pi * freqs, self.gmin
+        )
+        return ACResult(self.circuit, freqs, np.linalg.solve(y, b[..., None])[..., 0])
 
 
 def operating_point(circuit: Circuit, initial=None, **dc_kwargs) -> DCSolution:

@@ -1,9 +1,10 @@
 """Linear netlist elements and independent sources.
 
-Every device implements the same protocol as the MOSFET: node assignment,
-``stamp_dc(system, v)`` and ``stamp_ac(system, omega)``.  DC stamps of
-independent sources honour ``system.source_scale`` so the Newton solver can
-apply source-stepping homotopy without device-specific code.
+Devices are plain value holders with named nodes; their MNA stamp
+patterns live in one place, the compiled stamp plan of
+:mod:`repro.circuits.mna`.  Independent-source values are scaled by the
+plan's per-corner source scale, which is how the Newton solver applies
+source-stepping homotopy.
 """
 
 from __future__ import annotations
@@ -24,25 +25,23 @@ class Device:
 
     n_branches = 0
 
+
     def __init__(self, name: str, nodes: tuple[str, ...]):
         self.name = str(name)
         self.nodes = tuple(str(n) for n in nodes)
         self.node_idx: tuple[int, ...] = ()
         self.branch_idx: int = -1
 
+
     def assign_nodes(self, index_of):
         """Resolve node names to MNA indices."""
         self.node_idx = tuple(index_of(n) for n in self.nodes)
+
 
     def assign_branch(self, index: int):
         """Assign the first branch-current index (if ``n_branches > 0``)."""
         self.branch_idx = int(index)
 
-    def stamp_dc(self, system, v):
-        """Stamp the DC (companion) model; default is a no-op (open circuit)."""
-
-    def stamp_ac(self, system, omega: float):
-        """Stamp the small-signal model; default is a no-op."""
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name}, nodes={self.nodes})"
@@ -51,33 +50,23 @@ class Device:
 class Resistor(Device):
     """Linear resistor."""
 
+
     def __init__(self, name, node_a, node_b, resistance: float):
         super().__init__(name, (node_a, node_b))
         if resistance <= 0:
             raise ValueError(f"{name}: resistance must be positive, got {resistance}")
         self.resistance = float(resistance)
 
-    def stamp_dc(self, system, v):
-        a, b = self.node_idx
-        system.add_conductance(a, b, 1.0 / self.resistance)
-
-    def stamp_ac(self, system, omega):
-        a, b = self.node_idx
-        system.add_conductance(a, b, 1.0 / self.resistance)
-
 
 class Capacitor(Device):
     """Linear capacitor: open at DC, admittance ``j omega C`` in AC."""
+
 
     def __init__(self, name, node_a, node_b, capacitance: float):
         super().__init__(name, (node_a, node_b))
         if capacitance < 0:
             raise ValueError(f"{name}: capacitance must be >= 0, got {capacitance}")
         self.capacitance = float(capacitance)
-
-    def stamp_ac(self, system, omega):
-        a, b = self.node_idx
-        system.add_capacitor(a, b, self.capacitance, omega)
 
 
 class CurrentSource(Device):
@@ -88,6 +77,7 @@ class CurrentSource(Device):
     during transient analyses (see :mod:`repro.circuits.transient`).
     """
 
+
     def __init__(self, name, node_from, node_to, dc: float, ac: float = 0.0,
                  waveform=None):
         super().__init__(name, (node_from, node_to))
@@ -95,20 +85,10 @@ class CurrentSource(Device):
         self.ac = float(ac)
         self.waveform = waveform
 
+
     def value_at(self, t: float) -> float:
         """Instantaneous source value at time ``t``."""
         return self.dc if self.waveform is None else float(self.waveform(t))
-
-    def stamp_dc(self, system, v):
-        a, b = self.node_idx
-        t = getattr(system, "time", None)
-        value = self.dc if t is None else self.value_at(t)
-        system.add_current_injection(a, b, value * system.source_scale)
-
-    def stamp_ac(self, system, omega):
-        if self.ac != 0.0:
-            a, b = self.node_idx
-            system.add_current_injection(a, b, self.ac)
 
 
 class VoltageSource(Device):
@@ -122,6 +102,7 @@ class VoltageSource(Device):
 
     n_branches = 1
 
+
     def __init__(self, name, node_pos, node_neg, dc: float, ac: float = 0.0,
                  waveform=None):
         super().__init__(name, (node_pos, node_neg))
@@ -129,19 +110,10 @@ class VoltageSource(Device):
         self.ac = float(ac)
         self.waveform = waveform
 
+
     def value_at(self, t: float) -> float:
         """Instantaneous source value at time ``t``."""
         return self.dc if self.waveform is None else float(self.waveform(t))
-
-    def stamp_dc(self, system, v):
-        pos, neg = self.node_idx
-        t = getattr(system, "time", None)
-        value = self.dc if t is None else self.value_at(t)
-        system.add_voltage_branch(pos, neg, self.branch_idx, value * system.source_scale)
-
-    def stamp_ac(self, system, omega):
-        pos, neg = self.node_idx
-        system.add_voltage_branch(pos, neg, self.branch_idx, self.ac)
 
 
 class VCVS(Device):
@@ -149,38 +121,18 @@ class VCVS(Device):
 
     n_branches = 1
 
+
     def __init__(self, name, out_pos, out_neg, in_pos, in_neg, gain: float):
         super().__init__(name, (out_pos, out_neg, in_pos, in_neg))
         self.gain = float(gain)
-
-    def _stamp(self, system):
-        op, on, ip, in_ = self.node_idx
-        br = self.branch_idx
-        system.add_matrix(op, br, 1.0)
-        system.add_matrix(on, br, -1.0)
-        system.add_matrix(br, op, 1.0)
-        system.add_matrix(br, on, -1.0)
-        system.add_matrix(br, ip, -self.gain)
-        system.add_matrix(br, in_, self.gain)
-
-    def stamp_dc(self, system, v):
-        self._stamp(system)
-
-    def stamp_ac(self, system, omega):
-        self._stamp(system)
 
 
 class VCCS(Device):
     """Voltage-controlled current source ``i = gm * v_in`` out of out_pos."""
 
+
     def __init__(self, name, out_pos, out_neg, in_pos, in_neg, gm: float):
         super().__init__(name, (out_pos, out_neg, in_pos, in_neg))
         self.gm = float(gm)
 
-    def stamp_dc(self, system, v):
-        op, on, ip, in_ = self.node_idx
-        system.add_vccs(op, on, ip, in_, self.gm)
 
-    def stamp_ac(self, system, omega):
-        op, on, ip, in_ = self.node_idx
-        system.add_vccs(op, on, ip, in_, self.gm)

@@ -19,8 +19,9 @@ voltages, which is precisely what the MNA companion stamp needs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from repro.circuits.pvt import ProcessCorner
 
@@ -106,6 +107,10 @@ nmos_040 = MOSFETParams("n", vth0=0.40, kp=4.5e-4, lambda_l=6.0e-8, phi=0.8)
 pmos_040 = MOSFETParams("p", vth0=0.40, kp=1.8e-4, lambda_l=7.0e-8, phi=0.8)
 
 
+#: operating-region names, indexed by the model's integer region codes
+REGIONS = ("cutoff", "triode", "saturation")
+
+
 @dataclass
 class MOSOperatingPoint:
     """Bias-point summary of one device (NMOS-convention voltages)."""
@@ -120,65 +125,77 @@ class MOSOperatingPoint:
     gmb: float
     region: str  # "cutoff" | "triode" | "saturation"
 
-
-def _square_law(vgs, vds, vsb, vth0, beta, lam, gamma, phi):
-    """Square-law current and small-signal params; requires ``vds >= 0``.
-
-    Returns ``(ids, gm, gds, gmb_pos, vov, region)`` with
-    ``gmb_pos = d ids / d vbs >= 0``.
-    """
-    body_arg = max(phi + vsb, 0.05)
-    vth = vth0 + gamma * (math.sqrt(body_arg) - math.sqrt(phi))
-    vov = vgs - vth
-    if vov <= 0.0:
-        return 0.0, 0.0, 0.0, 0.0, vov, "cutoff"
-    clm = 1.0 + lam * vds
-    if vds < vov:
-        core = vov * vds - 0.5 * vds * vds
-        ids = beta * core * clm
-        gm = beta * vds * clm
-        gds = beta * ((vov - vds) * clm + core * lam)
-        region = "triode"
-    else:
-        ids = 0.5 * beta * vov * vov * clm
-        gm = beta * vov * clm
-        gds = 0.5 * beta * vov * vov * lam
-        region = "saturation"
-    gmb_pos = gm * gamma / (2.0 * math.sqrt(body_arg))
-    return ids, gm, gds, gmb_pos, vov, region
-
-
-def _nmos_eval(vd, vg, vs, vb, vth0, beta, lam, gamma, phi):
-    """NMOS drain current ``I(d->s)`` and partials w.r.t. (vd, vg, vs, vb).
-
-    Handles drain/source swap so the function is defined (and continuous)
-    for any terminal voltages the Newton iteration may visit.
-    """
-    if vd >= vs:
-        vgs, vds, vsb = vg - vs, vd - vs, vs - vb
-        ids, gm, gds, gmb, vov, region = _square_law(
-            vgs, vds, vsb, vth0, beta, lam, gamma, phi
+    @classmethod
+    def from_model(cls, ids, op: dict, k=()) -> "MOSOperatingPoint":
+        """One device's bias point from :func:`mos_model` output (``k``
+        indexes the device in batched arrays)."""
+        return cls(
+            float(np.asarray(ids)[k]),
+            *(float(np.asarray(op[name])[k])
+              for name in ("vgs", "vds", "vsb", "vov", "gm", "gds", "gmb")),
+            REGIONS[int(np.asarray(op["region"])[k])],
         )
-        # I = F(vgs, vds, vsb): translate to terminal partials
-        g_d = gds
-        g_g = gm
-        g_b = gmb
-        g_s = -(gm + gds + gmb)
-        op = MOSOperatingPoint(ids, vgs, vds, vsb, vov, gm, gds, gmb, region)
-        return ids, g_d, g_g, g_s, g_b, op
-    # swapped: the physical source is the 'd' terminal
-    vgs, vds, vsb = vg - vd, vs - vd, vd - vb
-    ids_r, gm, gds, gmb, vov, region = _square_law(
-        vgs, vds, vsb, vth0, beta, lam, gamma, phi
-    )
-    ids = -ids_r
-    # reverse current I(d->s) = -F(vg - vd, vs - vd, vd - vb)
-    g_s = -gds
-    g_g = -gm
-    g_b = -gmb
-    g_d = gm + gds + gmb
-    op = MOSOperatingPoint(ids, vgs, -vds, vsb, vov, gm, gds, gmb, region)
-    return ids, g_d, g_g, g_s, g_b, op
+
+
+def mos_model(volts, vth0, beta, lam, gamma, phi, sign):
+    """Drain current ``I(d->s)`` and its terminal partials, elementwise.
+
+    ``volts`` stacks the terminal voltages ``(vd, vg, vs, vb)`` on its
+    first axis; the other arguments broadcast against each of them: the
+    per-device parameters ``beta = m kp W / L``,
+    ``lam = lambda_l / L`` and ``sign`` (+1 NMOS, -1 PMOS).  A PMOS is the
+    sign mirror of an NMOS, ``I_p(v) = -I_n(-v)``, whose partials equal
+    the NMOS partials at the negated voltages.  Drain/source swap
+    (``v_ds < 0`` during Newton iterations) evaluates the square law from
+    the physical source, so the model is defined and continuous for any
+    terminal voltages.
+
+    Returns ``(ids, g_d, g_g, g_s, g_b, op)`` where ``op`` holds the
+    NMOS-convention bias point ``vgs, vds, vsb, vov, gm, gds, gmb`` and the
+    ``region`` code (an index into :data:`REGIONS`).  Only IEEE ``+ - * /``
+    and ``sqrt`` are used, each in the order of the scalar square law, so
+    a batched evaluation equals the one-device evaluation bit for bit.
+    """
+    with np.errstate(all="ignore"):
+        vd, vg, vs, vb = volts * sign
+        fwd = vd >= vs
+        src = np.where(fwd, vs, vd)
+        vgs = vg - src
+        vds = np.where(fwd, vd, vs) - src
+        vsb = src - vb
+        # square law from the physical source (requires vds >= 0)
+        sqrt_body = np.sqrt(np.maximum(phi + vsb, 0.05))
+        vth = vth0 + gamma * (sqrt_body - np.sqrt(phi))
+        vov = vgs - vth
+        on = ~(vov <= 0.0)
+        clm = 1.0 + lam * vds
+        triode = vds < vov
+        core = vov * vds - 0.5 * vds * vds
+        half = 0.5 * beta * vov * vov
+        ids = np.where(triode, beta * core * clm, half * clm)
+        gm = np.where(triode, beta * vds * clm, beta * vov * clm)
+        gds = np.where(triode, beta * ((vov - vds) * clm + core * lam), half * lam)
+        gmb = gm * gamma / (2.0 * sqrt_body)
+        ids, gm, gds, gmb = (np.where(on, q, 0.0) for q in (ids, gm, gds, gmb))
+        # I = F(vgs, vds, vsb) translated to terminal partials; swapped,
+        # the reverse current is I(d->s) = -F(vg - vd, vs - vd, vd - vb).
+        # Multiplying by +-1 only flips signs, so it is exact.
+        flip = np.where(fwd, 1.0, -1.0)
+        op = {
+            "vgs": vgs,
+            "vds": vds * flip,
+            "vsb": vsb,
+            "vov": vov,
+            "gm": gm,
+            "gds": gds,
+            "gmb": gmb,
+            "region": np.where(on, np.where(triode, 1, 2), 0),
+        }
+        total = gm + gds + gmb
+        g_d = np.where(fwd, gds, total)
+        g_s = -np.where(fwd, total, gds)
+        ids = ids * (flip * sign)
+    return ids, g_d, gm * flip, g_s, gmb * flip, op
 
 
 class MOSFET:
@@ -227,73 +244,35 @@ class MOSFET:
         """Channel-length modulation ``lambda = lambda_l / L`` [1/V]."""
         return self.params.lambda_l / self.l
 
+    def model_params(self) -> tuple:
+        """``(vth0, beta, lam, gamma, phi, sign)`` for :func:`mos_model`."""
+        p = self.params
+        sign = 1.0 if p.polarity == "n" else -1.0
+        return p.vth0, self.beta, self.lam, p.gamma, p.phi, sign
+
+    def capacitances(self) -> tuple[float, float, float]:
+        """``(gate area cap, overlap cap, junction cap)`` of the device [F]."""
+        p = self.params
+        area_cap = p.cox * self.w * self.l * self.m
+        return area_cap, p.cov * self.w * self.m, p.cj_w * self.w * self.m
+
     def evaluate(self, vd, vg, vs, vb):
         """Drain-to-source current and terminal partials at a bias point.
 
-        For PMOS the evaluation mirrors all signs: ``I_p(v) = -I_n(-v)``,
-        whose partials equal the NMOS partials evaluated at the negated
-        voltages.
+        A one-device :func:`mos_model` call; the bias point is kept in
+        :attr:`last_op`.
         """
-        p = self.params
-        if p.polarity == "n":
-            ids, g_d, g_g, g_s, g_b, op = _nmos_eval(
-                vd, vg, vs, vb, p.vth0, self.beta, self.lam, p.gamma, p.phi
-            )
-        else:
-            ids_n, g_d, g_g, g_s, g_b, op = _nmos_eval(
-                -vd, -vg, -vs, -vb, p.vth0, self.beta, self.lam, p.gamma, p.phi
-            )
-            ids = -ids_n
-            op.ids = ids
-        self.last_op = op
-        return ids, g_d, g_g, g_s, g_b
+        ids, g_d, g_g, g_s, g_b, op = mos_model(
+            np.array([vd, vg, vs, vb], dtype=float), *self.model_params()
+        )
+        self.last_op = MOSOperatingPoint.from_model(ids, op)
+        return float(ids), float(g_d), float(g_g), float(g_s), float(g_b)
 
-    # -- MNA stamps ---------------------------------------------------------------
+    # -- netlist ------------------------------------------------------------------
 
     def assign_nodes(self, index_of):
         """Resolve node names to MNA indices (called by the circuit)."""
         self.node_idx = tuple(index_of(n) for n in self.nodes)
-
-    def stamp_dc(self, system, v):
-        """Companion-model stamp: linearized drain current at the current
-        iterate ``v`` plus the equivalent current source."""
-        d, g, s, b = self.node_idx
-        volts = [0.0 if i < 0 else v[i] for i in (d, g, s, b)]
-        ids, g_d, g_g, g_s, g_b = self.evaluate(*volts)
-        partials = (g_d, g_g, g_s, g_b)
-        ieq = ids - sum(gk * vk for gk, vk in zip(partials, volts))
-        for gk, node in zip(partials, (d, g, s, b)):
-            system.add_matrix(d, node, gk)
-            system.add_matrix(s, node, -gk)
-        system.add_rhs(d, -ieq)
-        system.add_rhs(s, ieq)
-
-    def stamp_ac(self, system, omega: float):
-        """Small-signal stamp at the stored DC operating point."""
-        if self.last_op is None:
-            raise RuntimeError(f"{self.name}: stamp_ac before DC solve")
-        d, g, s, b = self.node_idx
-        op = self.last_op
-        # transconductances: current d->s controlled by vgs and vbs
-        system.add_vccs(d, s, g, s, op.gm if op.region != "cutoff" else 0.0)
-        system.add_vccs(d, s, b, s, op.gmb)
-        system.add_conductance(d, s, op.gds)
-        cgs, cgd, cgb = self._gate_caps(op)
-        cj = self.params.cj_w * self.w * self.m
-        system.add_capacitor(g, s, cgs, omega)
-        system.add_capacitor(g, d, cgd, omega)
-        system.add_capacitor(g, b, cgb, omega)
-        system.add_capacitor(d, b, cj, omega)
-        system.add_capacitor(s, b, cj, omega)
-
-    def _gate_caps(self, op: MOSOperatingPoint) -> tuple[float, float, float]:
-        area_cap = self.params.cox * self.w * self.l * self.m
-        cov = self.params.cov * self.w * self.m
-        if op.region == "saturation":
-            return (2.0 / 3.0) * area_cap + cov, cov, 0.0
-        if op.region == "triode":
-            return 0.5 * area_cap + cov, 0.5 * area_cap + cov, 0.0
-        return cov, cov, area_cap
 
     def __repr__(self) -> str:
         w_um, l_um = self.w * 1e6, self.l * 1e6

@@ -105,9 +105,7 @@ def operating_region_report(circuit: Circuit, solution) -> dict[str, dict]:
     for device in circuit.devices:
         if not isinstance(device, MOSFET):
             continue
-        op = device.last_op
-        if op is None:
-            continue
+        op = solution.op(device.name)
         report[device.name] = {
             "region": op.region,
             "ids": op.ids,

@@ -27,9 +27,10 @@ averages from the 40 uA target.
 Implementation note: because MOS gates draw no current, the reference and
 output branches decouple exactly — each corner solves two small reference
 netlists once and warm-start-sweeps the two output netlists over Vout
-(a :class:`~repro.sim.base.DCTransferSweep`), which keeps a 36-variable,
-18-corner evaluation fast enough for the hundreds of simulations per
-optimization run.
+(a :class:`~repro.sim.base.DCTransferSweep`).  All 36 reference circuits
+run as one batch through the simulator backend, then all 36 output
+sweeps, which keeps a 36-variable, 18-corner evaluation fast enough for
+the hundreds of simulations per optimization run.
 """
 
 from __future__ import annotations
@@ -204,37 +205,53 @@ class ChargePumpProblem(SizingProblem):
 
     # -- per-corner evaluation ----------------------------------------------------------
 
-    def _branch_currents(
-        self, p: dict, polarity: str, corner: PVTCorner
-    ) -> np.ndarray:
-        """Output current of one branch over the Vout sweep at one corner."""
-        nmos = self.nmos_nom.at_corner(corner.process, corner.temp_k)
-        pmos = self.pmos_nom.at_corner(corner.process, corner.temp_k)
-        vdd = self.vdd_nom * corner.vdd_scale
+    def _branch_currents(self, p: dict, polarity: str, corners) -> np.ndarray:
+        """Output current of one branch over the Vout sweep, one row per
+        corner (a single :class:`PVTCorner` gives its row alone)."""
+        if isinstance(corners, PVTCorner):
+            return self._branch_currents(p, polarity, [corners])[0]
+        return self._sweep_currents(p, [(polarity, corner) for corner in corners])
 
-        ref = self.build_reference_circuit(p, polarity, nmos, pmos, vdd)
-        guess = {"vdd": vdd, "d1": vdd * 0.75, "d2": vdd * 0.55, "d3": vdd * 0.35,
-                 "src": 0.05}
-        if polarity == "p":
-            guess = {"vdd": vdd, "d1": vdd * 0.25, "d2": vdd * 0.45,
-                     "d3": vdd * 0.65, "src": vdd - 0.05}
-        ref_op = self.sim_backend.run(ref, [OperatingPoint(initial=guess)]).op()
-        v_gate = ref_op.voltage("d3")
-        v_casc = ref_op.voltage("casc")
+    def _sweep_currents(self, p: dict, branches) -> np.ndarray:
+        """Output current over the Vout sweep of each ``(polarity, corner)``
+        branch, one row each.
 
-        vout_lo = self.vout_margin
-        vout_hi = vdd - self.vout_margin
-        sweep = np.linspace(vout_lo, vout_hi, self.n_sweep)
-        ckt = self.build_output_circuit(
-            p, polarity, nmos, pmos, vdd, v_gate, v_casc, float(sweep[0])
+        Every branch runs in one batch per analysis: the reference operating
+        points, then the warm-started Vout sweeps of the output branches.
+        """
+        refs, guesses, models = [], [], []
+        for polarity, corner in branches:
+            nmos = self.nmos_nom.at_corner(corner.process, corner.temp_k)
+            pmos = self.pmos_nom.at_corner(corner.process, corner.temp_k)
+            vdd = self.vdd_nom * corner.vdd_scale
+            models.append((polarity, nmos, pmos, vdd))
+            refs.append(self.build_reference_circuit(p, polarity, nmos, pmos, vdd))
+            if polarity == "n":
+                guesses.append({"vdd": vdd, "d1": vdd * 0.75, "d2": vdd * 0.55,
+                                "d3": vdd * 0.35, "src": 0.05})
+            else:
+                guesses.append({"vdd": vdd, "d1": vdd * 0.25, "d2": vdd * 0.45,
+                                "d3": vdd * 0.65, "src": vdd - 0.05})
+        ref_runs = self.sim_backend.run(
+            refs, [[OperatingPoint(initial=guess)] for guess in guesses]
         )
-        raw = self.sim_backend.run(
-            ckt, [DCTransferSweep("VOUT", tuple(float(v) for v in sweep))]
-        )
-        i_br = raw.sweep().branch_current("VOUT")
-        # the P branch pushes current into VOUT's + terminal (positive by
-        # the SPICE convention); the N branch pulls it out (negative)
-        return i_br if polarity == "p" else -i_br
+
+        outs, plans = [], []
+        for (polarity, nmos, pmos, vdd), raw in zip(models, ref_runs):
+            ref_op = raw.op()
+            sweep = np.linspace(self.vout_margin, vdd - self.vout_margin, self.n_sweep)
+            outs.append(self.build_output_circuit(
+                p, polarity, nmos, pmos, vdd, ref_op.voltage("d3"),
+                ref_op.voltage("casc"), float(sweep[0]),
+            ))
+            plans.append([DCTransferSweep("VOUT", tuple(float(v) for v in sweep))])
+        rows = []
+        for (polarity, *_), raw in zip(models, self.sim_backend.run(outs, plans)):
+            i_br = raw.sweep().branch_current("VOUT")
+            # the P branch pushes current into VOUT's + terminal (positive by
+            # the SPICE convention); the N branch pulls it out (negative)
+            rows.append(i_br if polarity == "p" else -i_br)
+        return np.array(rows)
 
     # -- simulation -------------------------------------------------------------------
 
@@ -247,9 +264,11 @@ class ChargePumpProblem(SizingProblem):
         dn_spread_lo = []
         up_avg_err = []
         dn_avg_err = []
-        for corner in self.corners:
-            i_up = self._branch_currents(p, "p", corner)
-            i_dn = self._branch_currents(p, "n", corner)
+        n_corners = len(self.corners)
+        currents = self._sweep_currents(
+            p, [(polarity, corner) for polarity in "pn" for corner in self.corners]
+        )
+        for i_up, i_dn in zip(currents[:n_corners], currents[n_corners:]):
             up_avg = float(np.mean(i_up))
             dn_avg = float(np.mean(i_dn))
             up_spread_hi.append(float(np.max(i_up)) - up_avg)

@@ -18,13 +18,13 @@ plain ``dc`` value at ``t <= 0`` DC analyses).  :func:`pulse` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.circuits.devices import Capacitor, CurrentSource, VoltageSource
 from repro.circuits.dc import ConvergenceError, DCAnalysis
-from repro.circuits.mna import MNASystem
+from repro.circuits.mna import companion, plan_for
 from repro.circuits.netlist import Circuit
 
 
@@ -96,6 +96,9 @@ class TransientResult:
 class TransientAnalysis:
     """Fixed-step transient simulation of a circuit.
 
+    Steps on the circuit's compiled stamp plan: the DC companion stamps of
+    every device, then each capacitor's integration companion.
+
     Parameters
     ----------
     circuit:
@@ -120,8 +123,12 @@ class TransientAnalysis:
         self.max_step = float(max_step)
         self.gmin = float(gmin)
         circuit.finalize()
-        self._caps = [d for d in circuit.devices if isinstance(d, Capacitor)]
-        self._others = [d for d in circuit.devices if not isinstance(d, Capacitor)]
+        self._caps = np.array(
+            [d.capacitance for d in circuit.devices if isinstance(d, Capacitor)]
+        )
+        self._sources = [
+            d for d in circuit.devices if isinstance(d, (CurrentSource, VoltageSource))
+        ]
 
     def run(self, t_stop: float, dt: float, initial=None) -> TransientResult:
         """Simulate from 0 to ``t_stop`` with fixed step ``dt``.
@@ -143,42 +150,39 @@ class TransientAnalysis:
             if x.shape != (n,):
                 raise ValueError(f"initial vector must have shape ({n},)")
 
+        plan = plan_for(self.circuit)
+        values = plan.gather([self.circuit])
         out = np.empty((n_steps + 1, n))
         out[0] = x
         # capacitor state: (v_ab, i) at the current time point
-        state = {}
-        for cap in self._caps:
-            a, b = cap.node_idx
-            vab = self._node_v(x, a) - self._node_v(x, b)
-            state[cap.name] = (vab, 0.0)  # i = 0 at the DC point
-
+        state = (self._cap_voltages(plan, x), np.zeros(self._caps.size))
         for k in range(1, n_steps + 1):
             t = times[k]
             # first step: backward Euler (no history current term)
-            use_be = k == 1
-            x, state = self._solve_step(x, state, t, dt, use_be)
+            g_eq, i_hist = self._companion(state, dt, use_be=k == 1)
+            sources = np.array([[d.value_at(t) for d in self._sources]])
+            step_values = replace(values, src_dc=sources)
+            x = self._solve_step(plan, step_values, x, t, g_eq, i_hist)
+            vab = self._cap_voltages(plan, x)
+            state = (vab, g_eq * vab - i_hist)
             out[k] = x
         return TransientResult(self.circuit, times, out)
 
     # -- internals ----------------------------------------------------------------
 
     @staticmethod
-    def _node_v(x, idx):
-        return 0.0 if idx < 0 else x[idx]
+    def _cap_voltages(plan, x):
+        padded = np.append(x, 0.0)
+        return padded[plan.cap_nodes[0]] - padded[plan.cap_nodes[1]]
 
-    def _solve_step(self, x_prev, state, t, dt, use_be):
+    def _solve_step(self, plan, values, x_prev, t, g_eq, i_hist):
         n_nodes = self.circuit.n_nodes
         x = x_prev.copy()
         for _ in range(self.max_iterations):
-            system = MNASystem(self.circuit.n_unknowns, gmin=self.gmin)
-            system.time = t
-            for device in self._others:
-                device.stamp_dc(system, x)
-            for cap in self._caps:
-                self._stamp_cap(system, cap, state[cap.name], dt, use_be)
-            system.apply_gmin(n_nodes)
+            mos = companion(plan.terminals(x[None, :]), values.mos)
+            a, b = plan.tran_system(values, mos, g_eq[None, :], i_hist[None, :], self.gmin)
             try:
-                x_new = system.solve()
+                x_new = np.linalg.solve(a, b[..., None])[0, :, 0]
             except np.linalg.LinAlgError as exc:
                 raise ConvergenceError(
                     f"transient step at t={t:g}s: singular system"
@@ -189,38 +193,17 @@ class TransientAnalysis:
             x[n_nodes:] = x_new[n_nodes:]
             tol = self.vtol + self.reltol * np.abs(x[:n_nodes])
             if np.all(np.abs(delta[:n_nodes]) < tol):
-                break
-        else:
-            raise ConvergenceError(f"transient step at t={t:g}s did not converge")
+                return x
+        raise ConvergenceError(f"transient step at t={t:g}s did not converge")
 
-        new_state = {}
-        for cap in self._caps:
-            a, b = cap.node_idx
-            vab = self._node_v(x, a) - self._node_v(x, b)
-            g_eq, i_hist = self._companion(cap, state[cap.name], dt, use_be)
-            i_new = g_eq * vab - i_hist
-            new_state[cap.name] = (vab, i_new)
-        return x, new_state
-
-    @staticmethod
-    def _companion(cap, cap_state, dt, use_be):
-        """Conductance and history current of the integration companion."""
-        v_prev, i_prev = cap_state
+    def _companion(self, state, dt, use_be):
+        """Conductances and history currents of the integration companions."""
+        v_prev, i_prev = state
         if use_be:
-            g_eq = cap.capacitance / dt
-            i_hist = g_eq * v_prev
-        else:  # trapezoidal
-            g_eq = 2.0 * cap.capacitance / dt
-            i_hist = g_eq * v_prev + i_prev
-        return g_eq, i_hist
-
-    def _stamp_cap(self, system, cap, cap_state, dt, use_be):
-        a, b = cap.node_idx
-        g_eq, i_hist = self._companion(cap, cap_state, dt, use_be)
-        system.add_conductance(a, b, g_eq)
-        # history current flows a -> b inside the companion source
-        system.add_rhs(a, i_hist)
-        system.add_rhs(b, -i_hist)
+            g_eq = self._caps / dt
+            return g_eq, g_eq * v_prev
+        g_eq = 2.0 * self._caps / dt  # trapezoidal
+        return g_eq, g_eq * v_prev + i_prev
 
     def _dc_start(self) -> np.ndarray:
         solution = DCAnalysis(

@@ -20,6 +20,11 @@ Analysis specs
   warm-started solves; the measurement is typically the swept source's
   own branch current.
 
+:meth:`SimulatorBackend.run` also takes a batch of circuits (one plan
+each) and returns one result set per circuit; the charge-pump testbench
+hands its 36 reference branches (18 PVT corners x 2 polarities) over this
+way, then its 36 output sweeps.
+
 Backend selection
 -----------------
 
@@ -292,7 +297,7 @@ class SimulatorBackend:
         if not self.is_available():
             raise SimulatorNotAvailable(self.name, self.name)
 
-    def run(self, circuit, analyses, initial: dict | None = None) -> RawResults:
+    def run(self, circuit, analyses, initial: dict | None = None):
         """Execute an analysis plan against a circuit.
 
         ``initial`` is a run-level node -> volts seed applied to any
@@ -300,6 +305,13 @@ class SimulatorBackend:
         :class:`~repro.circuits.dc.ConvergenceError` (or its
         :class:`SimulationError` subclass) — sizing problems convert
         those to penalty evaluations.
+
+        A *batch* passes a list of circuits of one system size (e.g. one
+        design's PVT corners) with one plan per circuit, all plans of the
+        same shape; the call returns one :class:`RawResults` per circuit,
+        each equal to running that circuit alone, and raises if any
+        circuit fails.  Every backend must accept batches; the MNA engine
+        solves each analysis across the batch at once.
         """
         raise NotImplementedError
 

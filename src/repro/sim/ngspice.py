@@ -212,7 +212,10 @@ class NgspiceBackend(SimulatorBackend):
 
     # -- execution --------------------------------------------------------------------
 
-    def run(self, circuit, analyses, initial: dict | None = None) -> RawResults:
+    def run(self, circuit, analyses, initial: dict | None = None):
+        if isinstance(circuit, (list, tuple)):
+            # a batch runs one deck per circuit, exactly as run one by one
+            return [self.run(c, plan, initial) for c, plan in zip(circuit, analyses)]
         self.ensure_available()
         analyses = list(analyses)
         if not analyses:

@@ -1,5 +1,9 @@
 """Tests for initial experimental designs."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -70,3 +74,22 @@ class TestFactory:
     def test_unknown(self, rng):
         with pytest.raises(ValueError, match="unknown design"):
             make_design("grid", 4, 2, rng)
+
+
+class TestLazyScipyStats:
+    def test_import_repro_leaves_scipy_stats_unloaded(self):
+        """``scipy.stats`` is the slowest import under ``import repro``; only
+        the opt-in Sobol design loads it, on first use."""
+        code = (
+            "import sys, repro\n"
+            "from repro.bo.design import make_design\n"
+            "print('scipy.stats' in sys.modules)\n"
+            "points = make_design('sobol', 8, 3, rng=0)\n"
+            "print(points.shape, 'scipy.stats' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+            check=True,
+        ).stdout.splitlines()
+        assert out == ["False", "(8, 3) True"]

@@ -166,3 +166,99 @@ class TestFailureModes:
 
     def test_convergence_error_type_exists(self):
         assert issubclass(ConvergenceError, RuntimeError)
+
+
+def p_reference(corner):
+    """The charge pump's P reference branch at one PVT corner, with its guess."""
+    from repro.circuits.testbenches import ChargePumpProblem
+
+    problem = ChargePumpProblem()
+    p = {v.name: 0.5 * (v.lower + v.upper) for v in problem.variables}
+    nmos = problem.nmos_nom.at_corner(corner.process, corner.temp_k)
+    pmos = problem.pmos_nom.at_corner(corner.process, corner.temp_k)
+    vdd = problem.vdd_nom * corner.vdd_scale
+    guess = {"vdd": vdd, "d1": vdd * 0.25, "d2": vdd * 0.45, "d3": vdd * 0.65,
+             "src": vdd - 0.05}
+    return problem.build_reference_circuit(p, "p", nmos, pmos, vdd), guess
+
+
+class TestHomotopyRungs:
+    """Each fallback rung, forced by a small Newton iteration cap (the cases
+    of the parity fixture, whose bits the per-device engine recorded)."""
+
+    @pytest.fixture
+    def circuit(self):
+        from repro.circuits.pvt import standard_corners
+
+        return p_reference(standard_corners()[0])[0]
+
+    def test_plain_newton_when_it_converges(self, circuit):
+        assert DCAnalysis(circuit).solve().homotopy == "newton"
+
+    def test_gmin_stepping_after_newton_fails(self, circuit):
+        sol = DCAnalysis(circuit, max_iterations=34).solve()
+        assert sol.homotopy == "gmin"
+        assert sol.voltage("vdd") == pytest.approx(1.62)
+
+    def test_source_stepping_after_gmin_stepping_fails(self, circuit):
+        sol = DCAnalysis(circuit, max_iterations=18).solve()
+        assert sol.homotopy == "source"
+        gmin_sol = DCAnalysis(circuit, max_iterations=34).solve()
+        np.testing.assert_allclose(sol.x, gmin_sol.x, rtol=1e-6, atol=1e-9)
+
+    def test_every_rung_failing_raises(self, circuit):
+        with pytest.raises(ConvergenceError, match="cp_ref_p"):
+            DCAnalysis(circuit, max_iterations=10).solve()
+
+    def test_zero_iterations_fail_cleanly(self, circuit):
+        with pytest.raises(ConvergenceError):
+            DCAnalysis(circuit, max_iterations=0).solve()
+
+
+class TestCornerBatch:
+    """A batch solves every corner exactly as that corner alone."""
+
+    @staticmethod
+    def corners():
+        from repro.circuits.pvt import standard_corners
+
+        return [p_reference(c) for c in standard_corners()]
+
+    def test_mixed_rungs_match_solo_solves_bitwise(self):
+        circuits, guesses = zip(*self.corners())
+        analysis = DCAnalysis(circuits[0], max_iterations=24)
+        batch = analysis.solve_batch(circuits, guesses)
+        assert {sol.homotopy for sol in batch} == {"newton", "gmin", "source"}
+        for circuit, guess, sol in zip(circuits, guesses, batch):
+            solo = DCAnalysis(circuit, max_iterations=24).solve(initial=guess)
+            assert sol.x.tobytes() == solo.x.tobytes()
+            assert (sol.iterations, sol.homotopy) == (solo.iterations, solo.homotopy)
+            assert sol.op("MP0") == solo.op("MP0")
+
+    def test_a_failing_corner_fails_the_batch(self):
+        circuits, guesses = zip(*self.corners())
+        with pytest.raises(ConvergenceError, match="cp_ref_p"):
+            DCAnalysis(circuits[0], max_iterations=18).solve_batch(circuits, guesses)
+
+    def test_singular_corner_is_isolated(self):
+        """A singular system fails only its own corner; the others converge
+        exactly as alone."""
+        from repro.circuits.dc import CircuitBatch
+
+        def build(gm):
+            ckt = Circuit("neg")
+            ckt.isource("I1", "0", "a", 1e-3)
+            ckt.resistor("R1", "a", "0", 1e3)
+            ckt.vccs("G1", "a", "0", "a", "0", gm)
+            return ckt
+
+        circuits = [build(-0.5e-3), build(-1e-3), build(-0.25e-3)]
+        analysis = DCAnalysis(circuits[0], gmin=0.0)
+        x, iterations, rung = analysis.newton(CircuitBatch(circuits), np.zeros((3, 1)))
+        assert list(rung) == [0, -1, 0]
+        for c in (0, 2):
+            solo = DCAnalysis(circuits[c], gmin=0.0).solve()
+            assert x[c].tobytes() == solo.x.tobytes()
+            assert iterations[c] == solo.iterations
+        with pytest.raises(ConvergenceError):
+            DCAnalysis(circuits[1], gmin=0.0).solve()

@@ -102,7 +102,7 @@ class TestRandomMeshAgainstDirectSolve:
     @settings(max_examples=15)
     def test_kcl_residual_at_solution(self, seed):
         """Re-stamping at the solution must satisfy G x = b to round-off."""
-        from repro.circuits.mna import MNASystem
+        from repro.circuits.dc import CircuitBatch
 
         rng = np.random.default_rng(seed)
         ckt = Circuit(f"kcl{seed}")
@@ -112,9 +112,6 @@ class TestRandomMeshAgainstDirectSolve:
         ckt.resistor("R3", "c", "0", float(rng.uniform(100, 1e4)))
         ckt.isource("I1", "0", "b", float(rng.uniform(-1e-3, 1e-3)))
         sol = DCAnalysis(ckt).solve()
-        system = MNASystem(ckt.n_unknowns)
-        for device in ckt.devices:
-            device.stamp_dc(system, sol.x)
-        system.apply_gmin(ckt.n_nodes)
-        residual = system.matrix @ sol.x - system.rhs
+        a, b = CircuitBatch([ckt]).systems(sol.x[None, :], np.array([1.0]), np.array([1e-12]))
+        residual = a[0] @ sol.x - b[0]
         np.testing.assert_allclose(residual, 0.0, atol=1e-9)

@@ -9,9 +9,16 @@ from repro.circuits.devices import Device
 
 class TestDeviceProtocol:
     def test_default_stamps_are_noops(self):
-        dev = Device("D1", ("a", "b"))
-        dev.stamp_dc(None, None)  # must not raise
-        dev.stamp_ac(None, 1.0)
+        """A bare Device is an open element: it stamps nothing."""
+        ckt = Circuit("open")
+        ckt.vsource("V1", "a", "0", 1.0)
+        ckt.resistor("R1", "a", "b", 1e3)
+        ckt.resistor("R2", "b", "0", 1e3)
+        ckt.add(Device("D1", ("a", "b")))
+        sol = DCAnalysis(ckt).solve()
+        assert sol.voltage("b") == pytest.approx(0.5, rel=1e-9)
+        ac = ACAnalysis(ckt).sweep(sol, np.array([1e3]))
+        assert abs(ac.transfer("b")[0]) == 0.0
 
     def test_node_names_stringified(self):
         dev = Device("D1", (0, "b"))
@@ -67,15 +74,13 @@ class TestCurrentSourceAC:
 
 class TestSourceStepScaling:
     def test_sources_scale_with_system_attribute(self):
-        """Source stepping homotopy relies on stamps honouring source_scale."""
-        from repro.circuits.mna import MNASystem
+        """Source stepping homotopy relies on stamps honouring the source scale."""
+        from repro.circuits.dc import CircuitBatch
 
         ckt = Circuit("scale")
-        v = ckt.vsource("V1", "a", "0", 10.0)
-        r = ckt.resistor("R1", "a", "0", 1e3)
-        ckt.finalize()
-        sys = MNASystem(ckt.n_unknowns, source_scale=0.5)
-        v.stamp_dc(sys, np.zeros(ckt.n_unknowns))
-        r.stamp_dc(sys, np.zeros(ckt.n_unknowns))
-        x = sys.solve()
+        ckt.vsource("V1", "a", "0", 10.0)
+        ckt.resistor("R1", "a", "0", 1e3)
+        batch = CircuitBatch([ckt])
+        a, b = batch.systems(np.zeros((1, batch.n)), np.array([0.5]), np.array([0.0]))
+        x = np.linalg.solve(a[0], b[0])
         assert x[ckt.node_index("a")] == pytest.approx(5.0)

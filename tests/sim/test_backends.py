@@ -138,6 +138,64 @@ class TestMNABitwiseEquivalence:
         np.testing.assert_array_equal(raw.ac().freqs, np.asarray(freqs, dtype=float))
 
 
+class TestMNABatches:
+    """A batch returns, per circuit, exactly what running it alone returns."""
+
+    @staticmethod
+    def charge_pump_circuits():
+        problem = ChargePumpProblem()
+        p = {v.name: 0.5 * (v.lower + v.upper) for v in problem.variables}
+        circuits = []
+        for corner in problem.corners[:4]:
+            nmos = problem.nmos_nom.at_corner(corner.process, corner.temp_k)
+            pmos = problem.pmos_nom.at_corner(corner.process, corner.temp_k)
+            vdd = problem.vdd_nom * corner.vdd_scale
+            for polarity in "pn":
+                circuits.append(
+                    problem.build_reference_circuit(p, polarity, nmos, pmos, vdd)
+                )
+        return circuits
+
+    def test_mixed_topologies_match_one_by_one(self):
+        circuits = self.charge_pump_circuits()
+        plans = [[OperatingPoint(initial={"d1": 0.3 * k})] for k in range(len(circuits))]
+        batch = MNABackend().run(circuits, plans)
+        for circuit, plan, raw in zip(circuits, plans, batch):
+            alone = MNABackend().run(circuit, plan).op()
+            for node in circuit.node_names:
+                assert raw.op().voltage(node) == alone.voltage(node)
+            assert raw.op().branch_currents == alone.branch_currents
+            assert raw.op().regions == alone.regions
+
+    def test_batched_sweeps_and_ac_match_one_by_one(self):
+        circuits = [build_cs_stage() for _ in range(3)]
+        for k, ckt in enumerate(circuits):
+            ckt.device("RL").resistance = 5e3 * (k + 1)
+        freqs = np.logspace(1, 8, 15)
+        plans = [
+            [OperatingPoint(), ACSweep(freqs), DCTransferSweep("VIN", (0.6, 0.7 + 0.1 * k))]
+            for k in range(3)
+        ]
+        batch = MNABackend().run(circuits, plans)
+        for circuit, plan, raw in zip(circuits, plans, batch):
+            alone = MNABackend().run(circuit, plan)
+            assert raw.ac().transfer("d").tobytes() == alone.ac().transfer("d").tobytes()
+            assert raw.sweep().voltage("d").tobytes() == alone.sweep().voltage("d").tobytes()
+
+    def test_plans_of_different_shapes_rejected(self):
+        circuits = [build_cs_stage(), build_cs_stage()]
+        with pytest.raises(ValueError, match="one shape"):
+            MNABackend().run(circuits, [[OperatingPoint()], [ACSweep([1e3])]])
+        with pytest.raises(ValueError, match="one analysis plan per circuit"):
+            MNABackend().run(circuits, [[OperatingPoint()]])
+
+    def test_a_failing_circuit_fails_the_batch(self):
+        circuits = self.charge_pump_circuits()
+        backend = MNABackend(dc_options={"max_iterations": 3})
+        with pytest.raises(ConvergenceError, match="cp_ref"):
+            backend.run(circuits, [[OperatingPoint()] for _ in circuits])
+
+
 class TestRawResultsAccessors:
     @pytest.fixture(scope="class")
     def raw(self):
@@ -279,3 +337,41 @@ class TestSizingProblemBackendKnob:
         backend = MNABackend()
         problem = TwoStageOpAmpProblem(sim_backend=backend)
         assert problem.sim_backend is backend
+
+
+class TestSharedPlansUnderThreads:
+    def test_concurrent_batches_match_serial(self):
+        """Threads share the compiled plans (one per topology); each thread's
+        evaluations still equal the serial ones bit for bit."""
+        import sys
+        import threading
+
+        problem = ChargePumpProblem(corners=ChargePumpProblem().corners[::4])
+        rng = np.random.default_rng(7)
+        designs = [problem.lower + rng.uniform(size=problem.dim) * (problem.upper - problem.lower)
+                   for _ in range(6)]
+
+        def simulate(x):
+            try:
+                return problem.simulate(x)
+            except ConvergenceError:
+                return None
+
+        serial = [simulate(x) for x in designs]
+        results = [None] * len(designs)
+
+        def work(k):
+            results[k] = simulate(designs[k])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(len(designs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == serial

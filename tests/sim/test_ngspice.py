@@ -105,6 +105,19 @@ class TestStubGoodPath:
         mna_i = reference._branch_currents(p, "n", NOMINAL)
         np.testing.assert_allclose(stub_i, mna_i, rtol=1e-4, atol=1e-12)
 
+    def test_batch_runs_one_deck_per_circuit(self):
+        backend = stub_backend()
+        second = build_divider()
+        second.device("R2").resistance = 2e3
+        circuits = [build_divider(), second]
+        plans = [[OperatingPoint()], [OperatingPoint(initial={"b": 3.0})]]
+        batch = backend.run(circuits, plans)
+        assert backend.n_runs == 2
+        alone = [stub_backend().run(c, plan) for c, plan in zip(circuits, plans)]
+        for got, want in zip(batch, alone):
+            assert got.op().voltages == want.op().voltages
+        assert batch[1].op().voltage("b") == pytest.approx(4.0)
+
     def test_deck_contents(self):
         backend = stub_backend(keep_files=True)
         try:
