@@ -9,6 +9,8 @@ O(1)-prediction claim accelerates inside every BO iteration).
 Run: ``pytest benchmarks/bench_acquisition.py --benchmark-only``
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from repro.acquisition.maximize import (
     RandomSearchMaximizer,
 )
 from repro.acquisition.wei import WeightedExpectedImprovement
-from repro.core import DeepEnsemble, FeatureGPTrainer, NeuralFeatureGP
+from repro.core import BatchedFeatureGPTrainer, SurrogateBank
 from repro.gp import GPRegression
 
 DIM = 10
@@ -35,19 +37,19 @@ def _data(seed=0):
 @pytest.fixture(scope="module")
 def nngp_acquisition():
     x, objective, constraint = _data()
-    obj = DeepEnsemble.create(
-        lambda r: NeuralFeatureGP(DIM, hidden_dims=(50, 50), n_features=50, seed=r),
-        n_members=3, seed=0,
+    bank = SurrogateBank(
+        DIM,
+        n_targets=2,
+        n_members=3,
+        hidden_dims=(50, 50),
+        n_features=50,
+        trainer_factory=lambda: BatchedFeatureGPTrainer(epochs=100),
+        seed=0,
     )
-    con = DeepEnsemble.create(
-        lambda r: NeuralFeatureGP(DIM, hidden_dims=(50, 50), n_features=50, seed=r),
-        n_members=3, seed=1,
+    bank.fit(x, np.stack([objective, constraint]))
+    return WeightedExpectedImprovement(
+        bank.target_model(0), [bank.target_model(1)], tau=float(objective.min())
     )
-    for member in obj.members:
-        member.fit(x, objective, trainer=FeatureGPTrainer(epochs=100))
-    for member in con.members:
-        member.fit(x, constraint, trainer=FeatureGPTrainer(epochs=100))
-    return WeightedExpectedImprovement(obj, [con], tau=float(objective.min()))
 
 
 @pytest.fixture(scope="module")
@@ -58,17 +60,23 @@ def gp_acquisition():
     return WeightedExpectedImprovement(obj, [con], tau=float(objective.min()))
 
 
+def _alternating_batches():
+    """Two 256-point batches in turn: the bank keeps its last batch's
+    prediction, so a repeated batch would time a cache hit."""
+    return itertools.cycle(np.random.default_rng(2).uniform(size=(2, 256, DIM)))
+
+
 @pytest.mark.benchmark(group="acquisition-eval")
 def test_wei_eval_nngp(benchmark, nngp_acquisition):
-    batch = np.random.default_rng(2).uniform(size=(256, DIM))
-    values = benchmark(lambda: nngp_acquisition(batch))
+    batches = _alternating_batches()
+    values = benchmark(lambda: nngp_acquisition(next(batches)))
     assert np.all(np.isfinite(values))
 
 
 @pytest.mark.benchmark(group="acquisition-eval")
 def test_wei_eval_gp(benchmark, gp_acquisition):
-    batch = np.random.default_rng(2).uniform(size=(256, DIM))
-    values = benchmark(lambda: gp_acquisition(batch))
+    batches = _alternating_batches()
+    values = benchmark(lambda: gp_acquisition(next(batches)))
     assert np.all(np.isfinite(values))
 
 

@@ -18,7 +18,8 @@ workload (K=5, 6 targets, M=50 features, d=36 design variables — the
 * **speedup** — the batched proposal cycle (surrogate fit + acquisition
   maximization) is >= 3x faster than the loop path, a per-target
   ``SurrogateBO`` over :class:`DeepEnsemble` members each trained by a
-  :class:`FeatureGPTrainer`;
+  :class:`FeatureGPTrainer` (the per-member reference engine,
+  ``tests/per_member_engine.py``);
 * **backend axis** — per-backend timings land in
   ``BENCH_batched_engine.json`` under stable keys (each record carries
   its ``backend`` name); the torch measurement skips cleanly when torch
@@ -40,19 +41,17 @@ import numpy as np
 import pytest
 
 from artifacts import write_bench_json
+from per_member_engine import (
+    DeepEnsemble,
+    FeatureGPTrainer,
+    NeuralFeatureGP,
+    serial_reference_bank,
+)
 from repro.backend import available_backends, get_namespace
 from repro.bo.config import SurrogateConfig
 from repro.bo.loop import SurrogateBO
 from repro.bo.problem import FunctionProblem
-from repro.core import (
-    DeepEnsemble,
-    FeatureGPTrainer,
-    NNBO,
-    NeuralFeatureGP,
-    SurrogateBank,
-    BatchedFeatureGPTrainer,
-    serial_reference_bank,
-)
+from repro.core import NNBO, BatchedFeatureGPTrainer, SurrogateBank
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 

@@ -4,11 +4,15 @@ The paper: classic GP training scales O(N^3) / prediction O(N^2) in the
 number of observations; the NN-feature GP scales O(N) / O(1) because all
 linear algebra happens in the fixed M x M A-matrix.
 
-These benches time one marginal-likelihood + gradient evaluation (the
-training inner step) and one 256-point batch prediction for both model
-families at N = 64 and N = 512, then assert the *growth ratios* differ the
-way the theory says: the GP step must grow super-quadratically between the
-two sizes while the NN-GP step grows sub-quadratically.
+These benches time one training step and one 256-point batch prediction
+for both model families at N = 64 and N = 512, then assert the *growth
+ratios* differ the way the theory says: the GP step must grow
+super-quadratically between the two sizes while the NN-GP step grows
+sub-quadratically.  The GP step is one marginal-likelihood + gradient
+evaluation; the NN-GP step is one epoch of
+:class:`~repro.core.trainer.BatchedFeatureGPTrainer` on a single model,
+the step a fit actually runs (forward, likelihood and gradients,
+back-propagation and the Adam update, on one BLAS thread).
 
 Run: ``pytest benchmarks/bench_complexity.py --benchmark-only``
 """
@@ -18,7 +22,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import NeuralFeatureGP
+from repro.core import BatchedFeatureGPTrainer, BatchedNeuralFeatureGP
 from repro.gp import GPRegression, RBF
 
 DIM = 10
@@ -41,17 +45,18 @@ def gp_train_step(n):
     return lambda: gp._nll_and_grad(theta)
 
 
+def make_nngp():
+    return BatchedNeuralFeatureGP(
+        DIM, n_stack=1, hidden_dims=(50, 50), n_features=N_FEATURES, seed=0
+    )
+
+
 def nngp_train_step(n):
     x, y = make_data(n)
-    model = NeuralFeatureGP(DIM, hidden_dims=(50, 50), n_features=N_FEATURES, seed=0)
-    z = model._y_scaler.fit_transform(y)
-
-    def step():
-        feats = model.features(x)
-        _, dfeats, _, _ = model.marginal_nll(feats, z, with_grads=True)
-        model.backprop_feature_grad(dfeats)
-
-    return step
+    model = make_nngp()
+    z = ((y - y.mean()) / y.std())[None, :]
+    epoch = BatchedFeatureGPTrainer(epochs=1, patience=None)
+    return lambda: epoch.train(model, x, z)
 
 
 def _best_time(fn, repeats=5):
@@ -114,9 +119,7 @@ def test_gp_predict(benchmark, n):
 @pytest.mark.parametrize("n", [N_SMALL, N_LARGE])
 def test_nngp_predict(benchmark, n):
     x, y = make_data(n)
-    model = NeuralFeatureGP(DIM, hidden_dims=(50, 50), n_features=N_FEATURES, seed=0)
-    model._x_train = x
-    model._z_train = model._y_scaler.fit_transform(y)
-    model.update_posterior()
+    model = make_nngp()
+    model.fit(x, y, trainer=BatchedFeatureGPTrainer(epochs=0))
     x_test = np.random.default_rng(1).uniform(size=(256, DIM))
     benchmark(lambda: model.predict(x_test))

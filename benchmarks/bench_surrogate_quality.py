@@ -21,7 +21,7 @@ import pytest
 
 from repro.bo.design import latin_hypercube
 from repro.circuits.testbenches import TwoStageOpAmpProblem
-from repro.core import DeepEnsemble, FeatureGPTrainer, NeuralFeatureGP
+from repro.core import BatchedFeatureGPTrainer, SurrogateBank
 from repro.gp import GPRegression
 
 N_TRAIN, N_TEST = 50, 100
@@ -48,18 +48,19 @@ def test_nngp_fit_and_accuracy(benchmark, opamp_dataset):
     x, y, x_test, y_test = opamp_dataset
 
     def fit():
-        ensemble = DeepEnsemble.create(
-            lambda r: NeuralFeatureGP(x.shape[1], hidden_dims=(50, 50),
-                                      n_features=50, seed=r),
+        bank = SurrogateBank(
+            x.shape[1],
+            n_targets=1,
             n_members=3,
+            hidden_dims=(50, 50),
+            n_features=50,
+            trainer_factory=lambda: BatchedFeatureGPTrainer(epochs=200),
             seed=0,
         )
-        for member in ensemble.members:
-            member.fit(x, y, trainer=FeatureGPTrainer(epochs=200))
-        return ensemble
+        return bank.fit(x, y[None, :])
 
-    ensemble = benchmark.pedantic(fit, rounds=1, iterations=1)
-    mean, _ = ensemble.predict(x_test)
+    bank = benchmark.pedantic(fit, rounds=1, iterations=1)
+    mean, _ = bank.predict_target(0, x_test)
     SCORES["nngp"] = rmse(mean, y_test)
     benchmark.extra_info["rmse_db"] = SCORES["nngp"]
     print(f"\n[surrogate] NN-GP RMSE = {SCORES['nngp']:.2f} dB "

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.bo.design import latin_hypercube
 from repro.circuits.testbenches import TwoStageOpAmpProblem
-from repro.core import DeepEnsemble, FeatureGPTrainer, NeuralFeatureGP
+from repro.core import BatchedFeatureGPTrainer, SurrogateBank
 from repro.gp import GPRegression
 
 
@@ -35,15 +35,18 @@ def main():
 
     print("fitting NN-GP ensemble (paper Sec. III) ...")
     t0 = time.time()
-    ensemble = DeepEnsemble.create(
-        lambda r: NeuralFeatureGP(problem.dim, hidden_dims=(50, 50),
-                                  n_features=50, seed=r),
-        n_members=5, seed=1,
+    bank = SurrogateBank(
+        problem.dim,
+        n_targets=1,
+        n_members=5,
+        hidden_dims=(50, 50),
+        n_features=50,
+        trainer_factory=lambda: BatchedFeatureGPTrainer(epochs=300),
+        seed=1,
     )
-    for member in ensemble.members:
-        member.fit(x_train, y_train, trainer=FeatureGPTrainer(epochs=300))
+    bank.fit(x_train, y_train[None, :])
     t_nn = time.time() - t0
-    mean_nn, var_nn = ensemble.predict(x_test)
+    mean_nn, var_nn = bank.predict_target(0, x_test)
 
     print("fitting classic GP (WEIBO surrogate, Sec. II-C) ...")
     t0 = time.time()
@@ -61,7 +64,7 @@ def main():
     print(f"fit time (s)    {t_nn:14.2f}   {t_gp:10.2f}")
     print(f"\ntarget std: {y_test.std():.3f} dB  "
           f"(an RMSE well below this means the surrogate is informative)")
-    print(f"feature network: {ensemble.members[0].network}")
+    print(f"feature networks: {bank.gp.network}")
 
 
 if __name__ == "__main__":

@@ -30,23 +30,20 @@ from repro.bo import (
     SurrogateConfig,
     Trial,
 )
-from repro.core import DeepEnsemble, FeatureGPTrainer, NeuralFeatureGP, NNBO
+from repro.core import NNBO
 from repro.gp import GPRegression, Matern52, RBF
 
 __version__ = "1.1.0"
 
 __all__ = [
     "AcquisitionConfig",
-    "DeepEnsemble",
     "DifferentialEvolution",
     "Evaluation",
-    "FeatureGPTrainer",
     "FunctionProblem",
     "GASPAD",
     "GPRegression",
     "Matern52",
     "NNBO",
-    "NeuralFeatureGP",
     "OptimizationResult",
     "Problem",
     "RBF",

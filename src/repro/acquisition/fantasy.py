@@ -14,10 +14,9 @@ otherwise every pick lands on the same argmax.  The pretend value is the
 
 Two conditioning paths exist.  The batched :class:`~repro.core.batched_gp.
 SurrogateBank` exposes ``fantasize`` (a cheap posterior-only rank update
-through the stacked engine).  For the per-target legacy surrogates this
-module provides :class:`FantasyModelSet`: models exposing ``condition_on``
-get the same posterior-only update, anything else (e.g. the WEIBO GP
-baseline) is refit on the augmented dataset — the textbook constant-liar
+through the stacked engine).  For per-target surrogates (e.g. the WEIBO
+GP baseline) this module provides :class:`FantasyModelSet`, which refits
+each model on the augmented dataset — the textbook constant-liar
 procedure.
 """
 
@@ -82,11 +81,10 @@ def constraint_lies(constraint_models, u: np.ndarray) -> list[float]:
 class FantasyModelSet:
     """Per-target surrogates plus the training data their fantasies extend.
 
-    Wraps the legacy (non-bank) fit of one BO iteration: the objective
-    model, the constraint models, and the sanitized targets each was
-    fitted on.  :meth:`add_fantasy` conditions every model on a pending
-    point — via ``condition_on`` when the model supports a posterior-only
-    update, else by refitting on the augmented dataset.  Models are
+    Wraps the per-target (non-bank) fit of one BO iteration: the
+    objective model, the constraint models, and the sanitized targets each
+    was fitted on.  :meth:`add_fantasy` conditions every model on a
+    pending point by refitting it on the augmented dataset.  Models are
     per-iteration throwaways, so conditioning mutates them in place.
     """
 
@@ -118,13 +116,6 @@ class FantasyModelSet:
         for ys, lie in zip(self._constraint_ys, cons_lies):
             ys.append(np.array([float(lie)]))
         x_aug = np.vstack(self._x_rows)
-        self._condition(self.objective_model, u, obj_lie, x_aug, self._objective_y)
-        for model, lie, ys in zip(self.constraint_models, cons_lies, self._constraint_ys):
-            self._condition(model, u, lie, x_aug, ys)
-
-    @staticmethod
-    def _condition(model, u, lie, x_aug, y_rows):
-        if hasattr(model, "condition_on"):
-            model.condition_on(u, lie)
-        else:
-            model.fit(x_aug, np.concatenate(y_rows))
+        self.objective_model.fit(x_aug, np.concatenate(self._objective_y))
+        for model, ys in zip(self.constraint_models, self._constraint_ys):
+            model.fit(x_aug, np.concatenate(ys))

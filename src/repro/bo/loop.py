@@ -72,10 +72,12 @@ class SurrogateBO:
     problem:
         The :class:`~repro.bo.problem.Problem` to minimize.
     surrogate_factory:
-        Callable ``(rng) -> model`` returning a fresh surrogate with
-        ``fit(x, y)`` and ``predict(x) -> (mean, var)``.  Called once per
-        modelled quantity per iteration (the per-target loop path used by
-        the WEIBO/GP baselines).
+        Callable ``(rng) -> model`` returning a fresh GP-style surrogate
+        with ``fit(x, y)`` and ``predict(x) -> (mean, var)``.  Called once
+        per modelled quantity per iteration (the per-target loop path used
+        by the WEIBO/GP baselines).  Such models serve the wEI family
+        only: Thompson sampling draws weight-space posterior functions,
+        which needs ``surrogate_bank_factory``.
     surrogate_bank_factory:
         Callable ``(rng, n_targets) -> bank`` returning a fresh
         :class:`~repro.core.batched_gp.SurrogateBank`-style object with
@@ -96,7 +98,8 @@ class SurrogateBO:
         :class:`DifferentialEvolutionMaximizer`.
     acquisition_config:
         An :class:`~repro.bo.config.AcquisitionConfig`: acquisition family
-        (``"wei"``/``"thompson"``), log-space evaluation, duplicate
+        (``"wei"``/``"thompson"``; Thompson needs
+        ``surrogate_bank_factory``), log-space evaluation, duplicate
         tolerance, and the pending-point strategy (fantasy lies, local
         penalization, hallucinated bounds) for concurrent proposals.
     scheduler_config:
@@ -146,6 +149,13 @@ class SurrogateBO:
             acquisition_config = AcquisitionConfig()
         if scheduler_config is None:
             scheduler_config = SchedulerConfig()
+        if acquisition_config.acquisition == "thompson" and surrogate_bank_factory is None:
+            raise ValueError(
+                "acquisition='thompson' requires surrogate_bank_factory "
+                "(Thompson draws weight-space posterior functions from the "
+                "NN-GP bank); a per-target surrogate_factory serves "
+                "acquisition='wei' only"
+            )
         if (
             scheduler_config.async_refit == "fantasy-only"
             and surrogate_bank_factory is None

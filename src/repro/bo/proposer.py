@@ -221,15 +221,10 @@ class Proposer:
         bo = self.optimizer
         acq = bo.acquisition_config
         if acq.acquisition == "thompson":
-            if fitted.bank is not None:
-                from repro.acquisition.thompson import BankThompsonAcquisition
+            # a bank is guaranteed: SurrogateBO rejects Thompson without one
+            from repro.acquisition.thompson import BankThompsonAcquisition
 
-                return BankThompsonAcquisition(fitted.bank, rng=bo.rng)
-            from repro.acquisition.thompson import ThompsonSamplingAcquisition
-
-            return ThompsonSamplingAcquisition(
-                fitted.objective, fitted.constraints, rng=bo.rng
-            )
+            return BankThompsonAcquisition(fitted.bank, rng=bo.rng)
         tau = result.best_objective()
         tau = None if not np.isfinite(tau) else tau
         if acq.pending_strategy == "hallucinate":

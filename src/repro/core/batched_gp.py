@@ -1,13 +1,50 @@
 """Batched surrogate engine: K x T neural-feature GPs as one tensor program.
 
+The model (paper Sec. III-A)
+----------------------------
+
+Each slice is a Gaussian process whose latent function is a Bayesian
+linear model over learned features,
+
+    f(x) = w^T phi(x),        w ~ N(0, sigma_p^2 / M * I),          (eq. 8)
+
+which induces the GP kernel ``k(x1, x2) = phi(x1)^T Sigma_p phi(x2)``
+(eq. 9).  With ``Phi = [phi(x_1) ... phi(x_N)]`` (M x N) and
+
+    A = Phi Phi^T + (M sigma_n^2 / sigma_p^2) I                     (M x M)
+
+the posterior at a new point is (eq. 10)
+
+    mu(x)      = phi(x)^T A^{-1} Phi y
+    sigma^2(x) = sigma_n^2 + sigma_n^2 phi(x)^T A^{-1} phi(x)
+
+and the marginal log-likelihood is eq. 11.  Everything is expressed through
+the M x M matrix ``A``, so training cost is O(M^3 + N M^2) — *linear* in the
+number of observations N — and prediction is O(M)/O(M^2) per point,
+independent of N (Sec. III-D).
+
+Gradient of the negative log-likelihood used for training (derived from
+eq. 11 via matrix calculus; verified against finite differences in
+``tests/core/test_feature_gp_grad.py``): with ``u = Phi y``, ``r = A^{-1} u``
+and ``resid = y - Phi^T r``,
+
+    dNLL/dPhi   = -(1/sigma_n^2) * r resid^T + A^{-1} Phi
+    dNLL/dbeta  = r^T r / (2 sigma_n^2) + tr(A^{-1}) / 2 - M / (2 beta)
+    dNLL/ds     = -(y^T y - u^T r) / (2 sigma_n^2) + N/2 + beta * dNLL/dbeta
+    dNLL/dp     = -beta * dNLL/dbeta
+
+where ``beta = M sigma_n^2 / sigma_p^2`` and ``s = log sigma_n^2``,
+``p = log sigma_p^2``.
+
 Performance architecture — the stack axis ``(S, ...)``
 ------------------------------------------------------
 
 One BO iteration of the paper's method fits ``S = K * T`` neural-feature
 GPs: K = 5 ensemble members (Sec. III-C) for each of T modelled quantities
 (the objective plus every constraint — six for the Table II charge pump).
-The per-member loop re-enters Python for every epoch of every model; this
-module instead trains all S models simultaneously over stacked tensors:
+A loop over the members would re-enter Python for every epoch of every
+model; this module instead trains all S models simultaneously over
+stacked tensors:
 
 * network weights: ``(S, in_dim, out_dim)`` (``repro.nn.batched``),
 * features: ``(S, N, M)``,
@@ -16,11 +53,12 @@ module instead trains all S models simultaneously over stacked tensors:
 * GP scale hyper-parameters and per-slice losses: ``(S,)``.
 
 Slice ``s = t * K + k`` is member ``k`` of target ``t``.  Every stacked
-operation applies the identical kernel the serial path uses slice by
-slice, so the engine is *numerically equivalent* to the member-by-member
-loop (pinned to <= 1e-8 by ``tests/core/test_batched_gp.py`` and
-``benchmarks/bench_batched_engine.py``) while removing the Python-level
-K x T x epochs loop from the hot path.
+operation applies, slice by slice, the identical kernel a one-model-at-a-
+time implementation uses, so the engine is *numerically equivalent* to
+the member-by-member loop — the per-member reference engine kept in
+``tests/per_member_engine.py`` (pinned to <= 1e-8, means bitwise, by
+``tests/core/test_batched_gp.py`` and ``benchmarks/bench_batched_engine.py``)
+— while removing the Python-level K x T x epochs loop from the hot path.
 
 The same per-slice property lets one fit use every core: on the numpy
 backend the trainer splits the S slices into contiguous groups, trains
@@ -31,9 +69,9 @@ were measured and lose at M ~ 50; BLAS's own threads buy at most ~10%.
 
 Two classes realize the engine:
 
-* :class:`BatchedNeuralFeatureGP` — S independent GPs sharing one training
-  input matrix; the stacked counterpart of
-  :class:`~repro.core.feature_gp.NeuralFeatureGP`.
+* :class:`BatchedNeuralFeatureGP` — S independent neural-feature GPs
+  sharing one training input matrix (the paper's surrogate, eq. 8-11, with
+  a stack axis).
 * :class:`SurrogateBank` — the modelling front-end used by the BO loop: it
   owns the target layout, fits objective and constraint ensembles in one
   call, and exposes per-target moment-matched predictions (eq. 13).
@@ -46,7 +84,6 @@ import numpy as np
 from scipy.linalg import lapack as _lapack
 
 from repro.backend import resolve_namespace
-from repro.core.feature_gp import NeuralFeatureGP
 from repro.gp.linalg import (
     lapack_jitter_cholesky,
     log_det_from_cholesky,
@@ -61,8 +98,8 @@ from repro.utils.validation import check_finite, check_matrix_2d
 def _resolve_rngs(seed, count: int) -> list[np.random.Generator]:
     """One generator per slice from a seed, generator, or explicit list.
 
-    Passing an explicit sequence lets callers reproduce the exact per-member
-    streams of a serial :class:`~repro.core.ensemble.DeepEnsemble` build.
+    Passing an explicit sequence lets callers pin each slice's stream,
+    e.g. to match a per-member model seeded with the same generator.
     """
     if isinstance(seed, (list, tuple)):
         if len(seed) != count:
@@ -74,17 +111,46 @@ def _resolve_rngs(seed, count: int) -> list[np.random.Generator]:
 class BatchedNeuralFeatureGP:
     """S neural-feature GPs trained and queried through stacked tensors.
 
-    Semantically this is a list of S independent
-    :class:`~repro.core.feature_gp.NeuralFeatureGP` models that share the
-    same training inputs ``x`` but may have distinct targets, weights, and
-    GP scales.  All state carries the leading stack axis: slice ``s`` of
-    every array belongs to model ``s``, and evolves exactly as a standalone
-    model seeded with ``rngs[s]`` would.
+    Semantically this is a list of S independent GP regression models
+    whose kernels are learned by neural networks (see the module
+    docstring); they share the same training inputs ``x`` but may have
+    distinct targets, weights, and GP scales.  All state carries the
+    leading stack axis: slice ``s`` of every array belongs to model ``s``,
+    and evolves exactly as a standalone model seeded with ``rngs[s]``
+    would.  ``n_stack=1`` is a single model.
 
-    Parameters mirror :class:`NeuralFeatureGP`; ``seed`` may additionally
-    be a sequence of ``n_stack`` generators for explicit slice streams.
-    ``backend`` selects the array namespace all stacked tensors live in
-    (:mod:`repro.backend`); ``None`` is the reference numpy path.
+    Parameters
+    ----------
+    input_dim:
+        Design-space dimension ``d``.
+    n_stack:
+        Number of stacked models S.
+    hidden_dims:
+        Hidden-layer widths of the feature networks; the default
+        ``(50, 50)`` realizes the paper's 4-layer fully-connected
+        architecture (Fig. 1).
+    n_features:
+        Width ``M`` of the feature layer phi(x) (before the optional bias
+        column).
+    activation, output_activation:
+        Hidden and feature-layer activations; the paper uses ReLU hidden
+        layers.
+    add_bias_feature:
+        Append a constant-1 feature so the Bayesian linear head can express
+        a learned constant mean (the classic GP baseline gets an explicit
+        ``mu_0`` instead).
+    noise_variance, prior_variance:
+        Initial sigma_n^2 and sigma_p^2 of every slice.
+    normalize_y:
+        Z-score each slice's targets internally before fitting.
+    seed:
+        Seed/generator for weight initialization, spawned into one stream
+        per slice, or a sequence of ``n_stack`` generators for explicit
+        slice streams; ensemble members get independent streams
+        (Sec. III-C).
+    backend:
+        The array namespace all stacked tensors live in
+        (:mod:`repro.backend`); ``None`` is the reference numpy path.
     """
 
     def __init__(
@@ -192,8 +258,8 @@ class BatchedNeuralFeatureGP:
 
         The M-dimensional reductions (dot products, traces) run per slice:
         at M ~ 50 they are negligible next to the stacked GEMMs, and the
-        per-slice BLAS calls keep every value bitwise identical to
-        :meth:`NeuralFeatureGP.marginal_nll`.
+        per-slice BLAS calls keep every value bitwise identical to a
+        one-model computation.
         """
         xb = self.xb
         feats = xb.asarray(feats, dtype=float)
@@ -429,8 +495,10 @@ class BatchedNeuralFeatureGP:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Per-slice posterior means and variances, each shape ``(S, n)``.
 
-        Values are in each slice's original target units, exactly as the
-        matching :meth:`NeuralFeatureGP.predict` would return.
+        Values are in each slice's original target units; the variance is
+        the latent function's, ``include_noise`` adds sigma_n^2 (the
+        paper's eq. 10 includes it; for acquisition optimization the
+        latent-function variance is standard).
         """
         self._require_fitted()
         xb = self.xb
@@ -550,13 +618,21 @@ class SurrogateBank:
     The bank owns ``S = n_targets * n_members`` stacked networks (slice
     ``t * K + k`` is member ``k`` of target ``t``), fits them all with one
     :meth:`fit` call, and serves per-target moment-matched predictions
-    (eq. 13) identical to a serial
-    :class:`~repro.core.ensemble.DeepEnsemble` per target.
+    (eq. 13).  K independent members are trained on the same data from
+    different random initializations and combined by moment matching,
 
-    Seeding matches the serial BO loop exactly: the root generator is
-    consumed by ``spawn_rngs(root, K)`` once per target, in target order —
-    the same stream a sequence of ``DeepEnsemble.create(...)`` calls
-    sharing one generator would draw.
+        mu(x)      = 1/K sum_k mu_k(x)
+        sigma^2(x) = 1/K sum_k (mu_k(x)^2 + sigma_k^2(x)) - mu(x)^2
+
+    so the combined variance contains both the average member variance
+    and the *disagreement* between member means — the term that repairs
+    uncertainty estimates far from the training data (Lakshminarayanan et
+    al. 2017).  The paper sets K = 5 empirically.
+
+    Seeding: the root generator is consumed by ``spawn_rngs(root, K)``
+    once per target, in target order.  A one-target bank built from a
+    generator therefore starts its K members from the weights K per-member
+    models spawned from that generator would get.
 
     Parameters
     ----------
@@ -711,32 +787,6 @@ class SurrogateBank:
         """Number of fantasy observations currently conditioning the bank."""
         return self._gp.n_fantasies
 
-    # -- posterior function sampling (Thompson) -------------------------------------
-
-    def sample_target_function(self, target: int, rng=None):
-        """One ensemble-Thompson draw of a target: a callable ``f(x) -> (n,)``.
-
-        A member ``k`` is chosen uniformly, then an exact weight-space
-        posterior function is sampled from slice ``t * K + k`` (the
-        standard ensemble-Thompson scheme, mirroring the per-member
-        :class:`~repro.acquisition.thompson.SampledFunction`).  Returned
-        values are in original target units.
-        """
-        if not 0 <= target < self.n_targets:
-            raise IndexError(f"target {target} out of range [0, {self.n_targets})")
-        rng = ensure_rng(rng)
-        k = int(rng.integers(self.n_members))
-        s = target * self.n_members + k
-        weights = self._gp.sample_slice_weights(s, rng=rng)
-        scale = float(self._gp._y_scale[s])
-        mean = float(self._gp._y_mean[s])
-
-        def sampled(x: np.ndarray, _s=s, _w=weights) -> np.ndarray:
-            feats = self._gp.features(np.atleast_2d(np.asarray(x, dtype=float)))
-            return self._gp.xb.from_device(feats[_s] @ _w) * scale + mean
-
-        return sampled
-
     # -- prediction -----------------------------------------------------------------
 
     def _stacked_predict(self, x: np.ndarray):
@@ -817,26 +867,3 @@ class SurrogateBank:
             f"S={self.n_stack})"
         )
 
-
-def serial_reference_bank(
-    input_dim: int,
-    n_targets: int,
-    n_members: int = 5,
-    member_kwargs: dict | None = None,
-    seed=None,
-) -> list[list[NeuralFeatureGP]]:
-    """Per-member models seeded identically to a :class:`SurrogateBank`.
-
-    Test/benchmark helper: returns ``models[t][k]`` constructed from the
-    exact random streams bank slice ``t * K + k`` used, so serial and
-    batched training can be compared one-to-one.
-    """
-    root = ensure_rng(seed)
-    member_kwargs = dict(member_kwargs or {})
-    models: list[list[NeuralFeatureGP]] = []
-    for _ in range(n_targets):
-        rngs = spawn_rngs(root, n_members)
-        models.append(
-            [NeuralFeatureGP(input_dim, seed=rng, **member_kwargs) for rng in rngs]
-        )
-    return models

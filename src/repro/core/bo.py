@@ -1,10 +1,11 @@
 """The paper's complete algorithm: NN-GP ensemble Bayesian optimization.
 
 ``NNBO`` is Algorithm 1 with the surrogate of Sec. III: each iteration
-builds K = 5 independently initialized :class:`NeuralFeatureGP` models per
-modelled quantity, trains them by marginal-likelihood back-propagation,
-combines them by moment matching (eq. 13) and maximizes the wEI
-acquisition (eq. 7) to pick the next simulation.
+builds K = 5 independently initialized neural-feature GPs per modelled
+quantity (one :class:`~repro.core.batched_gp.SurrogateBank` slice each),
+trains them by marginal-likelihood back-propagation, combines them by
+moment matching (eq. 13) and maximizes the wEI acquisition (eq. 7) to pick
+the next simulation.
 
 Model hyper-parameters live in a typed
 :class:`~repro.bo.config.SurrogateConfig`, alongside the driver-level

@@ -4,13 +4,13 @@ Performance architecture — whole slices on separate cores
 ---------------------------------------------------------
 
 Every stacked operation of the likelihood training is per-slice (the
-property active-slice compaction already pins bitwise), so the S = K·T
-slices of one fit can train as independent groups with arithmetic
-identical to one pass over the whole stack.
+property active-slice compaction relies on), so the S = K·T slices of one
+fit can train as independent groups with arithmetic identical to one
+pass over the whole stack.
 :meth:`repro.core.trainer.BatchedFeatureGPTrainer.train` therefore splits
-the numpy, ``compact=True`` likelihood phase into
-``min(default_pool_workers(), S)`` contiguous groups: group 0 trains in
-the calling thread, every other group in one of the workers kept here.
+the numpy likelihood phase into ``min(default_pool_workers(), S)``
+contiguous groups: group 0 trains in the calling thread, every other
+group in one of the workers kept here.
 
 * **Workers** are plain ``subprocess`` children of ``sys.executable``,
   started by the first split fit (importing this module starts nothing)
@@ -23,9 +23,12 @@ the calling thread, every other group in one of the workers kept here.
   top-level code, a ``ProcessPoolExecutor`` leaves a manager thread that a
   later fork-based evaluation pool inherits, and per-study workers would
   mean one process per resident service study.
-* **The BLAS pin.**  While group 0 trains, numpy's and scipy's bundled
-  OpenBLAS run one thread (:func:`blas_single_thread`), so the caller's
-  BLAS threads do not contend with the workers' cores.  At the paper's
+* **The BLAS pin.**  The trainer runs the caller's side of every numpy
+  fit with numpy's and scipy's bundled OpenBLAS on one thread
+  (:func:`blas_single_thread`), split or not, as the workers run.  The
+  caller's BLAS threads then do not contend with the workers' cores, and
+  a one-group fit rounds as a split one does: from N ~ 500 training
+  points OpenBLAS's threaded kernels round differently.  At the paper's
   sizes a second BLAS thread buys at most ~10%, and next to a busy core it
   costs ~3x.
 * **One group in the caller** instead when :meth:`SliceWorkers.checkout`
@@ -104,22 +107,47 @@ def _blas_thread_controls() -> tuple:
     return tuple(controls)
 
 
-@contextlib.contextmanager
-def blas_single_thread():
-    """Run the body with numpy's and scipy's OpenBLAS on one thread.
+class _BlasPin:
+    """The process's one BLAS pin, shared by every thread that holds it.
 
-    The caller's thread counts are restored on exit; without a bundled
-    OpenBLAS exposing the thread controls this is a no-op.
+    OpenBLAS's thread count is process-wide, and fits in several threads
+    (service studies, say) pin it at once, so the pin is counted: the first
+    holder saves the counts and sets 1, the last one out restores them.
     """
-    controls = _blas_thread_controls()
-    saved = [get() for get, _ in controls]
-    for _, set_threads in controls:
-        set_threads(1)
-    try:
-        yield
-    finally:
-        for (_, set_threads), count in zip(controls, saved):
-            set_threads(count)
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._holders = 0
+        self._saved: list[int] = []
+
+    def __enter__(self):
+        with self._lock:
+            if self._holders == 0:
+                controls = _blas_thread_controls()
+                self._saved = [get() for get, _ in controls]
+                for _, set_threads in controls:
+                    set_threads(1)
+            self._holders += 1
+
+    def __exit__(self, *exc_info):
+        with self._lock:
+            self._holders -= 1
+            if self._holders == 0:
+                for (_, set_threads), count in zip(_blas_thread_controls(), self._saved):
+                    set_threads(count)
+
+
+_BLAS_PIN = _BlasPin()
+
+
+def blas_single_thread() -> _BlasPin:
+    """A context manager running its body with numpy's and scipy's OpenBLAS on one thread.
+
+    The caller's thread counts are restored when the last concurrent holder
+    leaves; without a bundled OpenBLAS exposing the thread controls this is
+    a no-op.
+    """
+    return _BLAS_PIN
 
 
 # -- workers ---------------------------------------------------------------------------
@@ -250,7 +278,7 @@ class SliceWorkers:
     def run(self, workers: list, fn, tasks: list) -> list:
         """``[fn(*task) for task in tasks]``, spread over checked-out workers.
 
-        ``tasks[0]`` runs in this thread under :func:`blas_single_thread`;
+        ``tasks[0]`` runs in this thread (the trainer has pinned its BLAS);
         ``tasks[i]`` goes to ``workers[i - 1]``, which runs ``fn`` (pickled
         by reference) on its copy of the task.  A task whose worker cannot
         take it or dies runs here instead.  An exception a task raised,
@@ -267,24 +295,23 @@ class SliceWorkers:
                 self._drop(worker)
                 local.append(i)
         try:
-            with blas_single_thread():
-                for i in local:
-                    results[i] = fn(*tasks[i])
-                while busy:
-                    i, worker = busy[0]
-                    try:
-                        ok, value, caught = worker.receive()
-                    except WorkerLost:
-                        busy.pop(0)
-                        self._drop(worker)
-                        results[i] = fn(*tasks[i])
-                        continue
+            for i in local:
+                results[i] = fn(*tasks[i])
+            while busy:
+                i, worker = busy[0]
+                try:
+                    ok, value, caught = worker.receive()
+                except WorkerLost:
                     busy.pop(0)
-                    for category, message, filename, lineno in caught:
-                        warnings.warn_explicit(message, category, filename, lineno)
-                    if not ok:
-                        raise value
-                    results[i] = value
+                    self._drop(worker)
+                    results[i] = fn(*tasks[i])
+                    continue
+                busy.pop(0)
+                for category, message, filename, lineno in caught:
+                    warnings.warn_explicit(message, category, filename, lineno)
+                if not ok:
+                    raise value
+                results[i] = value
         except BaseException:
             for _, worker in busy:
                 self._drop(worker)
@@ -313,8 +340,16 @@ class SliceWorkers:
 #: the process-wide worker set every split fit checks out
 WORKERS = SliceWorkers()
 
+
+def _after_fork_in_child() -> None:
+    WORKERS._after_fork_in_child()
+    # a fork can copy the lock held by another thread; the child's pin
+    # starts over from the counts it inherited
+    _BLAS_PIN.__init__()
+
+
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=lambda: WORKERS._after_fork_in_child())
+    os.register_at_fork(after_in_child=_after_fork_in_child)
 
 
 def serve(tasks, results) -> None:

@@ -23,41 +23,87 @@ operation is per-slice.
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 
-from repro.core.feature_gp import (
-    LOG_NOISE_BOUNDS,
-    LOG_PRIOR_BOUNDS,
-    NeuralFeatureGP,
-)
-from repro.core.slice_workers import WORKERS
+from repro.core.slice_workers import WORKERS, blas_single_thread
 from repro.nn.batched import BatchedLinear
-from repro.nn.layers import Linear
-from repro.nn.losses import mse_loss
-from repro.nn.optimizers import Adam, Optimizer, StackedAdam
+from repro.nn.optimizers import StackedAdam
 from repro.utils.rng import ensure_rng, spawn_rngs
-from repro.utils.validation import check_matrix_2d, check_vector_1d
+from repro.utils.validation import check_matrix_2d
+
+# Clamp ranges for the log-scale hyper-parameters during training; without
+# them the likelihood can push sigma_n^2 -> 0 on noise-free data and the
+# A-matrix conditioning collapses.
+LOG_NOISE_BOUNDS = (np.log(1e-8), np.log(1e2))
+LOG_PRIOR_BOUNDS = (np.log(1e-6), np.log(1e4))
 
 
-class FeatureGPTrainer:
-    """Gradient-based maximum-likelihood trainer for :class:`NeuralFeatureGP`.
+class BatchedFeatureGPTrainer:
+    """Gradient-based maximum-likelihood trainer for S stacked models at once.
+
+    Trains a :class:`~repro.core.batched_gp.BatchedNeuralFeatureGP` by
+    full-batch Adam on every slice's ``[log sigma_n^2, log sigma_p^2, eta]``
+    row (:class:`~repro.nn.optimizers.StackedAdam` with per-slice state).
+    Each slice keeps its own best/stall bookkeeping, restarts from its best
+    point on a non-finite likelihood and stops early on its own (a stalled
+    slice is frozen while the rest keep training), so slice ``s`` evolves
+    exactly as a trainer dedicated to that one model would evolve it
+    (pinned bitwise against the per-member reference engine in
+    ``tests/per_member_engine.py``); one epoch advances all S models
+    through stacked tensor operations.
+
+    The optional MSE pre-training warm start (``pretrain_epochs > 0``,
+    numpy backend only) draws its throwaway head weights from this
+    trainer's own random stream, one sub-stream per slice.  ``seed``
+    defaults to 0, so every fit draws the same heads: a seeded study stays
+    reproducible and no caller's stream is consumed.
+
+    Active-slice compaction: once early stopping freezes a slice, its
+    parameters are final — computing its forward pass, NLL and gradients
+    would be pure waste, yet the stacked GEMMs would keep paying for it
+    until the *last* slice converges.  The trainer therefore re-gathers
+    the still-active slices into a smaller stacked model whenever the
+    active set shrinks and trains on that.  Every stacked operation is
+    per-slice, so gathering changes no arithmetic; frozen slices' entries
+    in ``loss_history`` are ``NaN``.
+
+    Process split (numpy backend): the likelihood phase runs as
+    ``min(default_pool_workers(), S)`` contiguous slice groups, group 0 in
+    the calling thread and the others on the process-wide slice workers of
+    :mod:`repro.core.slice_workers`; the merge leaves bitwise what one pass
+    over the whole stack leaves (pinned in
+    ``tests/core/test_slice_workers.py``).  Pretraining runs in the caller
+    over the full stack first.  Accelerator backends, fits inside a
+    multiprocessing child and fits that find the workers busy with another
+    thread's fit train as one group.
+
+    The BLAS pin: on the numpy backend the caller's side of every fit,
+    pretraining included, runs with numpy's and scipy's OpenBLAS on one
+    thread (:func:`~repro.core.slice_workers.blas_single_thread`), as the
+    workers always do.  From N ~ 500 training points OpenBLAS's threaded
+    kernels round differently from its one-thread kernels, so without the
+    pin a fit that trains as one group would not match a split one.
 
     Parameters
     ----------
     epochs:
         Number of full-batch NLL gradient steps.
     lr:
-        Adam learning rate for the joint parameter vector.
+        Adam learning rate for the joint parameter rows.
     pretrain_epochs:
-        If positive, first run this many MSE steps with a temporary linear
-        head (DNGO-style warm start), then switch to NLL training.
+        If positive, first run this many MSE steps with temporary linear
+        heads (DNGO-style warm start), then switch to NLL training.
     pretrain_lr:
         Learning rate for the pre-training phase.
     patience:
-        Early-stopping patience: training stops when the best NLL has not
+        Early-stopping patience: a slice stops when its best NLL has not
         improved for this many epochs (``None`` disables).
     seed:
         RNG seed for the pre-training head initialization.
+
+    ``loss_history`` holds one ``(S,)`` NLL vector per epoch.
     """
 
     def __init__(
@@ -67,7 +113,7 @@ class FeatureGPTrainer:
         pretrain_epochs: int = 0,
         pretrain_lr: float = 1e-2,
         patience: int | None = 100,
-        seed=None,
+        seed=0,
     ):
         if epochs < 0 or pretrain_epochs < 0:
             raise ValueError("epoch counts must be non-negative")
@@ -76,176 +122,6 @@ class FeatureGPTrainer:
         self.pretrain_epochs = int(pretrain_epochs)
         self.pretrain_lr = float(pretrain_lr)
         self.patience = patience
-        self._rng = ensure_rng(seed)
-        self.loss_history: list[float] = []
-
-    # -- public API -------------------------------------------------------------
-
-    def train(self, model: NeuralFeatureGP, x: np.ndarray, z: np.ndarray) -> float:
-        """Run (optional pre-training and) NLL training; return the best NLL.
-
-        ``z`` must already be in the model's normalized-target units: this
-        is the contract with :meth:`NeuralFeatureGP.fit`, which owns the
-        scaler.
-        """
-        x = check_matrix_2d(x, "x", model.input_dim)
-        z = check_vector_1d(z, "z", length=x.shape[0])
-        self.loss_history = []
-        if self.pretrain_epochs > 0:
-            self._pretrain(model, x, z)
-        if self.epochs > 0:
-            return self._train_nll(model, x, z)
-        feats = model.features(x)
-        return float(model.marginal_nll(feats, z))
-
-    # -- phases -----------------------------------------------------------------
-
-    def _pretrain(self, model: NeuralFeatureGP, x: np.ndarray, z: np.ndarray):
-        """MSE warm start with a throwaway linear head on top of phi(x)."""
-        head = Linear(model.n_features, 1, rng=self._rng)
-        optimizer: Optimizer = Adam(lr=self.pretrain_lr)
-        net = model.network
-        params = np.concatenate(
-            [net.get_flat_params(), head.weight.ravel(), head.bias.ravel()]
-        )
-        n_net = net.num_params
-        target = z.reshape(-1, 1)
-        for _ in range(self.pretrain_epochs):
-            net.set_flat_params(params[:n_net])
-            head.weight[...] = params[n_net:-1].reshape(head.weight.shape)
-            head.bias[...] = params[-1:]
-            feats = net.forward(x)
-            pred = head.forward(feats)
-            _, grad_pred = mse_loss(pred, target)
-            head.zero_grad()
-            grad_feats = head.backward(grad_pred)
-            net.zero_grad()
-            net.backward(grad_feats)
-            grads = np.concatenate(
-                [net.get_flat_grads(), head.grad_weight.ravel(), head.grad_bias.ravel()]
-            )
-            params = optimizer.step(params, grads)
-        net.set_flat_params(params[:n_net])
-
-    def _train_nll(self, model: NeuralFeatureGP, x: np.ndarray, z: np.ndarray) -> float:
-        """Full-batch Adam on ``[log sigma_n^2, log sigma_p^2, eta]``."""
-        optimizer = Adam(lr=self.lr)
-        net = model.network
-        params = np.concatenate(
-            [
-                [model.log_noise_variance, model.log_prior_variance],
-                net.get_flat_params(),
-            ]
-        )
-        best_nll = np.inf
-        best_params = params.copy()
-        stall = 0
-        for _ in range(self.epochs):
-            self._write_params(model, params)
-            feats = model.features(x)
-            nll, dfeats, d_log_noise, d_log_prior = model.marginal_nll(
-                feats, z, with_grads=True
-            )
-            self.loss_history.append(float(nll))
-            if not np.isfinite(nll):
-                # a bad step can overflow the likelihood; restart from best
-                params = best_params.copy()
-                optimizer.reset()
-                stall += 1
-                if self.patience is not None and stall > self.patience:
-                    break
-                continue
-            if nll < best_nll - 1e-9:
-                best_nll = float(nll)
-                best_params = params.copy()
-                stall = 0
-            else:
-                stall += 1
-                if self.patience is not None and stall > self.patience:
-                    break
-            grad_eta = model.backprop_feature_grad(dfeats)
-            grads = np.concatenate([[d_log_noise, d_log_prior], grad_eta])
-            params = optimizer.step(params, grads)
-            params[0] = np.clip(params[0], *LOG_NOISE_BOUNDS)
-            params[1] = np.clip(params[1], *LOG_PRIOR_BOUNDS)
-        self._write_params(model, best_params)
-        if np.isfinite(best_nll):
-            return best_nll
-        feats = model.features(x)
-        return float(model.marginal_nll(feats, z))
-
-    @staticmethod
-    def _write_params(model: NeuralFeatureGP, params: np.ndarray):
-        model.log_noise_variance = float(params[0])
-        model.log_prior_variance = float(params[1])
-        model.network.set_flat_params(params[2:])
-
-
-class BatchedFeatureGPTrainer:
-    """Stacked counterpart of :class:`FeatureGPTrainer` for S models at once.
-
-    Runs the identical training procedure on a
-    :class:`~repro.core.batched_gp.BatchedNeuralFeatureGP`: every slice's
-    parameter row evolves exactly as a dedicated :class:`FeatureGPTrainer`
-    would evolve that member — the same Adam updates
-    (:class:`~repro.nn.optimizers.StackedAdam` with per-slice state), the
-    same best/stall bookkeeping, the same restart-from-best on a non-finite
-    likelihood, and the same early stop (a stalled slice is frozen while
-    the rest keep training).  The only difference is wall-clock: one epoch
-    advances all S models through stacked tensor operations.
-
-    One caveat: the exact slice-for-slice equivalence holds for the NLL
-    training phase (the default, ``pretrain_epochs=0``).  The optional MSE
-    pre-training warm start draws its throwaway head weights from this
-    trainer's own random stream (one sub-stream per slice), which cannot
-    replicate the serial path's per-member head draws — with pretraining
-    enabled the two engines are statistically equivalent but not
-    numerically identical.
-
-    Active-slice compaction (``compact=True``, the default): once early
-    stopping freezes a slice, its parameters are final — computing its
-    forward pass, NLL and gradients would be pure waste, yet the stacked
-    GEMMs otherwise keep paying for it until the *last* slice converges.
-    The trainer therefore re-gathers the still-active slices into a
-    smaller stacked model whenever the active set shrinks and trains on
-    that.  Every stacked operation is per-slice, so gathering changes no
-    arithmetic: predictions are bitwise identical with compaction on or
-    off (pinned in ``tests/core/test_batched_gp.py``).  The only visible
-    difference is bookkeeping — with compaction, frozen slices' entries
-    in ``loss_history`` are ``NaN`` instead of a recomputed NLL.
-
-    Process split (numpy backend with ``compact=True``): the likelihood
-    phase runs as ``min(default_pool_workers(), S)`` contiguous slice
-    groups, group 0 in the calling thread and the others on the
-    process-wide slice workers of :mod:`repro.core.slice_workers`; the
-    merge leaves bitwise what one pass over the whole stack leaves
-    (pinned in ``tests/core/test_slice_workers.py``).  Pretraining runs
-    in the caller over the full stack first.  Accelerator backends,
-    ``compact=False``, fits inside a multiprocessing child and fits that
-    find the workers busy with another thread's fit train as one group.
-
-    Parameters mirror :class:`FeatureGPTrainer`; ``loss_history`` holds one
-    ``(S,)`` NLL vector per epoch.
-    """
-
-    def __init__(
-        self,
-        epochs: int = 500,
-        lr: float = 5e-3,
-        pretrain_epochs: int = 0,
-        pretrain_lr: float = 1e-2,
-        patience: int | None = 100,
-        compact: bool = True,
-        seed=None,
-    ):
-        if epochs < 0 or pretrain_epochs < 0:
-            raise ValueError("epoch counts must be non-negative")
-        self.epochs = int(epochs)
-        self.lr = float(lr)
-        self.pretrain_epochs = int(pretrain_epochs)
-        self.pretrain_lr = float(pretrain_lr)
-        self.patience = patience
-        self.compact = bool(compact)
         self._rng = ensure_rng(seed)
         self.loss_history: list[np.ndarray] = []
 
@@ -264,14 +140,15 @@ class BatchedFeatureGPTrainer:
                 f"expected z shape ({model.n_stack}, {x.shape[0]}), got {tuple(z.shape)}"
             )
         self.loss_history = []
-        if self.pretrain_epochs > 0:
-            self._pretrain(model, x, z)
-        if self.epochs > 0:
-            if model.xb.is_numpy and self.compact:
+        numpy = model.xb.is_numpy
+        with blas_single_thread() if numpy else contextlib.nullcontext():
+            if self.pretrain_epochs > 0:
+                self._pretrain(model, x, z)
+            if self.epochs == 0:
+                return model.marginal_nll(model.features(x), z)
+            if numpy:
                 return self._train_split(model, x, z)
             return self._train_nll(model, x, z)
-        feats = model.features(x)
-        return model.marginal_nll(feats, z)
 
     # -- phases -----------------------------------------------------------------
 
@@ -355,12 +232,11 @@ class BatchedFeatureGPTrainer:
         for _ in range(self.epochs):
             if not active.any():
                 break
-            if self.compact:
-                n_active = int(active.sum())
-                n_view = s_stack if view_idx is None else view_idx.size
-                if n_active < n_view:
-                    view_idx = np.flatnonzero(active)
-                    view = model.gather_slices(view_idx)
+            n_active = int(active.sum())
+            n_view = s_stack if view_idx is None else view_idx.size
+            if n_active < n_view:
+                view_idx = np.flatnonzero(active)
+                view = model.gather_slices(view_idx)
             rows = slice(None) if view_idx is None else xb.as_index(view_idx)
             self._write_params(view, params[rows])
             feats = view.features(x)
@@ -432,12 +308,7 @@ class BatchedFeatureGPTrainer:
             if not workers:
                 return self._train_nll(model, x, z)
             groups = np.array_split(np.arange(model.n_stack), len(workers) + 1)
-            settings = {
-                "epochs": self.epochs,
-                "lr": self.lr,
-                "patience": self.patience,
-                "compact": self.compact,
-            }
+            settings = {"epochs": self.epochs, "lr": self.lr, "patience": self.patience}
             tasks = [(settings, model.gather_slices(idx), x, z[idx]) for idx in groups]
             results = WORKERS.run(workers, fit_slice_group, tasks)
         self._write_params(model, np.concatenate([params for params, _, _ in results]))
@@ -459,7 +330,7 @@ def fit_slice_group(settings: dict, model, x: np.ndarray, z: np.ndarray):
     """Train one group of a split fit; runs in the caller or a slice worker.
 
     ``settings`` are the trainer's plain fields (``epochs``, ``lr``,
-    ``patience``, ``compact``) and ``model`` the group's gathered slices.
+    ``patience``) and ``model`` the group's gathered slices.
     Returns the trained ``(S_g, 2 + P)`` parameter rows
     ``[log sigma_n^2, log sigma_p^2, eta]``, the per-slice best NLL and the
     ``(epochs, S_g)`` loss history.

@@ -16,7 +16,7 @@ import argparse
 
 import numpy as np
 
-from repro.core import DeepEnsemble, FeatureGPTrainer, NeuralFeatureGP
+from repro.core import BatchedFeatureGPTrainer, BatchedNeuralFeatureGP, SurrogateBank
 from repro.experiments.tables import render_table
 from repro.utils.rng import ensure_rng
 
@@ -38,17 +38,6 @@ def nlpd(y_true: np.ndarray, mean: np.ndarray, var: np.ndarray) -> float:
     )
 
 
-def _make_member(dim: int, epochs: int):
-    def factory(rng):
-        return NeuralFeatureGP(dim, hidden_dims=(32, 32), n_features=24, seed=rng)
-
-    def fit(ensemble, x, y):
-        for member in ensemble.members:
-            member.fit(x, y, trainer=FeatureGPTrainer(epochs=epochs))
-
-    return factory, fit
-
-
 def ensemble_size_study(
     k_values=(1, 3, 5, 10),
     n_train: int = 40,
@@ -67,10 +56,17 @@ def ensemble_size_study(
             y = _toy_response(x) + 0.02 * rng.normal(size=n_train)
             x_test = rng.uniform(size=(n_test, 2))
             y_test = _toy_response(x_test)
-            factory, fit = _make_member(2, epochs)
-            ensemble = DeepEnsemble.create(factory, n_members=k, seed=rng)
-            fit(ensemble, x, y)
-            mean, var = ensemble.predict(x_test)
+            bank = SurrogateBank(
+                2,
+                n_targets=1,
+                n_members=k,
+                hidden_dims=(32, 32),
+                n_features=24,
+                trainer_factory=lambda: BatchedFeatureGPTrainer(epochs=epochs),
+                seed=rng,
+            )
+            bank.fit(x, y[None, :])
+            mean, var = bank.predict_target(0, x_test)
             nlpds.append(nlpd(y_test, mean, var))
             rmses.append(float(np.sqrt(np.mean((mean - y_test) ** 2))))
         columns[f"K={k}"] = {
@@ -89,28 +85,26 @@ def training_mode_study(
 ) -> dict[str, dict]:
     """Direct NLL training (paper) vs. MSE pre-training warm start."""
     rng = ensure_rng(seed)
-    modes = {
-        "direct NLL (paper)": FeatureGPTrainer(epochs=epochs),
-        "MSE pretrain + NLL": FeatureGPTrainer(
-            epochs=epochs, pretrain_epochs=epochs // 2
-        ),
-    }
+    # pretraining epochs per mode
+    modes = {"direct NLL (paper)": 0, "MSE pretrain + NLL": epochs // 2}
     columns: dict[str, dict] = {}
-    for name, trainer_proto in modes.items():
+    for name, pretrain_epochs in modes.items():
         nlpds, rmses = [], []
         for _ in range(n_trials):
             x = rng.uniform(size=(n_train, 2))
             y = _toy_response(x) + 0.02 * rng.normal(size=n_train)
             x_test = rng.uniform(size=(n_test, 2))
             y_test = _toy_response(x_test)
-            model = NeuralFeatureGP(2, hidden_dims=(32, 32), n_features=24,
-                                    seed=int(rng.integers(2**31)))
-            trainer = FeatureGPTrainer(
-                epochs=trainer_proto.epochs,
-                pretrain_epochs=trainer_proto.pretrain_epochs,
+            model = BatchedNeuralFeatureGP(
+                2,
+                n_stack=1,
+                hidden_dims=(32, 32),
+                n_features=24,
+                seed=[int(rng.integers(2**31))],
             )
+            trainer = BatchedFeatureGPTrainer(epochs=epochs, pretrain_epochs=pretrain_epochs)
             model.fit(x, y, trainer=trainer)
-            mean, var = model.predict(x_test)
+            (mean,), (var,) = model.predict(x_test)
             nlpds.append(nlpd(y_test, mean, var))
             rmses.append(float(np.sqrt(np.mean((mean - y_test) ** 2))))
         columns[name] = {

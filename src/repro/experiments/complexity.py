@@ -1,8 +1,10 @@
 """Sec. III-D complexity claim: NN-GP trains in O(N), classic GP in O(N^3).
 
-Measures wall-clock time for (a) one marginal-likelihood evaluation with
-gradients and (b) a batch prediction, as the training-set size N grows with
-the feature dimension M fixed.  The paper's claim is about the *scaling
+Measures wall-clock time for (a) one training step — a marginal-likelihood
+evaluation with gradients; for the NN-GP one epoch of
+:class:`~repro.core.trainer.BatchedFeatureGPTrainer`, the step a fit runs —
+and (b) a batch prediction, as the training-set size N grows with the
+feature dimension M fixed.  The paper's claim is about the *scaling
 shape*: the classic GP's likelihood evaluation is dominated by an N x N
 Cholesky (cubic), while the NN-GP works through the M x M A-matrix (linear
 in N).  The companion benchmark ``benchmarks/bench_complexity.py`` asserts
@@ -18,7 +20,7 @@ import time
 
 import numpy as np
 
-from repro.core import NeuralFeatureGP
+from repro.core import BatchedFeatureGPTrainer, BatchedNeuralFeatureGP
 from repro.gp import GPRegression, RBF
 from repro.experiments.tables import render_table
 
@@ -67,19 +69,17 @@ def measure_scaling(
             lambda: gp.predict(x_test)
         )
 
-        nngp = NeuralFeatureGP(dim, hidden_dims=(50, 50), n_features=n_features, seed=0)
-        nngp._x_train = x
-        nngp._z_train = nngp._y_scaler.fit_transform(y)
-
-        def nn_train_step():
-            feats = nngp.features(x)
-            _, dfeats, _, _ = nngp.marginal_nll(feats, nngp._z_train, with_grads=True)
-            nngp.backprop_feature_grad(dfeats)
-
-        columns["NN-GP train-step (ms)"][label] = 1e3 * _time_call(nn_train_step)
-        nngp.update_posterior()
+        nngp = BatchedNeuralFeatureGP(
+            dim, n_stack=1, hidden_dims=(50, 50), n_features=n_features, seed=0
+        )
+        nngp.fit(x, y, trainer=BatchedFeatureGPTrainer(epochs=0))
         columns["NN-GP predict (ms)"][label] = 1e3 * _time_call(
             lambda: nngp.predict(x_test)
+        )
+        z = ((y - y.mean()) / y.std())[None, :]
+        epoch = BatchedFeatureGPTrainer(epochs=1, patience=None)
+        columns["NN-GP train-step (ms)"][label] = 1e3 * _time_call(
+            lambda: epoch.train(nngp, x, z)
         )
     return columns
 

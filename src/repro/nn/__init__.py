@@ -3,41 +3,28 @@
 The paper's surrogate (Sec. III-A, Fig. 1) needs a 4-layer fully-connected
 network whose weights are trained by back-propagating the gradient of the
 GP marginal likelihood (eq. 12).  No deep-learning framework is assumed:
-this package provides exactly the pieces required — dense layers,
-activations, a sequential container with an explicit backward pass, weight
-initializers and first-order optimizers — with flat parameter-vector
-access so the GP hyper-parameters (sigma_n, sigma_p) and network weights can
-be optimized jointly by one Adam instance.
+this package provides exactly the pieces required — stacked dense layers
+and activations with an explicit backward pass, weight initializers and
+a stacked Adam — with ``(S, P)`` parameter-row access so each slice's GP
+hyper-parameters (sigma_n, sigma_p) and network weights are optimized
+jointly.  Every array carries a leading stack axis: one call advances
+the S networks of a surrogate bank at once.
 """
 
-from repro.nn.activations import Identity, LeakyReLU, ReLU, Sigmoid, Softplus, Tanh
+from repro.nn.activations import Activation
 from repro.nn.batched import BatchedLinear, BatchedSequential, make_batched_mlp
 from repro.nn.initializers import he_normal, xavier_uniform, zeros_init
-from repro.nn.layers import Layer, Linear
-from repro.nn.losses import mse_loss
-from repro.nn.network import Sequential, make_mlp
-from repro.nn.optimizers import SGD, Adam, Optimizer, StackedAdam
+from repro.nn.layers import Layer
+from repro.nn.optimizers import StackedAdam
 
 __all__ = [
-    "Adam",
+    "Activation",
     "BatchedLinear",
     "BatchedSequential",
-    "Identity",
     "Layer",
-    "LeakyReLU",
-    "Linear",
-    "Optimizer",
-    "ReLU",
-    "SGD",
-    "Sequential",
-    "Sigmoid",
-    "Softplus",
     "StackedAdam",
-    "Tanh",
     "he_normal",
     "make_batched_mlp",
-    "make_mlp",
-    "mse_loss",
     "xavier_uniform",
     "zeros_init",
 ]

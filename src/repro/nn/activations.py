@@ -6,121 +6,79 @@ feature-map architecture is configurable and tests exercise them all.
 
 from __future__ import annotations
 
-import numpy as np
-
+from repro.backend import resolve_namespace
 from repro.nn.layers import Layer
 
+#: the activation names :class:`Activation` accepts
+ACTIVATIONS = ("relu", "leaky_relu", "tanh", "sigmoid", "softplus", "identity")
 
-class _Activation(Layer):
-    """Common caching logic for parameter-free element-wise layers."""
+#: negative-side slope of ``"leaky_relu"``
+LEAKY_SLOPE = 0.01
 
-    def __init__(self):
-        self._x: np.ndarray | None = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = np.asarray(x, dtype=float)
+class Activation(Layer):
+    """Parameter-free element-wise activation, evaluated through an array namespace.
+
+    ``name`` is one of :data:`ACTIVATIONS` (case-insensitive).  Every
+    formula goes through the namespace's ops, which on the numpy backend
+    are the numpy functions themselves, so one class serves every backend
+    without host round trips on accelerators.  The sigmoid (and softplus's
+    derivative) clamps its input to +-60 so extreme pre-activations stay
+    finite.
+    """
+
+    def __init__(self, name: str, backend=None):
+        name = str(name).lower()
+        if name not in ACTIVATIONS:
+            raise ValueError(
+                f"unknown activation {name!r}; choose from {sorted(ACTIVATIONS)}"
+            )
+        self.name = name
+        self.xb = resolve_namespace(backend)
+        self._x = None
+
+    def forward(self, x):
+        self._x = self.xb.asarray(x, dtype=float)
         return self._value(self._x)
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out):
         if self._x is None:
             raise RuntimeError("backward() called before forward()")
-        return np.asarray(grad_out, dtype=float) * self._derivative(self._x)
+        return self.xb.asarray(grad_out, dtype=float) * self._derivative(self._x)
 
-    def _value(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def _derivative(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def __repr__(self) -> str:
-        return type(self).__name__ + "()"
-
-
-class ReLU(_Activation):
-    """Rectified linear unit — the activation in the paper's Fig. 1 network."""
+    def _sigmoid(self, x):
+        xb = self.xb
+        return 1.0 / (1.0 + xb.exp(-xb.clip(x, -60.0, 60.0)))
 
     def _value(self, x):
-        return np.maximum(x, 0.0)
-
-    def _derivative(self, x):
-        return (x > 0.0).astype(float)
-
-
-class LeakyReLU(_Activation):
-    """Leaky rectifier; ``alpha`` is the negative-side slope."""
-
-    def __init__(self, alpha: float = 0.01):
-        super().__init__()
-        if alpha < 0:
-            raise ValueError(f"alpha must be non-negative, got {alpha}")
-        self.alpha = float(alpha)
-
-    def _value(self, x):
-        return np.where(x > 0.0, x, self.alpha * x)
-
-    def _derivative(self, x):
-        return np.where(x > 0.0, 1.0, self.alpha)
-
-    def __repr__(self) -> str:
-        return f"LeakyReLU(alpha={self.alpha})"
-
-
-class Tanh(_Activation):
-    """Hyperbolic tangent (DNGO's choice; available for ablations)."""
-
-    def _value(self, x):
-        return np.tanh(x)
-
-    def _derivative(self, x):
-        return 1.0 - np.tanh(x) ** 2
-
-
-class Sigmoid(_Activation):
-    """Logistic sigmoid."""
-
-    def _value(self, x):
-        return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
-
-    def _derivative(self, x):
-        s = self._value(x)
-        return s * (1.0 - s)
-
-
-class Softplus(_Activation):
-    """Smooth rectifier ``log(1 + exp(x))``; numerically stabilized."""
-
-    def _value(self, x):
-        return np.logaddexp(0.0, x)
-
-    def _derivative(self, x):
-        return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
-
-
-class Identity(_Activation):
-    """Pass-through layer (linear output layer marker)."""
-
-    def _value(self, x):
+        xb = self.xb
+        if self.name == "relu":
+            return xb.maximum(x, 0.0)
+        if self.name == "leaky_relu":
+            return xb.where(x > 0.0, x, LEAKY_SLOPE * x)
+        if self.name == "tanh":
+            return xb.tanh(x)
+        if self.name == "sigmoid":
+            return self._sigmoid(x)
+        if self.name == "softplus":
+            return xb.logaddexp(0.0, x)
         return x
 
     def _derivative(self, x):
-        return np.ones_like(x)
+        xb = self.xb
+        if self.name == "relu":
+            # a cast, not ``where(x > 0, 1.0, 0.0)``: same values, half the time
+            return xb.asarray(x > 0.0, dtype=float)
+        if self.name == "leaky_relu":
+            return xb.where(x > 0.0, 1.0, LEAKY_SLOPE)
+        if self.name == "tanh":
+            return 1.0 - xb.tanh(x) ** 2
+        if self.name == "sigmoid":
+            s = self._sigmoid(x)
+            return s * (1.0 - s)
+        if self.name == "softplus":
+            return self._sigmoid(x)
+        return xb.zeros_like(x) + 1.0
 
-
-ACTIVATIONS = {
-    "relu": ReLU,
-    "leaky_relu": LeakyReLU,
-    "tanh": Tanh,
-    "sigmoid": Sigmoid,
-    "softplus": Softplus,
-    "identity": Identity,
-}
-
-
-def make_activation(name: str) -> Layer:
-    """Construct an activation layer from its lowercase name."""
-    try:
-        return ACTIVATIONS[name.lower()]()
-    except KeyError:
-        raise ValueError(
-            f"unknown activation {name!r}; choose from {sorted(ACTIVATIONS)}"
-        ) from None
+    def __repr__(self) -> str:
+        return f"Activation({self.name!r}, backend={self.xb.name})"

@@ -32,11 +32,12 @@ Per-slice numerical equivalence
 -------------------------------
 
 On the numpy backend each stacked operation applies, slice by slice, the
-*same* BLAS kernel the per-member path uses, so slice ``s`` of a
-:class:`BatchedSequential` built with ``rngs[s]`` reproduces
-``make_mlp(..., rng=rngs[s])`` forward and backward bit-for-bit.  The
-equivalence tests in ``tests/nn/test_batched.py`` and
-``tests/core/test_batched_gp.py`` pin this contract.  Accelerator
+*same* BLAS kernel a one-network-at-a-time implementation uses, so slice
+``s`` of a :class:`BatchedSequential` built with ``rngs[s]`` computes
+forward and backward bit-for-bit what a single network seeded with
+``rngs[s]`` computes.  The equivalence tests in ``tests/nn/test_batched.py``
+and ``tests/core/test_batched_gp.py`` pin this contract against the
+per-member reference engine kept in ``tests/per_member_engine.py``.  Accelerator
 backends reorder GEMM reductions and are gated at tolerance instead
 (``tests/backend/``).
 """
@@ -48,7 +49,7 @@ import copy
 import numpy as np
 
 from repro.backend import resolve_namespace
-from repro.nn.activations import make_activation
+from repro.nn.activations import Activation
 from repro.nn.initializers import he_normal, xavier_uniform
 from repro.nn.layers import Layer
 from repro.utils.rng import ensure_rng
@@ -64,8 +65,8 @@ class BatchedLinear(Layer):
     rngs:
         One generator per slice; slice ``s``'s weight matrix is drawn with
         ``weight_init((in_dim, out_dim), rngs[s])`` — the identical draw a
-        standalone :class:`~repro.nn.layers.Linear` would make, so batched
-        and per-member networks can share initial weights exactly.
+        standalone dense layer would make, so slice ``s`` starts from the
+        weights a single network seeded with ``rngs[s]`` would get.
     weight_init:
         Callable ``(shape, rng) -> ndarray`` used per slice (always
         evaluated on the host: the backend determinism policy).
@@ -155,82 +156,13 @@ class BatchedLinear(Layer):
         return f"BatchedLinear(S={self.n_stack}, {self.in_dim}, {self.out_dim})"
 
 
-class _BackendActivation(Layer):
-    """Element-wise activation evaluated through an array namespace.
-
-    The numpy engine keeps using the plain layers in
-    :mod:`repro.nn.activations` (untouched, bitwise guarantee); this class
-    mirrors their exact formulas — including the +-60 sigmoid clamp — for
-    accelerator backends, where ``np.*`` calls would force host round
-    trips.
-    """
-
-    _NAMES = ("relu", "leaky_relu", "tanh", "sigmoid", "softplus", "identity")
-
-    def __init__(self, name: str, backend, alpha: float = 0.01):
-        name = str(name).lower()
-        if name not in self._NAMES:
-            raise ValueError(
-                f"unknown activation {name!r}; choose from {sorted(self._NAMES)}"
-            )
-        self.name = name
-        self.alpha = float(alpha)
-        self.xb = resolve_namespace(backend)
-        self._x = None
-
-    def forward(self, x):
-        self._x = self.xb.asarray(x, dtype=float)
-        return self._value(self._x)
-
-    def backward(self, grad_out):
-        if self._x is None:
-            raise RuntimeError("backward() called before forward()")
-        return self.xb.asarray(grad_out, dtype=float) * self._derivative(self._x)
-
-    def _sigmoid(self, x):
-        xb = self.xb
-        return 1.0 / (1.0 + xb.exp(-xb.clip(x, -60.0, 60.0)))
-
-    def _value(self, x):
-        xb = self.xb
-        if self.name == "relu":
-            return xb.maximum(x, 0.0)
-        if self.name == "leaky_relu":
-            return xb.where(x > 0.0, x, self.alpha * x)
-        if self.name == "tanh":
-            return xb.tanh(x)
-        if self.name == "sigmoid":
-            return self._sigmoid(x)
-        if self.name == "softplus":
-            return xb.logaddexp(0.0, x)
-        return x
-
-    def _derivative(self, x):
-        xb = self.xb
-        if self.name == "relu":
-            return xb.where(x > 0.0, 1.0, 0.0)
-        if self.name == "leaky_relu":
-            return xb.where(x > 0.0, 1.0, self.alpha)
-        if self.name == "tanh":
-            return 1.0 - xb.tanh(x) ** 2
-        if self.name == "sigmoid":
-            s = self._sigmoid(x)
-            return s * (1.0 - s)
-        if self.name == "softplus":
-            return self._sigmoid(x)
-        return xb.zeros_like(x) + 1.0
-
-    def __repr__(self) -> str:
-        return f"_BackendActivation({self.name!r}, backend={self.xb.name})"
-
-
 class BatchedSequential(Layer):
-    """Stack-axis counterpart of :class:`~repro.nn.network.Sequential`.
+    """S sequential networks of identical shape, chained layer by layer.
 
     Besides the usual forward/backward chaining, it exposes the parameters
-    as a ``(S, P)`` matrix whose row ``s`` follows the *identical* flat
-    layout a per-member ``Sequential.get_flat_params()`` would produce —
-    the contract the stacked trainer relies on to mirror the serial one.
+    as a ``(S, P)`` matrix whose row ``s`` is slice ``s``'s flat parameter
+    vector, layer by layer with each weight matrix before its bias — the
+    layout the stacked trainer optimizes jointly with the GP scales.
     """
 
     def __init__(self, layers: list[Layer], n_stack: int, backend=None):
@@ -266,7 +198,7 @@ class BatchedSequential(Layer):
 
     @property
     def num_params_per_slice(self) -> int:
-        """Scalar parameters per slice (matches the per-member flat size)."""
+        """Scalar parameters per slice (the width ``P`` of the stacked rows)."""
         return sum(_size(p) // self.n_stack for p in self.params)
 
     def get_stacked_params(self):
@@ -342,11 +274,19 @@ def make_batched_mlp(
 ) -> BatchedSequential:
     """Build S copies of the paper's feature network as one stacked MLP.
 
+    The default configuration — two hidden layers plus input and output
+    layers, ReLU activations — matches Sec. III-A: "The neural network
+    consists of 4 fully-connected layers including a input layer, 2 hidden
+    layers and a output layer. ReLU function is taken as activation
+    function."  ``output_activation`` follows the last dense layer:
+    ``"identity"`` keeps the feature space unbounded, ``"tanh"`` gives
+    DNGO-style basis functions.
+
     ``rngs`` is a sequence of S seeds/generators, one per slice.  Slice
-    ``s`` consumes ``rngs[s]`` in the same layer order as
-    :func:`~repro.nn.network.make_mlp`, so it starts from exactly the
-    weights ``make_mlp(..., rng=rngs[s])`` would produce — on every
-    backend (inits are drawn host-side and transferred).
+    ``s`` consumes ``rngs[s]`` layer by layer (He-normal weights under
+    ReLU-type activations, Xavier-uniform otherwise), so it starts from
+    the weights a single network seeded with ``rngs[s]`` would get — on
+    every backend (inits are drawn host-side and transferred).
     """
     xb = resolve_namespace(backend)
     rngs = [ensure_rng(rng) for rng in rngs]
@@ -367,8 +307,5 @@ def make_batched_mlp(
         is_last = i == len(dims) - 2
         name = output_activation if is_last else activation
         if name != "identity":
-            if xb.is_numpy:
-                layers.append(make_activation(name))
-            else:
-                layers.append(_BackendActivation(name, xb))
+            layers.append(Activation(name, xb))
     return BatchedSequential(layers, n_stack=len(rngs), backend=xb)

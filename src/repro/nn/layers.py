@@ -1,19 +1,17 @@
-"""Layer abstraction: forward pass, backward pass, flat parameter access."""
+"""Layer abstraction: forward pass, backward pass, parameter access."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.initializers import he_normal, zeros_init
-
 
 class Layer:
     """Base class for differentiable layers.
 
-    A layer maps a batch ``x`` of shape ``(n, in_dim)`` to ``(n, out_dim)``
-    and, given the upstream gradient of a scalar loss w.r.t. its output,
-    returns the gradient w.r.t. its input while accumulating gradients
-    w.r.t. its own parameters.
+    A layer maps a batch ``x`` to its output and, given the upstream
+    gradient of a scalar loss w.r.t. that output, returns the gradient
+    w.r.t. its input while accumulating gradients w.r.t. its own
+    parameters.
     """
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -38,57 +36,3 @@ class Layer:
         """Reset accumulated parameter gradients to zero."""
         for g in self.grads:
             g[...] = 0.0
-
-
-class Linear(Layer):
-    """Fully-connected layer ``y = x @ W + b``.
-
-    Parameters
-    ----------
-    in_dim, out_dim:
-        Input/output widths.
-    weight_init:
-        Callable ``(shape, rng) -> ndarray`` for the weight matrix.
-    rng:
-        Generator used for the random initialization (ensemble members pass
-        independent generators, paper Sec. III-C).
-    """
-
-    def __init__(self, in_dim: int, out_dim: int, weight_init=he_normal, rng=None):
-        if in_dim <= 0 or out_dim <= 0:
-            raise ValueError(f"layer dims must be positive, got {in_dim}x{out_dim}")
-        self.in_dim = in_dim
-        self.out_dim = out_dim
-        self.weight = np.asarray(weight_init((in_dim, out_dim), rng), dtype=float)
-        self.bias = zeros_init(out_dim)
-        self.grad_weight = np.zeros_like(self.weight)
-        self.grad_bias = np.zeros_like(self.bias)
-        self._x: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 2 or x.shape[1] != self.in_dim:
-            raise ValueError(
-                f"Linear({self.in_dim}->{self.out_dim}) got input shape {x.shape}"
-            )
-        self._x = x
-        return x @ self.weight + self.bias
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._x is None:
-            raise RuntimeError("backward() called before forward()")
-        grad_out = np.asarray(grad_out, dtype=float)
-        self.grad_weight += self._x.T @ grad_out
-        self.grad_bias += grad_out.sum(axis=0)
-        return grad_out @ self.weight.T
-
-    @property
-    def params(self) -> list[np.ndarray]:
-        return [self.weight, self.bias]
-
-    @property
-    def grads(self) -> list[np.ndarray]:
-        return [self.grad_weight, self.grad_bias]
-
-    def __repr__(self) -> str:
-        return f"Linear({self.in_dim}, {self.out_dim})"

@@ -1,8 +1,9 @@
-"""First-order optimizers over flat parameter vectors.
+"""First-order optimizer over stacked parameter rows.
 
-The trainer treats all hyper-parameters (GP noise/prior scales and network
-weights, eq. 12) as a single flat vector, so optimizers here are stateful
-maps ``(params, grads) -> new params``.
+The trainer treats all hyper-parameters of one model (GP noise/prior
+scales and network weights, eq. 12) as a single flat vector, and the
+stacked engine holds one such row per slice, so the optimizer is a
+stateful map ``(params, grads) -> new params`` over an ``(S, P)`` matrix.
 """
 
 from __future__ import annotations
@@ -10,97 +11,17 @@ from __future__ import annotations
 import numpy as np
 
 
-class Optimizer:
-    """Base interface: stateful first-order update on a flat vector."""
-
-    def step(self, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
-        """Return updated parameters given the current gradient."""
-        raise NotImplementedError
-
-    def reset(self):
-        """Clear internal state (moments, step counters)."""
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional classical momentum."""
-
-    def __init__(self, lr: float = 1e-2, momentum: float = 0.0):
-        if lr <= 0:
-            raise ValueError(f"lr must be positive, got {lr}")
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        self.lr = float(lr)
-        self.momentum = float(momentum)
-        self._velocity: np.ndarray | None = None
-
-    def step(self, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
-        params = np.asarray(params, dtype=float)
-        grads = np.asarray(grads, dtype=float)
-        if self._velocity is None or self._velocity.shape != params.shape:
-            self._velocity = np.zeros_like(params)
-        self._velocity = self.momentum * self._velocity - self.lr * grads
-        return params + self._velocity
-
-    def reset(self):
-        self._velocity = None
-
-
-class Adam(Optimizer):
-    """Adam (Kingma & Ba 2015) with bias-corrected moment estimates.
+class StackedAdam:
+    """Adam (Kingma & Ba 2015) over an ``(S, P)`` matrix with per-slice state.
 
     This is the workhorse for maximizing the marginal likelihood (eq. 11):
-    the loss surface couples network weights with ``log sigma^2`` terms of very
-    different curvature, which per-coordinate step adaptation handles well.
-    """
-
-    def __init__(
-        self,
-        lr: float = 1e-2,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
-        if lr <= 0:
-            raise ValueError(f"lr must be positive, got {lr}")
-        if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
-            raise ValueError("betas must be in [0, 1)")
-        self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
-        self._m: np.ndarray | None = None
-        self._v: np.ndarray | None = None
-        self._t = 0
-
-    def step(self, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
-        params = np.asarray(params, dtype=float)
-        grads = np.asarray(grads, dtype=float)
-        if self._m is None or self._m.shape != params.shape:
-            self._m = np.zeros_like(params)
-            self._v = np.zeros_like(params)
-            self._t = 0
-        self._t += 1
-        self._m = self.beta1 * self._m + (1.0 - self.beta1) * grads
-        self._v = self.beta2 * self._v + (1.0 - self.beta2) * grads**2
-        m_hat = self._m / (1.0 - self.beta1**self._t)
-        v_hat = self._v / (1.0 - self.beta2**self._t)
-        return params - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-    def reset(self):
-        self._m = None
-        self._v = None
-        self._t = 0
-
-
-class StackedAdam(Optimizer):
-    """Adam over an ``(S, P)`` parameter matrix with per-slice state.
-
-    Drives the batched surrogate engine: row ``s`` holds the flat parameter
-    vector of stacked network ``s``.  Because Adam is elementwise, each row
-    evolves exactly as a scalar-``t`` :class:`Adam` instance dedicated to
-    that slice would — *provided* resets and skipped steps are tracked per
-    slice, which is what the step counter vector ``t`` and the ``mask``
-    argument provide:
+    the loss surface couples network weights with ``log sigma^2`` terms of
+    very different curvature, which per-coordinate step adaptation handles
+    well.  Row ``s`` holds the flat parameter vector of stacked network
+    ``s``.  Because Adam is elementwise, each row evolves exactly as a
+    scalar-``t`` Adam dedicated to that slice would — *provided* resets
+    and skipped steps are tracked per slice, which is what the step
+    counter vector ``t`` and the ``mask`` argument provide:
 
     * ``step(params, grads, mask)`` updates only rows where ``mask`` is
       true; masked-out rows keep their parameters and moments untouched
@@ -111,7 +32,7 @@ class StackedAdam(Optimizer):
     :meth:`bind_backend` routes the update through an accelerator array
     namespace (:mod:`repro.backend`); unbound (or bound to numpy) the
     optimizer runs the reference numpy path, whose per-slice evolution is
-    bitwise identical to a scalar :class:`Adam` per row.  The step
+    bitwise identical to a scalar Adam per row.  The step
     counter and masks stay host-side on every backend — they are control
     flow, not tensor math.
     """
@@ -272,10 +193,3 @@ class StackedAdam(Optimizer):
         self._m[rows] = 0.0
         self._v[rows] = 0.0
         self._t[mask] = 0
-
-    def reset(self):
-        self._m = None
-        self._v = None
-        self._t = None
-        self._s1 = None
-        self._s2 = None

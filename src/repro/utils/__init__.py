@@ -2,12 +2,7 @@
 
 from repro.utils.rng import ensure_rng, spawn_rngs
 from repro.utils.scaling import BoxScaler, StandardScaler
-from repro.utils.serialization import (
-    load_model_into,
-    load_result,
-    save_model,
-    save_result,
-)
+from repro.utils.serialization import load_result, save_result
 from repro.utils.validation import (
     check_box_bounds,
     check_finite,
@@ -23,9 +18,7 @@ __all__ = [
     "check_matrix_2d",
     "check_vector_1d",
     "ensure_rng",
-    "load_model_into",
     "load_result",
-    "save_model",
     "save_result",
     "spawn_rngs",
 ]

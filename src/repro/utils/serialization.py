@@ -1,8 +1,9 @@
-"""Persistence for optimization runs, studies and surrogate models.
+"""Persistence for optimization runs, studies and surrogate banks.
 
 Long experiments (Table II at paper scale runs for hours) need restartable
-artifacts: runs serialize to JSON (portable, diffable) and NN-GP models to
-``.npz`` (exact parameter snapshots).  :func:`result_to_dict` round-trips
+artifacts: runs serialize to JSON (portable, diffable) and a fitted
+:class:`~repro.core.batched_gp.SurrogateBank` to a JSON-safe snapshot
+(:func:`bank_state_to_dict`, exact float64 arrays).  :func:`result_to_dict` round-trips
 the *complete* trace — including scheduler provenance (iteration, batch
 index, pending sets) and the asynchronous proposal ledger — so a restored
 run can be audited exactly like a live one; these primitives also back
@@ -343,54 +344,3 @@ def restore_bank_state(bank, data: dict):
     bank._pred_cache = None
     return bank
 
-
-# -- model snapshots ----------------------------------------------------------------
-
-
-def save_model(model, path) -> Path:
-    """Snapshot a :class:`~repro.core.NeuralFeatureGP` to ``.npz``.
-
-    Captures network weights, GP scales, the target scaler and the
-    training inputs/targets so the posterior can be rebuilt exactly.
-    """
-    from repro.core.feature_gp import NeuralFeatureGP
-
-    if not isinstance(model, NeuralFeatureGP):
-        raise TypeError(
-            f"save_model supports NeuralFeatureGP instances, got "
-            f"{type(model).__name__}"
-        )
-    if model._x_train is None:
-        raise ValueError("cannot save an unfitted model")
-    path = Path(path)
-    np.savez(
-        path,
-        network=model.network.get_flat_params(),
-        log_noise=model.log_noise_variance,
-        log_prior=model.log_prior_variance,
-        scaler_mean=model._y_scaler.mean_,
-        scaler_scale=model._y_scaler.scale_,
-        x_train=model._x_train,
-        z_train=model._z_train,
-    )
-    return path if path.suffix == ".npz" else path.with_suffix(path.suffix + ".npz")
-
-
-def load_model_into(model, path):
-    """Restore a snapshot into a compatibly-constructed model.
-
-    The caller provides a :class:`NeuralFeatureGP` built with the *same
-    architecture* (dims, features, activations); this function restores
-    parameters and recomputes the cached posterior.
-    """
-    data = np.load(Path(path))
-    model.network.set_flat_params(data["network"])
-    model.log_noise_variance = float(data["log_noise"])
-    model.log_prior_variance = float(data["log_prior"])
-    model._y_scaler.mean_ = float(data["scaler_mean"])
-    model._y_scaler.scale_ = float(data["scaler_scale"])
-    model._y_scaler._fitted = True
-    model._x_train = data["x_train"]
-    model._z_train = data["z_train"]
-    model.update_posterior()
-    return model

@@ -24,16 +24,16 @@ def rng():
 
 @pytest.fixture
 def fast_trainer():
-    """A FeatureGPTrainer configured for speed in unit tests."""
-    from repro.core import FeatureGPTrainer
+    """A per-member FeatureGPTrainer configured for speed in unit tests."""
+    from per_member_engine import FeatureGPTrainer
 
     return FeatureGPTrainer(epochs=60, lr=1e-2, patience=None)
 
 
 @pytest.fixture
 def tiny_nngp():
-    """Small NeuralFeatureGP factory for fast tests."""
-    from repro.core import NeuralFeatureGP
+    """Small per-member NeuralFeatureGP factory for fast tests."""
+    from per_member_engine import NeuralFeatureGP
 
     def make(input_dim=2, seed=0, **kwargs):
         defaults = dict(hidden_dims=(12, 12), n_features=8)

@@ -3,21 +3,21 @@
 The engine's headline contract: training and predicting S stacked models
 is *numerically equivalent* to fitting the S members one by one — the
 seeded equivalence tests here pin batched-vs-loop agreement to <= 1e-8
-(means are bitwise identical by construction).
+(means are bitwise identical by construction) against the per-member
+reference engine in ``tests/per_member_engine.py``.
 """
 
 import numpy as np
 import pytest
 
-from repro.core import (
-    BatchedFeatureGPTrainer,
-    BatchedNeuralFeatureGP,
+from per_member_engine import (
     DeepEnsemble,
     FeatureGPTrainer,
     NeuralFeatureGP,
-    SurrogateBank,
     serial_reference_bank,
 )
+from repro.acquisition.thompson import BankThompsonAcquisition
+from repro.core import BatchedFeatureGPTrainer, BatchedNeuralFeatureGP, SurrogateBank
 
 KW = dict(hidden_dims=(12, 12), n_features=8)
 
@@ -117,6 +117,22 @@ class TestBatchedNeuralFeatureGP:
         mean, var = gp.predict(x[:4])
         assert mean.shape == (3, 4)
         assert np.all(var > 0)
+
+    def test_sample_slice_weights_shape(self):
+        x, targets = make_data(n=8)
+        gp = BatchedNeuralFeatureGP(3, n_stack=2, seed=0, **KW)
+        gp.fit(x, targets, trainer=BatchedFeatureGPTrainer(epochs=60, lr=1e-2, patience=None))
+        assert gp.sample_slice_weights(1, rng=0).shape == (gp.feature_dim,)
+        with pytest.raises(IndexError):
+            gp.sample_slice_weights(2)
+
+    def test_sample_slice_weights_mean_matches_posterior(self):
+        x, targets = make_data(n=20)
+        gp = BatchedNeuralFeatureGP(3, n_stack=2, seed=0, **KW)
+        gp.fit(x, targets, trainer=BatchedFeatureGPTrainer(epochs=60, lr=1e-2, patience=None))
+        rng = np.random.default_rng(1)
+        w = np.stack([gp.sample_slice_weights(1, rng=rng) for _ in range(4000)])
+        np.testing.assert_allclose(w.mean(axis=0), gp._coef_r[1], atol=0.15)
 
     def test_loss_history_per_slice(self):
         x, targets = make_data()
@@ -325,13 +341,11 @@ class TestSurrogateBank:
         )
         bank.fit(x, targets)
         x_query = np.random.default_rng(5).uniform(size=(6, 3))
-        f1 = bank.sample_target_function(0, rng=np.random.default_rng(99))
-        f2 = bank.sample_target_function(0, rng=np.random.default_rng(99))
+        f1 = BankThompsonAcquisition(bank, rng=np.random.default_rng(99))
+        f2 = BankThompsonAcquisition(bank, rng=np.random.default_rng(99))
         np.testing.assert_array_equal(f1(x_query), f2(x_query))
-        g = bank.sample_target_function(0, rng=np.random.default_rng(100))
+        g = BankThompsonAcquisition(bank, rng=np.random.default_rng(100))
         assert not np.array_equal(f1(x_query), g(x_query))
-        with pytest.raises(IndexError):
-            bank.sample_target_function(2)
 
     def test_matches_serial_reference_bank(self):
         """End-to-end: bank == per-member loop with the same seed stream."""
@@ -359,40 +373,47 @@ class TestSurrogateBank:
 
 class TestActiveSliceCompaction:
     """Compaction must be a pure wall-clock optimization: gathering the
-    still-active slices changes no arithmetic."""
+    still-active slices changes no arithmetic, so each slice trains
+    bitwise as a per-member fit of the same model does."""
 
-    def _fit(self, compact: bool):
+    SEEDS = (31, 32, 33, 34)
+    # a deliberately unstable learning rate makes slices stall at
+    # different epochs, so the active set actually shrinks
+    SETTINGS = dict(epochs=200, patience=8, lr=0.2)
+
+    def _data(self):
         x, targets = make_data(n=30)
+        return x, np.stack([targets[0], targets[1], targets[0] * 2.0, targets[1] - 1.0])
+
+    def _fit(self):
+        x, z = self._data()
         gp = BatchedNeuralFeatureGP(
-            3, n_stack=4,
-            seed=[np.random.default_rng(s) for s in (31, 32, 33, 34)],
-            **KW,
+            3, n_stack=4, seed=[np.random.default_rng(s) for s in self.SEEDS], **KW
         )
-        # a deliberately unstable learning rate makes slices stall at
-        # different epochs, so the active set actually shrinks
-        trainer = BatchedFeatureGPTrainer(
-            epochs=200, patience=8, lr=0.2, compact=compact
-        )
-        gp.fit(
-            x,
-            np.stack([targets[0], targets[1], targets[0] * 2.0, targets[1] - 1.0]),
-            trainer=trainer,
-        )
+        trainer = BatchedFeatureGPTrainer(**self.SETTINGS)
+        gp.fit(x, z, trainer=trainer)
         return gp, trainer
 
     def test_bitwise_equivalence_with_freezing(self):
-        gp_full, _ = self._fit(compact=False)
-        gp_compact, trainer = self._fit(compact=True)
+        gp, trainer = self._fit()
         # the scenario must exercise compaction, else this test is vacuous
         assert any(np.isnan(loss).any() for loss in trainer.loss_history)
+        x, z = self._data()
         x_query = np.random.default_rng(12).uniform(size=(9, 3))
-        mean_f, var_f = gp_full.predict(x_query)
-        mean_c, var_c = gp_compact.predict(x_query)
-        np.testing.assert_array_equal(mean_c, mean_f)
-        np.testing.assert_array_equal(var_c, var_f)
+        means, variances = gp.predict(x_query)
+        params = gp.network.get_stacked_params()
+        for s, seed in enumerate(self.SEEDS):
+            member = NeuralFeatureGP(3, seed=np.random.default_rng(seed), **KW)
+            member.fit(x, z[s], trainer=FeatureGPTrainer(**self.SETTINGS))
+            np.testing.assert_array_equal(params[s], member.network.get_flat_params())
+            assert gp.log_noise_variance[s] == member.log_noise_variance
+            assert gp.log_prior_variance[s] == member.log_prior_variance
+            mean, var = member.predict(x_query)
+            np.testing.assert_array_equal(means[s], mean)
+            np.testing.assert_allclose(variances[s], var, atol=1e-12, rtol=0)
 
     def test_frozen_slices_marked_nan_in_loss_history(self):
-        _, trainer = self._fit(compact=True)
+        _, trainer = self._fit()
         nan_counts = [int(np.isnan(loss).sum()) for loss in trainer.loss_history]
         assert nan_counts[0] == 0  # everything active at the start
         assert nan_counts == sorted(nan_counts)  # frozen slices never revive

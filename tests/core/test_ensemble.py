@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import DeepEnsemble
+from per_member_engine import DeepEnsemble
 
 
 class FakeModel:
@@ -64,7 +64,7 @@ class TestMomentMatching:
 
 class TestCreateAndFit:
     def test_create_spawns_independent_members(self):
-        from repro.core import NeuralFeatureGP
+        from per_member_engine import NeuralFeatureGP
 
         ensemble = DeepEnsemble.create(
             lambda rng: NeuralFeatureGP(2, hidden_dims=(6,), n_features=4, seed=rng),
@@ -76,7 +76,7 @@ class TestCreateAndFit:
         assert not np.allclose(params[1], params[2])
 
     def test_create_reproducible(self):
-        from repro.core import NeuralFeatureGP
+        from per_member_engine import NeuralFeatureGP
 
         def factory(rng):
             return NeuralFeatureGP(2, hidden_dims=(6,), n_features=4, seed=rng)
@@ -96,7 +96,7 @@ class TestCreateAndFit:
 
     def test_paper_default_is_five(self):
         """Sec. III-C: 'The number of the ensemble members ... set to be 5'."""
-        from repro.core import NeuralFeatureGP
+        from per_member_engine import NeuralFeatureGP
 
         ensemble = DeepEnsemble.create(
             lambda rng: NeuralFeatureGP(2, hidden_dims=(4,), n_features=3, seed=rng),
@@ -117,7 +117,7 @@ class TestEnsembleOnRealModels:
     def test_uncertainty_improves_far_from_data(self, rng, fast_trainer):
         """Lakshminarayanan-style: ensemble variance off-data should exceed
         a single member's, thanks to the disagreement term."""
-        from repro.core import NeuralFeatureGP
+        from per_member_engine import NeuralFeatureGP
 
         x = rng.uniform(0.0, 0.3, size=(15, 1))
         y = np.sin(8 * x[:, 0])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import FeatureGPTrainer, NeuralFeatureGP
+from per_member_engine import FeatureGPTrainer, NeuralFeatureGP
 
 
 class TestPosteriorMath:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import NeuralFeatureGP
+from per_member_engine import NeuralFeatureGP
 
 EPS = 1e-6
 

@@ -8,7 +8,8 @@ import pytest
 from repro.benchfns import toy_constrained_quadratic
 from repro.bo.config import AcquisitionConfig, SurrogateConfig
 from repro.bo.loop import SurrogateBO
-from repro.core import DeepEnsemble, FeatureGPTrainer, NNBO, NeuralFeatureGP
+from per_member_engine import DeepEnsemble, FeatureGPTrainer, NeuralFeatureGP
+from repro.core import NNBO
 
 TINY_NN = SurrogateConfig(n_ensemble=2, hidden_dims=(12, 12), n_features=8, epochs=50)
 
@@ -80,6 +81,24 @@ class TestNNBO:
         a = tiny_nnbo(toy_constrained_quadratic(2), seed=9).run()
         b = tiny_nnbo(toy_constrained_quadratic(2), seed=9).run()
         np.testing.assert_allclose(a.x_matrix, b.x_matrix)
+
+    def test_reproducible_with_pretraining(self):
+        """The MSE warm start's throwaway heads come from the trainer's own
+        fixed stream, so a seeded study that pretrains repeats its trace."""
+        config = SurrogateConfig(
+            n_ensemble=2, hidden_dims=(10, 10), n_features=6, epochs=20, pretrain_epochs=10
+        )
+
+        def run():
+            return NNBO(
+                toy_constrained_quadratic(2),
+                n_initial=6,
+                max_evaluations=9,
+                surrogate=config,
+                seed=3,
+            ).run()
+
+        np.testing.assert_array_equal(run().x_matrix, run().x_matrix)
 
 
 def per_member_reference(problem, config: SurrogateConfig, seed):

@@ -14,6 +14,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ import repro.bo.scheduler as scheduler
 from repro.benchfns import toy_constrained_quadratic
 from repro.bo.config import SchedulerConfig, SurrogateConfig
 from repro.bo.scheduler import FakeClock
-from repro.core import NNBO, BatchedFeatureGPTrainer, BatchedNeuralFeatureGP
+from repro.core import NNBO, BatchedFeatureGPTrainer, BatchedNeuralFeatureGP, SurrogateBank
 from repro.core import slice_workers
 from repro.core.slice_workers import WORKERS, blas_single_thread
 from repro.gp.linalg import CholeskyError, jitter_cholesky
@@ -131,6 +132,27 @@ class TestBitwiseSplit:
             )
             best[n_groups] = BatchedFeatureGPTrainer(**STALLING).train(gp, x, z)
         np.testing.assert_array_equal(best[3], best[1])
+
+    def test_one_group_matches_split_at_large_n(self, groups):
+        """From N ~ 500 OpenBLAS's threaded kernels round differently from
+        its one-thread kernels, so a fit that trains as one group must pin
+        its BLAS as a split fit's groups run."""
+        rng = np.random.default_rng(5)
+        x = rng.uniform(size=(512, 36))
+        targets = np.stack([np.sin(x @ rng.normal(size=36)) for _ in range(2)])
+        params = {}
+        for n_groups in (1, 2):
+            groups(n_groups)
+            bank = SurrogateBank(
+                36,
+                n_targets=2,
+                n_members=5,
+                trainer_factory=lambda: BatchedFeatureGPTrainer(epochs=20),
+                seed=3,
+            )
+            bank.fit(x, targets)
+            params[n_groups] = bank.gp.network.get_stacked_params()
+        np.testing.assert_array_equal(params[2], params[1])
 
     @pytest.mark.parametrize(
         "scheduler_config",
@@ -305,6 +327,28 @@ def _blas_threads():
     return [get() for get, _ in slice_workers._blas_thread_controls()]
 
 
+class _RecordBlasThreads(Layer):
+    """Identity layer logging ``pid [thread counts]`` on every backward pass.
+
+    Only training runs backward, so the log holds what each group trained
+    under, in whichever process it ran.
+    """
+
+    def __init__(self, path):
+        self.path = str(path)
+
+    def forward(self, x):
+        return x
+
+    def backward(self, grad_out):
+        with open(self.path, "a") as log:
+            log.write(f"{os.getpid()} {_blas_threads()}\n")
+        return grad_out
+
+    def gather_slices(self, idx):
+        return _RecordBlasThreads(self.path)
+
+
 def _fit_and_count_workers():
     gp, _ = stalling_fit()
     return len(WORKERS._workers), gp.network.get_stacked_params()
@@ -320,16 +364,51 @@ class TestLifecycle:
         assert WORKERS._workers == []
         assert all(proc.returncode is not None for proc in procs)
 
-    def test_every_group_trains_on_one_blas_thread(self, groups):
-        """Group 0 under the pin, the others in workers started with
+    def test_every_group_trains_on_one_blas_thread(self, groups, tmp_path):
+        """The caller's group under the trainer's pin, in a split fit and in
+        a one-group fit alike; the others in workers started with
         ``OPENBLAS_NUM_THREADS=1``."""
         if not slice_workers._blas_thread_controls():
             pytest.skip("no bundled OpenBLAS exposes its thread controls here")
-        groups(2)
-        with WORKERS.checkout(4) as workers:
-            assert len(workers) == 1
-            here, there = WORKERS.run(workers, _blas_threads, [(), ()])
-        assert here == there == [1] * len(here)
+        log = tmp_path / "threads.txt"
+        for n_groups in (2, 1):
+            groups(n_groups)
+            stalling_fit(_RecordBlasThreads(log))
+        readings = [line.split(" ", 1) for line in log.read_text().splitlines()]
+        here = {threads for pid, threads in readings if int(pid) == os.getpid()}
+        there = {threads for pid, threads in readings if int(pid) != os.getpid()}
+        assert here == there == {str([1] * len(_blas_threads()))}
+
+    def test_concurrent_pins_share_one_save_and_restore(self):
+        """OpenBLAS's thread count is process-wide, and fits in several
+        threads pin it at once: inside any pin it reads 1, and the last
+        thread out restores the caller's counts."""
+        if not slice_workers._blas_thread_controls():
+            pytest.skip("no bundled OpenBLAS exposes its thread controls here")
+        before = _blas_threads()
+        unpinned = []
+
+        def pin_repeatedly():
+            for _ in range(500):
+                with blas_single_thread():
+                    time.sleep(0)  # yield inside the pin
+                    threads = _blas_threads()
+                    if threads != [1] * len(threads):
+                        unpinned.append(threads)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [threading.Thread(target=pin_repeatedly) for _ in range(8)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert not unpinned
+        assert _blas_threads() == before
 
     def test_blas_pin_restores_the_callers_threads(self):
         controls = slice_workers._blas_thread_controls()

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import FeatureGPTrainer, NeuralFeatureGP
+from per_member_engine import FeatureGPTrainer, NeuralFeatureGP
+from repro.core import BatchedFeatureGPTrainer, BatchedNeuralFeatureGP
 
 
 def smooth_data(rng, n=25):
@@ -49,6 +50,16 @@ class TestTraining:
         mean, _ = model.predict(x)
         assert np.corrcoef(mean, y)[0, 1] > 0.7
 
+    def test_batched_pretrain_then_nll(self, rng):
+        """The stacked trainer's MSE warm start, then NLL, on every slice."""
+        x, y = smooth_data(rng)
+        model = BatchedNeuralFeatureGP(2, n_stack=2, hidden_dims=(12, 12), n_features=8, seed=3)
+        trainer = BatchedFeatureGPTrainer(epochs=60, pretrain_epochs=60)
+        model.fit(x, y, trainer=trainer)
+        means, _ = model.predict(x)
+        for mean in means:
+            assert np.corrcoef(mean, y)[0, 1] > 0.7
+
     def test_zero_epochs_returns_current_nll(self, rng, tiny_nngp):
         model = tiny_nngp(seed=4)
         x, y = smooth_data(rng, n=8)
@@ -57,7 +68,7 @@ class TestTraining:
         assert np.isfinite(nll)
 
     def test_hyperparams_stay_in_bounds(self, rng, tiny_nngp):
-        from repro.core.feature_gp import LOG_NOISE_BOUNDS, LOG_PRIOR_BOUNDS
+        from repro.core.trainer import LOG_NOISE_BOUNDS, LOG_PRIOR_BOUNDS
 
         model = tiny_nngp(seed=5)
         x, y = smooth_data(rng)

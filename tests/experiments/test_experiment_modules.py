@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.experiments import complexity, table1, table2
+from repro.experiments import ablation, complexity, table1, table2
 from repro.experiments.ablation import nlpd
 
 
@@ -121,6 +121,24 @@ class TestComplexity:
         sizes = [10, 100, 1000]
         times = [1e-3 * n**2 for n in sizes]
         assert complexity.fit_power_law(sizes, times) == pytest.approx(2.0, abs=0.01)
+
+
+class TestAblationStudies:
+    """Miniature runs of both studies; one seed gives one result."""
+
+    def test_ensemble_size_study_reproducible(self):
+        kwargs = dict(k_values=(1, 2), n_train=12, n_test=20, epochs=10, n_trials=1, seed=0)
+        columns = ablation.ensemble_size_study(**kwargs)
+        assert set(columns) == {"K=1", "K=2"}
+        assert all(np.isfinite(v) for row in columns.values() for v in row.values())
+        assert ablation.ensemble_size_study(**kwargs) == columns
+
+    def test_training_mode_study_reproducible(self):
+        kwargs = dict(n_train=12, n_test=20, epochs=10, n_trials=1, seed=0)
+        columns = ablation.training_mode_study(**kwargs)
+        assert set(columns) == {"direct NLL (paper)", "MSE pretrain + NLL"}
+        assert all(np.isfinite(v) for row in columns.values() for v in row.values())
+        assert ablation.training_mode_study(**kwargs) == columns
 
 
 class TestAblationHelpers:

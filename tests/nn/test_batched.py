@@ -9,14 +9,8 @@ the layer level.
 import numpy as np
 import pytest
 
-from repro.nn import (
-    Adam,
-    BatchedLinear,
-    Linear,
-    StackedAdam,
-    make_batched_mlp,
-    make_mlp,
-)
+from per_member_engine import Adam, Linear, make_mlp
+from repro.nn import BatchedLinear, StackedAdam, make_batched_mlp
 
 
 def paired_rngs(seeds):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.nn.layers import Linear
+from per_member_engine import Linear
 
 
 def numerical_grad(fn, arr, eps=1e-6):

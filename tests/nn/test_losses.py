@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.losses import mse_loss
+from per_member_engine import mse_loss
 
 
 class TestMSELoss:

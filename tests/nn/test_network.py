@@ -3,9 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.layers import Linear
-from repro.nn.activations import ReLU
-from repro.nn.network import Sequential, make_mlp
+from per_member_engine import Linear, ReLU, Sequential, make_mlp
 
 
 class TestSequential:

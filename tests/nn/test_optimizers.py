@@ -1,9 +1,9 @@
-"""Tests for SGD and Adam optimizers."""
+"""Tests for the per-member reference engine's Adam optimizer."""
 
 import numpy as np
 import pytest
 
-from repro.nn.optimizers import SGD, Adam
+from per_member_engine import Adam
 
 
 def quadratic_descent(optimizer, start, steps=300):
@@ -12,32 +12,6 @@ def quadratic_descent(optimizer, start, steps=300):
     for _ in range(steps):
         x = optimizer.step(x, x)
     return x
-
-
-class TestSGD:
-    def test_converges_on_quadratic(self):
-        x = quadratic_descent(SGD(lr=0.1), np.array([5.0, -3.0]))
-        assert np.linalg.norm(x) < 1e-6
-
-    def test_momentum_converges(self):
-        x = quadratic_descent(SGD(lr=0.05, momentum=0.9), np.array([5.0, -3.0]))
-        assert np.linalg.norm(x) < 1e-4
-
-    def test_single_step_direction(self):
-        opt = SGD(lr=0.5)
-        x = opt.step(np.array([1.0]), np.array([2.0]))
-        np.testing.assert_allclose(x, [0.0])
-
-    def test_reset_clears_velocity(self):
-        opt = SGD(lr=0.1, momentum=0.9)
-        opt.step(np.array([1.0]), np.array([1.0]))
-        opt.reset()
-        assert opt._velocity is None
-
-    @pytest.mark.parametrize("bad", [{"lr": -1.0}, {"lr": 0.1, "momentum": 1.0}])
-    def test_rejects_bad_hyperparams(self, bad):
-        with pytest.raises(ValueError):
-            SGD(**bad)
 
 
 class TestAdam:

@@ -5,8 +5,8 @@ snippets, so a keyword that an optimizer or a typed config no longer
 accepts would only surface when someone runs the script or copies the
 snippet.  This test parses ``src/``, ``examples/``, ``benchmarks/`` and
 README.md's python blocks and binds the literal arguments of every call
-to the optimizers, :class:`~repro.bo.study.Study` and the config
-dataclasses against the live signature.
+to the optimizers, :class:`~repro.bo.study.Study`, the config
+dataclasses and the NN-GP engine's classes against the live signature.
 """
 
 import ast
@@ -28,7 +28,7 @@ from repro.bo.config import (
 )
 from repro.bo.loop import SurrogateBO
 from repro.bo.study import Study
-from repro.core import NNBO
+from repro.core import NNBO, BatchedFeatureGPTrainer, BatchedNeuralFeatureGP, SurrogateBank
 
 ROOT = Path(__file__).resolve().parents[1]
 SCANNED = ("src", "examples", "benchmarks", "README.md")
@@ -39,6 +39,9 @@ CHECKED = {
     for cls in (
         NNBO,
         SurrogateBO,
+        SurrogateBank,
+        BatchedNeuralFeatureGP,
+        BatchedFeatureGPTrainer,
         WEIBO,
         Study,
         AcquisitionConfig,

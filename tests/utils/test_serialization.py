@@ -1,4 +1,4 @@
-"""Tests for run/model persistence."""
+"""Tests for run persistence and the array codec."""
 
 import json
 
@@ -9,16 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.bo.history import OptimizationResult
 from repro.bo.problem import Evaluation
-from repro.core import FeatureGPTrainer, NeuralFeatureGP
 from repro.utils.serialization import (
     DamagedArray,
     array_from_dict,
     array_to_dict,
-    load_model_into,
     load_result,
     result_from_dict,
     result_to_dict,
-    save_model,
     save_result,
 )
 
@@ -203,40 +200,3 @@ class TestLedgerProvenanceRoundtrip:
         assert clone.ledger is None
         assert clone.records[0].pending == ()
 
-
-class TestModelRoundtrip:
-    def make_fitted(self, seed=0):
-        rng = np.random.default_rng(3)
-        model = NeuralFeatureGP(2, hidden_dims=(10, 10), n_features=6, seed=seed)
-        x = rng.uniform(size=(15, 2))
-        y = np.sin(3 * x[:, 0]) + x[:, 1]
-        model.fit(x, y, trainer=FeatureGPTrainer(epochs=50))
-        return model, x
-
-    def test_predictions_identical_after_reload(self, tmp_path):
-        model, x = self.make_fitted()
-        path = tmp_path / "model.npz"
-        save_model(model, path)
-        clone = NeuralFeatureGP(2, hidden_dims=(10, 10), n_features=6, seed=99)
-        load_model_into(clone, path)
-        mean_a, var_a = model.predict(x)
-        mean_b, var_b = clone.predict(x)
-        np.testing.assert_allclose(mean_b, mean_a, rtol=1e-12)
-        np.testing.assert_allclose(var_b, var_a, rtol=1e-12)
-
-    def test_unfitted_model_rejected(self, tmp_path):
-        model = NeuralFeatureGP(2, hidden_dims=(10, 10), n_features=6)
-        with pytest.raises(ValueError):
-            save_model(model, tmp_path / "m.npz")
-
-    def test_wrong_type_rejected(self, tmp_path):
-        with pytest.raises(TypeError):
-            save_model(object(), tmp_path / "m.npz")
-
-    def test_architecture_mismatch_raises(self, tmp_path):
-        model, _ = self.make_fitted()
-        path = tmp_path / "model.npz"
-        save_model(model, path)
-        wrong = NeuralFeatureGP(2, hidden_dims=(20, 20), n_features=6)
-        with pytest.raises(ValueError):
-            load_model_into(wrong, path)
