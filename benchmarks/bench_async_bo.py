@@ -50,6 +50,7 @@ import numpy as np
 
 from artifacts import write_bench_json
 from repro.acquisition.maximize import DifferentialEvolutionMaximizer
+from repro.bo import NNBO
 from repro.bo.config import (
     FarmConfig,
     SchedulerConfig,
@@ -57,7 +58,6 @@ from repro.bo.config import (
     SurrogateConfig,
 )
 from repro.bo.problem import Evaluation, Problem
-from repro.core import NNBO
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 

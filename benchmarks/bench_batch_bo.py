@@ -35,9 +35,9 @@ import pytest
 
 from artifacts import write_bench_json
 from repro.acquisition.maximize import DifferentialEvolutionMaximizer
+from repro.bo import NNBO
 from repro.bo.config import SchedulerConfig, SurrogateConfig
 from repro.bo.problem import Evaluation, Problem
-from repro.core import NNBO
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 

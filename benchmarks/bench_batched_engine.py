@@ -49,9 +49,9 @@ from per_member_engine import (
 )
 from repro.backend import available_backends, get_namespace
 from repro.bo.config import SurrogateConfig
-from repro.bo.loop import SurrogateBO
+from repro.bo.loop import NNBO, SurrogateBO
 from repro.bo.problem import FunctionProblem
-from repro.core import NNBO, BatchedFeatureGPTrainer, SurrogateBank
+from repro.core import BatchedFeatureGPTrainer, SurrogateBank
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 

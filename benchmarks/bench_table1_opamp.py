@@ -14,9 +14,9 @@ Run: ``pytest benchmarks/bench_table1_opamp.py --benchmark-only``
 import pytest
 
 from repro.baselines import DifferentialEvolution, GASPAD, WEIBO
+from repro.bo import NNBO
 from repro.bo.config import SurrogateConfig
 from repro.circuits.testbenches import TwoStageOpAmpProblem
-from repro.core import NNBO
 
 N_INITIAL = 12
 BO_BUDGET = 26

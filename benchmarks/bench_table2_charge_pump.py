@@ -17,10 +17,10 @@ import numpy as np
 import pytest
 
 from repro.baselines import DifferentialEvolution, WEIBO
+from repro.bo import NNBO
 from repro.bo.config import SurrogateConfig
 from repro.circuits.pvt import standard_corners
 from repro.circuits.testbenches import ChargePumpProblem
-from repro.core import NNBO
 
 N_INITIAL = 14
 BO_BUDGET = 30

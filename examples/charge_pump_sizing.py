@@ -11,8 +11,8 @@ finishes in a few minutes:
 
 from repro.circuits.pvt import standard_corners
 from repro.circuits.testbenches import ChargePumpProblem
+from repro.bo import NNBO
 from repro.bo.config import SurrogateConfig
-from repro.core import NNBO
 
 
 def main():

@@ -8,9 +8,9 @@ scaled down so the script finishes in ~10 minutes.
 """
 
 from repro.baselines import DifferentialEvolution, GASPAD, WEIBO
+from repro.bo import NNBO
 from repro.bo.config import SurrogateConfig
 from repro.circuits.testbenches import TwoStageOpAmpProblem
-from repro.core import NNBO
 from repro.experiments.runner import run_repeats, summarize
 from repro.experiments.tables import render_table
 

@@ -10,8 +10,8 @@ import numpy as np
 
 from repro.circuits.testbenches import TwoStageOpAmpProblem
 from repro.circuits.units import format_si
+from repro.bo import NNBO
 from repro.bo.config import SurrogateConfig
-from repro.core import NNBO
 
 
 def main():

@@ -17,22 +17,6 @@ Quickstart::
     print(result.best_feasible())
 """
 
-from repro.baselines import DifferentialEvolution, GASPAD, WEIBO
-from repro.bo import (
-    AcquisitionConfig,
-    Evaluation,
-    FunctionProblem,
-    OptimizationResult,
-    Problem,
-    SchedulerConfig,
-    Study,
-    SurrogateBO,
-    SurrogateConfig,
-    Trial,
-)
-from repro.core import NNBO
-from repro.gp import GPRegression, Matern52, RBF
-
 __version__ = "1.1.0"
 
 __all__ = [
@@ -55,3 +39,22 @@ __all__ = [
     "WEIBO",
     "__version__",
 ]
+
+#: the ``__all__`` names that :mod:`repro.api` does not export
+_GP_NAMES = ("GPRegression", "Matern52", "RBF")
+
+
+def __getattr__(name: str):
+    """Load a public name on first access (PEP 562).
+
+    ``import repro`` then loads no submodule, so a process that needs one
+    layer (a slice worker imports only the NN-GP engine) pays for that
+    layer alone; :mod:`repro.api` is where the public names are imported.
+    """
+    if name in _GP_NAMES:
+        import repro.gp as home
+    elif name in __all__:
+        import repro.api as home
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(home, name)

@@ -62,10 +62,10 @@ def estimate_lipschitz(
     BO loop's generator — so calling this does not perturb the proposal RNG
     stream and the estimate is a pure function of the surrogate state.
 
-    Models exposing the richer :class:`~repro.core.batched_gp.SurrogateBank`
-    interface can use :meth:`~repro.core.batched_gp.SurrogateBank.
-    estimate_target_lipschitz` directly; this helper only needs the plain
-    ``predict`` protocol (legacy per-target surrogates, GP baselines).
+    Only the plain ``predict`` protocol is needed, so one call serves a
+    bank's target view (:meth:`~repro.core.batched_gp.SurrogateBank.
+    target_model`, one stacked forward pass for every probe) and the
+    per-target surrogates of the GP baselines alike.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")

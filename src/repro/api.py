@@ -67,13 +67,19 @@ from repro.bo.config import (
     TrustRegionConfig,
 )
 from repro.bo.history import EvaluationRecord, OptimizationResult
-from repro.bo.loop import SurrogateBO
+from repro.bo.loop import NNBO, SurrogateBO
 from repro.bo.problem import Evaluation, FunctionProblem, Problem
 from repro.bo.scheduler import (
     EvaluationExecutor,
     FakeClock,
     ProposalLedger,
     make_evaluator,
+)
+from repro.bo.serialization import (
+    load_result,
+    result_from_dict,
+    result_to_dict,
+    save_result,
 )
 from repro.bo.study import (
     BudgetExhausted,
@@ -88,7 +94,6 @@ from repro.circuits.testbenches import (
     FoldedCascodeOTAProblem,
     TwoStageOpAmpProblem,
 )
-from repro.core import NNBO
 from repro.farm import (
     EvaluationFarm,
     EvaluationTimeout,
@@ -113,12 +118,6 @@ from repro.service import (
     StudyClient,
     StudyServer,
     StudyStore,
-)
-from repro.utils.serialization import (
-    load_result,
-    result_from_dict,
-    result_to_dict,
-    save_result,
 )
 
 __all__ = [

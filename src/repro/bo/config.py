@@ -20,7 +20,7 @@ config object that is valid, and every error message names the offending
 value.  The configs are frozen: derive variants with
 :func:`dataclasses.replace` instead of mutating shared instances.
 
-:class:`~repro.bo.loop.SurrogateBO` / :class:`~repro.core.bo.NNBO` take
+:class:`~repro.bo.loop.SurrogateBO` / :class:`~repro.bo.loop.NNBO` take
 these configs as their only way to set the knobs (the flat legacy kwargs
 are gone).
 """
@@ -30,9 +30,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, is_dataclass
 
+from repro import utils
 from repro.acquisition.fantasy import FANTASY_STRATEGIES
 from repro.acquisition.penalization import validate_pending_strategy
-from repro.acquisition.spaces import PROPOSAL_SPACES, TrustRegionConfig
+from repro.acquisition.spaces import (
+    PROPOSAL_SPACES,
+    TrustRegionConfig,
+    make_proposal_space,
+)
+from repro.backend import get_namespace
 
 #: surrogate update policies of the asynchronous (refill-on-completion) loop
 ASYNC_REFIT_POLICIES = ("full", "fantasy-only")
@@ -124,14 +130,12 @@ class SurrogateConfig:
         Raises :class:`~repro.backend.BackendNotAvailable` when an
         explicitly requested soft-dependency backend is not installed.
         """
-        from repro.backend import get_namespace
-
         return get_namespace(self.backend, device=self.device)
 
     # -- factory builders -----------------------------------------------------
-    # The core model classes import repro.bo (the driver layer), so these
-    # imports are deferred to keep repro.bo.config import-light and
-    # cycle-free.
+    # The NN-GP engine is imported on first use: a study that fits GP
+    # baselines (or only reads its configs) never loads it, and importing
+    # repro.bo.study stays free of it.
 
     def batched_trainer_factory(self):
         """A fresh stacked trainer (one per bank fit)."""
@@ -298,8 +302,6 @@ class AcquisitionConfig:
         adaptive state, so sharing one across studies would couple their
         traces.
         """
-        from repro.acquisition.spaces import make_proposal_space
-
         return make_proposal_space(self.proposal_space, self.trust_region)
 
 
@@ -510,13 +512,11 @@ class SchedulerConfig:
         async) or to the capped host core count, and plain pooled specs
         inherit ``q`` as their size.  The serial spec takes no count.
         """
-        from repro.bo.scheduler import default_pool_workers
-
         if self.n_eval_workers is not None or not isinstance(self.executor, str):
             return self.n_eval_workers
         spec = self.executor.lower()
         if spec.startswith("async-"):
-            return self.q if self.q > 1 else default_pool_workers()
+            return self.q if self.q > 1 else utils.default_pool_workers()
         if self.q > 1 and spec != "serial":
             return self.q
         return None

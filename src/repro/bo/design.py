@@ -41,7 +41,7 @@ def sobol_points(n: int, dim: int, rng=None) -> np.ndarray:
     """Scrambled Sobol low-discrepancy points (via scipy.stats.qmc).
 
     ``scipy.stats`` is imported here, not at module level: it is the
-    slowest import under ``import repro`` and only this opt-in design
+    slowest import under ``import repro.bo`` and only this opt-in design
     needs it.
     """
     from scipy.stats import qmc

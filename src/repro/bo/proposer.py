@@ -45,7 +45,9 @@ from repro.acquisition.penalization import (
     estimate_lipschitz,
 )
 from repro.acquisition.spaces import incumbent_index
+from repro.acquisition.thompson import BankThompsonAcquisition
 from repro.acquisition.wei import WeightedExpectedImprovement
+from repro.bo import serialization
 from repro.bo.loop import _sanitize_new_target, _sanitize_targets
 
 
@@ -222,8 +224,6 @@ class Proposer:
         acq = bo.acquisition_config
         if acq.acquisition == "thompson":
             # a bank is guaranteed: SurrogateBO rejects Thompson without one
-            from repro.acquisition.thompson import BankThompsonAcquisition
-
             return BankThompsonAcquisition(fitted.bank, rng=bo.rng)
         tau = result.best_objective()
         tau = None if not np.isfinite(tau) else tau
@@ -266,12 +266,7 @@ class Proposer:
         finite = fitted.objective_y[np.isfinite(fitted.objective_y)]
         best = float(np.min(finite)) if finite.size else float("nan")
         if fitted.lipschitz is None:
-            if fitted.bank is not None:
-                fitted.lipschitz = fitted.bank.estimate_target_lipschitz(0)
-            else:
-                fitted.lipschitz = estimate_lipschitz(
-                    fitted.objective, bo.problem.dim
-                )
+            fitted.lipschitz = estimate_lipschitz(fitted.objective, bo.problem.dim)
         penalizer = LocalPenalizer(
             around, means, variances, best=best, lipschitz=fitted.lipschitz
         )
@@ -433,8 +428,6 @@ class Proposer:
         ask and are deliberately dropped.  Per-target models carry no
         serializable state; their between-ask resumes refit.
         """
-        from repro.utils import serialization
-
         fitted = self.fitted
         if fitted is None or fitted.bank is None:
             return {}
@@ -457,8 +450,6 @@ class Proposer:
 
     def restore(self, payload: dict) -> None:
         """Restore the refit state from a study checkpoint payload."""
-        from repro.utils import serialization
-
         bo = self.optimizer
         self.landings_since_fit = int(payload["landings_since_fit"])
         warm = payload.get("warm_surrogate")

@@ -53,7 +53,6 @@ bitwise identical.
 from __future__ import annotations
 
 import copy
-import os
 import pickle
 import warnings
 import weakref
@@ -63,6 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import utils
 from repro.bo.config import check_count
 from repro.bo.problem import Evaluation, Problem
 
@@ -80,26 +80,6 @@ def _run_inline(fn, *args) -> Future:
     except Exception as exc:
         future.set_exception(exc)
     return future
-
-
-#: ceiling on the *default* pool size: simulation workloads saturate well
-#: before the core counts of large hosts, and oversized default pools only
-#: add fork/teardown latency.  Explicit ``n_workers`` is never capped.
-MAX_DEFAULT_WORKERS = 8
-
-
-def default_pool_workers() -> int:
-    """Default worker count for pooled executors: the usable CPUs, capped.
-
-    Usable means this process's CPU affinity where the platform reports
-    it, so a cpuset or ``taskset`` limit does not oversubscribe the pools
-    (``os.cpu_count()`` counts the whole host).
-    """
-    try:
-        usable = len(os.sched_getaffinity(0))
-    except AttributeError:
-        usable = os.cpu_count() or 1
-    return max(1, min(usable, MAX_DEFAULT_WORKERS))
 
 
 class EvaluationExecutor:
@@ -153,7 +133,7 @@ class ThreadPoolEvaluator(EvaluationExecutor):
 
     def __init__(self, n_workers: int | None = None):
         if n_workers is None:
-            n_workers = default_pool_workers()
+            n_workers = utils.default_pool_workers()
         self.n_workers = check_count("n_workers", n_workers)
         self._pool: ThreadPoolExecutor | None = None
 
@@ -205,7 +185,7 @@ class ProcessPoolEvaluator(EvaluationExecutor):
 
     def __init__(self, n_workers: int | None = None):
         if n_workers is None:
-            n_workers = default_pool_workers()
+            n_workers = utils.default_pool_workers()
         self.n_workers = check_count("n_workers", n_workers)
         self._pool: ProcessPoolExecutor | None = None
         # per problem: whether it pickles (checked once, warned once)
@@ -289,8 +269,8 @@ def make_evaluator(spec, n_workers: int | None = None) -> EvaluationExecutor:
     thread and process pools; they differ only in the loop the closed
     loop runs (:attr:`~repro.bo.config.SchedulerConfig.is_async`).
     Pooled specs default their worker count to
-    :func:`default_pool_workers`; the serial spec rejects an explicit
-    ``n_workers`` instead of silently ignoring it — a caller writing
+    :func:`repro.utils.default_pool_workers`; the serial spec rejects an
+    explicit ``n_workers`` instead of silently ignoring it — a caller writing
     ``make_evaluator("serial", n_workers=8)`` almost certainly meant a
     pooled executor.
     """

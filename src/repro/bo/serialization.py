@@ -19,8 +19,10 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.bo.config import config_to_dict
 from repro.bo.history import OptimizationResult
 from repro.bo.problem import Evaluation
+from repro.bo.scheduler import ProposalEntry, ProposalLedger
 
 
 def ledger_to_dict(ledger) -> dict | None:
@@ -48,10 +50,6 @@ def ledger_to_dict(ledger) -> dict | None:
 
 def ledger_from_dict(data: dict | None):
     """Inverse of :func:`ledger_to_dict`."""
-    # repro.utils is imported by the acquisition layer the scheduler sits
-    # on, so the ledger classes must load lazily to avoid a cycle
-    from repro.bo.scheduler import ProposalEntry, ProposalLedger
-
     if data is None:
         return None
     ledger = ProposalLedger()
@@ -189,26 +187,20 @@ def _json_safe_state(value):
     return value
 
 
-def config_payload(config) -> dict:
-    """JSON-safe form of a typed config (for checkpoint provenance)."""
-    from repro.bo.config import config_to_dict
-
-    return config_to_dict(config)
-
-
 def config_digest(config) -> str:
     """Short stable digest of a typed config.
 
     SHA-256 over the canonical (sorted-key, compact) JSON form of
-    :func:`config_payload`, truncated to 12 hex chars.  Two studies with
-    equal digests were built from field-identical configs; the service's
+    :func:`~repro.bo.config.config_to_dict`, truncated to 12 hex chars.
+    Two studies with equal digests were built from field-identical
+    configs; the service's
     ``status`` endpoint exposes these so clients can verify a resumed or
     remote study matches their local expectations without shipping whole
     config objects over the wire.
     """
     import hashlib
 
-    blob = json.dumps(config_payload(config), sort_keys=True, separators=(",", ":"))
+    blob = json.dumps(config_to_dict(config), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
 
 

@@ -36,7 +36,7 @@ the pinned serial, batch and asynchronous traces are bitwise unchanged:
 :meth:`checkpoint` / :meth:`Study.resume` persist the whole state machine
 (history, ledger, RNG stream, pending set, and — whenever the next ask
 would reuse it — the proposer's warm surrogate bank) through
-:mod:`repro.utils.serialization`, so a killed 10k-evaluation run restarts
+:mod:`repro.bo.serialization`, so a killed 10k-evaluation run restarts
 losslessly: a resume at any landing, and on the bank between asks too,
 continues on the exact trace of the uninterrupted run.
 """
@@ -49,9 +49,11 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.bo import serialization
+from repro.bo.config import config_to_dict
 from repro.bo.design import make_design
 from repro.bo.history import EvaluationRecord, OptimizationResult
-from repro.bo.loop import SurrogateBO
+from repro.bo.loop import NNBO, SurrogateBO
 from repro.bo.problem import Evaluation, Problem
 from repro.bo.proposer import Proposer
 from repro.bo.scheduler import ProposalLedger
@@ -150,7 +152,7 @@ class Study:
         The :class:`~repro.bo.problem.Problem` to minimize.
     surrogate:
         A :class:`~repro.bo.config.SurrogateConfig` — builds the paper's
-        NN-feature-GP ensemble optimizer (:class:`~repro.core.bo.NNBO`).
+        NN-feature-GP ensemble optimizer (:class:`~repro.bo.loop.NNBO`).
         Mutually exclusive with the explicit factories below.
     surrogate_factory, surrogate_bank_factory:
         Explicit surrogate sources (the :class:`~repro.bo.loop.SurrogateBO`
@@ -198,10 +200,6 @@ class Study:
                     f"factories, not both (got surrogate={surrogate!r} and "
                     "surrogate_factory/surrogate_bank_factory)"
                 )
-            # NNBO lives above the driver layer; imported here so that
-            # importing repro.bo.study never drags in repro.core eagerly
-            from repro.core.bo import NNBO
-
             self.optimizer = NNBO(
                 problem,
                 n_initial=n_initial,
@@ -346,8 +344,6 @@ class Study:
         (``json.dumps(study.describe())`` round-trips losslessly) and
         backs the BO service's ``status`` endpoint.
         """
-        from repro.utils import serialization
-
         best = self.result.best_feasible()
         incumbent = None
         if best is not None:
@@ -714,8 +710,6 @@ class Study:
         no serializable warm state; their between-ask resumes refit and
         are deterministic but not bitwise.
         """
-        from repro.utils import serialization
-
         payload = {
             "format": CHECKPOINT_FORMAT,
             "problem": self.problem.name,
@@ -723,12 +717,8 @@ class Study:
             "n_initial": self.n_initial,
             "max_evaluations": self.max_evaluations,
             "initial_design": self.optimizer.initial_design,
-            "acquisition_config": serialization.config_payload(
-                self.optimizer.acquisition_config
-            ),
-            "scheduler_config": serialization.config_payload(
-                self.optimizer.scheduler_config
-            ),
+            "acquisition_config": config_to_dict(self.optimizer.acquisition_config),
+            "scheduler_config": config_to_dict(self.optimizer.scheduler_config),
             "rng_state": serialization.rng_state_to_dict(self.rng),
             "iteration": self._iteration,
             "next_trial_id": self._next_id,
@@ -767,8 +757,6 @@ class Study:
         re-passed.  Pending trials stay pending — a driver re-submits them
         (:meth:`pending_trials`) and the run continues.
         """
-        from repro.utils import serialization
-
         try:
             payload = json.loads(Path(path).read_text())
         except ValueError as exc:

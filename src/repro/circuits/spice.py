@@ -38,6 +38,7 @@ from repro.circuits.devices import (
 )
 from repro.circuits.mosfet import MOSFET, MOSFETParams
 from repro.circuits.netlist import Circuit
+from repro.circuits.transient import pulse, sine
 
 
 class SpiceError(ValueError):
@@ -264,8 +265,6 @@ def _parse_waveform(line: str):
     ``PULSE(v1 v2 td tr tf pw [per])`` and ``SIN(vo va freq [td])`` follow
     the standard SPICE argument orders.
     """
-    from repro.circuits.transient import pulse, sine
-
     match = _WAVEFORM_RE.search(line)
     if not match:
         return None, line

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.bo.problem import Evaluation, Problem
+from repro.circuits.dc import ConvergenceError
 
 
 @dataclass(frozen=True)
@@ -117,8 +118,6 @@ class SizingProblem(Problem):
 
     def evaluate(self, x: np.ndarray) -> Evaluation:
         """Simulate a design; convergence failures become penalties."""
-        from repro.circuits.dc import ConvergenceError
-
         try:
             metrics = self.simulate(x)
         except ConvergenceError:

@@ -1,5 +1,11 @@
 """The paper's primary contribution: the neural-network Gaussian process.
 
+This package is the engine alone, and it imports nothing of the BO stack
+above it (``utils < gp < backend < nn < core < acquisition``, enforced by
+``tests/test_import_layers.py``): a slice worker loads only what a fit
+needs.  :class:`~repro.bo.loop.NNBO`, the algorithm that drives the
+engine, lives with the driver in :mod:`repro.bo`.
+
 One BO iteration fits ``S = K x T`` models: K ensemble members for each
 of the objective + constraints.  The engine trains them all as one tensor
 program over arrays with a leading *stack axis* ``(S, ...)`` — weights
@@ -15,10 +21,7 @@ slice ``s = t * K + k`` holding member ``k`` of target ``t``:
   every slice on its own schedule,
 * :class:`SurrogateBank` — the BO-facing front-end: one ``fit`` for all
   targets, per-target moment-matched ensemble ``predict`` views over K
-  randomly initialized members (Sec. III-C, eq. 13),
-* :class:`NNBO` — the full constrained Bayesian-optimization algorithm
-  (Algorithm 1 / Fig. 2), which fits through the bank for wEI and
-  Thompson sampling alike.
+  randomly initialized members (Sec. III-C, eq. 13).
 
 The engine is numerically equivalent to training the members one by one
 (means bitwise, variances to ~1e-16).  ``tests/per_member_engine.py``
@@ -30,11 +33,9 @@ charge-pump-sized workload.
 
 from repro.core.batched_gp import BatchedNeuralFeatureGP, SurrogateBank
 from repro.core.trainer import BatchedFeatureGPTrainer
-from repro.core.bo import NNBO
 
 __all__ = [
     "BatchedFeatureGPTrainer",
     "BatchedNeuralFeatureGP",
-    "NNBO",
     "SurrogateBank",
 ]

@@ -84,6 +84,7 @@ import numpy as np
 from scipy.linalg import lapack as _lapack
 
 from repro.backend import resolve_namespace
+from repro.core.trainer import BatchedFeatureGPTrainer
 from repro.gp.linalg import (
     lapack_jitter_cholesky,
     log_det_from_cholesky,
@@ -382,8 +383,6 @@ class BatchedNeuralFeatureGP:
             (y - y_mean[:, None]) / y_scale[:, None]
         )
         if trainer is None:
-            from repro.core.trainer import BatchedFeatureGPTrainer
-
             trainer = BatchedFeatureGPTrainer()
         trainer.train(self, x, self._z_train)
         self.update_posterior()
@@ -835,31 +834,6 @@ class SurrogateBank:
         lo = target * self.n_members
         hi = lo + self.n_members
         return means[lo:hi].copy(), variances[lo:hi].copy()
-
-    def estimate_target_lipschitz(
-        self, target: int = 0, n_samples: int = 32, step: float = 1e-4, seed: int = 0
-    ) -> float:
-        """Lipschitz estimate of one target's posterior-mean surface.
-
-        Max finite-difference gradient norm over a fixed sample of the unit
-        box, evaluated through the stacked predict path (one forward pass
-        for all ``n_samples * 2 * d`` probes).  Feeds the local-penalization
-        pending-point strategy (:mod:`repro.acquisition.penalization`): the
-        exclusion-ball radius around each in-flight design is the predicted
-        excess over the incumbent divided by this constant.  The probe
-        stream is seeded internally, so the estimate is a pure function of
-        the bank's fitted state — calling it never perturbs the BO loop's
-        proposal RNG.
-        """
-        from repro.acquisition.penalization import estimate_lipschitz
-
-        return estimate_lipschitz(
-            self.target_model(target),
-            self._gp.input_dim,
-            n_samples=n_samples,
-            step=step,
-            seed=seed,
-        )
 
     def __repr__(self) -> str:
         return (

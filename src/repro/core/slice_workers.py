@@ -8,7 +8,7 @@ property active-slice compaction relies on), so the S = K·T slices of one
 fit can train as independent groups with arithmetic identical to one
 pass over the whole stack.
 :meth:`repro.core.trainer.BatchedFeatureGPTrainer.train` therefore splits
-the numpy likelihood phase into ``min(default_pool_workers(), S)``
+the numpy likelihood phase into ``min(repro.utils.default_pool_workers(), S)``
 contiguous groups: group 0 trains in the calling thread, every other
 group in one of the workers kept here.
 
@@ -53,6 +53,8 @@ import sys
 import threading
 import warnings
 from pathlib import Path
+
+from repro import utils
 
 #: what a worker runs: ignore SIGINT (a terminal's Ctrl-C reaches the whole
 #: process group; the parent decides when a worker ends), read the parent's
@@ -252,9 +254,7 @@ class SliceWorkers:
         workers, or an empty list when the fit must train as one group in
         the caller (see the module docstring).
         """
-        from repro.bo.scheduler import default_pool_workers  # repro.bo imports repro.core
-
-        wanted = min(default_pool_workers(), n_stack) - 1
+        wanted = min(utils.default_pool_workers(), n_stack) - 1
         if (
             wanted < 1
             or multiprocessing.parent_process() is not None

@@ -20,9 +20,9 @@ import argparse
 import numpy as np
 
 from repro.baselines import DifferentialEvolution, GASPAD, WEIBO
+from repro.bo import NNBO
 from repro.bo.config import SurrogateConfig
 from repro.circuits.testbenches import TwoStageOpAmpProblem
-from repro.core import NNBO
 from repro.experiments.runner import run_repeats
 from repro.experiments.tables import render_table
 

@@ -1,6 +1,6 @@
 """Markdown report generation from saved optimization runs.
 
-Paired with :mod:`repro.utils.serialization`: long experiments dump one
+Paired with :mod:`repro.bo.serialization`: long experiments dump one
 JSON per run, and this module aggregates directories of them into the
 paper-style tables of EXPERIMENTS.md::
 
@@ -19,7 +19,7 @@ from pathlib import Path
 from repro.bo.history import OptimizationResult
 from repro.experiments.runner import summarize
 from repro.experiments.tables import render_markdown_table, render_table
-from repro.utils.serialization import load_result
+from repro.bo.serialization import load_result
 
 DEFAULT_ROWS = ["mean", "median", "best", "worst", "Avg. # Sim", "# Success"]
 

@@ -20,8 +20,8 @@ import argparse
 from dataclasses import dataclass, field, replace
 
 from repro.baselines import DifferentialEvolution, GASPAD, WEIBO
+from repro.bo import NNBO
 from repro.circuits.testbenches import ChargePumpProblem
-from repro.core import NNBO
 from repro.experiments.runner import (
     add_scheduler_arguments,
     apply_scheduler_arguments,

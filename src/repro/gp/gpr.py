@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 from scipy import linalg as sla
-from scipy import optimize as sopt
 
 from repro.gp.kernels import Kernel, RBF
 from repro.gp.linalg import jitter_cholesky, log_det_from_cholesky
@@ -207,6 +206,10 @@ class GPRegression:
 
     def _optimize_hyperparams(self):
         """Multi-restart L-BFGS-B on the exact NLL with analytic gradients."""
+        # imported here: the NN-GP engine loads this package for its
+        # linear algebra, and only these baselines' fits need the optimizer
+        from scipy import optimize as sopt
+
         bounds = self._theta_bounds()
         lo = np.array([b[0] for b in bounds])
         hi = np.array([b[1] for b in bounds])

@@ -13,7 +13,7 @@ the S networks of a surrogate bank at once.
 
 from repro.nn.activations import Activation
 from repro.nn.batched import BatchedLinear, BatchedSequential, make_batched_mlp
-from repro.nn.initializers import he_normal, xavier_uniform, zeros_init
+from repro.nn.initializers import he_normal, xavier_uniform
 from repro.nn.layers import Layer
 from repro.nn.optimizers import StackedAdam
 
@@ -26,5 +26,4 @@ __all__ = [
     "he_normal",
     "make_batched_mlp",
     "xavier_uniform",
-    "zeros_init",
 ]

@@ -30,8 +30,3 @@ def xavier_uniform(shape: tuple[int, int], rng=None) -> np.ndarray:
     fan_in, fan_out = shape[0], shape[1]
     limit = np.sqrt(6.0 / max(fan_in + fan_out, 1))
     return rng.uniform(-limit, limit, size=shape)
-
-
-def zeros_init(shape, rng=None) -> np.ndarray:
-    """All-zero initialization (used for biases)."""
-    return np.zeros(shape, dtype=float)

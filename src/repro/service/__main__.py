@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 
+from repro.farm import EvaluationFarm
 from repro.service.server import StudyServer
 
 
@@ -67,8 +68,6 @@ def main(argv=None) -> int:
 
     farm = None
     if args.farm_workers is not None:
-        from repro.farm import EvaluationFarm
-
         farm = EvaluationFarm("async-thread", n_workers=args.farm_workers)
     server = StudyServer(
         args.root,

@@ -25,6 +25,7 @@ import threading
 
 from repro.backend import BackendNotAvailable
 from repro.bo.history import EvaluationRecord
+from repro.bo.problem import Evaluation
 from repro.bo.study import (
     BudgetExhausted,
     CheckpointMismatch,
@@ -387,8 +388,6 @@ def health(address, *, timeout: float = 60.0) -> dict:
 
 def _split_evaluation(evaluation) -> tuple[float, list, dict | None]:
     """Break a :meth:`Study.tell`-shaped evaluation into wire fields."""
-    from repro.bo.problem import Evaluation
-
     if isinstance(evaluation, Evaluation):
         metrics = {
             k: v

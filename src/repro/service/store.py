@@ -38,7 +38,14 @@ import threading
 import time
 from pathlib import Path
 
+from repro.bo.config import (
+    AcquisitionConfig,
+    SchedulerConfig,
+    SurrogateConfig,
+    config_to_dict,
+)
 from repro.bo.study import CheckpointMismatch, Study, StudyError, UnknownTrial
+from repro.farm.errors import FarmSaturated, UnknownTenant
 from repro.service.errors import (
     BadRequest,
     ServiceBusy,
@@ -189,8 +196,6 @@ class StudyStore:
         configs = _build_configs(
             surrogate=surrogate, acquisition=acquisition, scheduler=scheduler
         )
-        from repro.bo.config import config_to_dict
-
         # persist the *resolved* config payloads, not the raw overrides:
         # a later library version with different defaults must still
         # rebuild this study with the configs it was created with
@@ -240,8 +245,6 @@ class StudyStore:
             entry.study = None
             entry.leases.clear()
             if self.farm is not None:
-                from repro.farm.errors import UnknownTenant
-
                 try:
                     self.farm.unregister(name)
                 except UnknownTenant:
@@ -298,8 +301,6 @@ class StudyStore:
         :class:`ExternalProblem` is refused outright.  Returns the
         committed record.
         """
-        from repro.farm.errors import FarmSaturated
-
         if self.farm is None:
             raise BadRequest(
                 "server-side evaluation is disabled: this store was "
@@ -417,8 +418,6 @@ class StudyStore:
 
     def _farm_tenant(self, name: str, problem):
         """The study's farm tenant, registered lazily on first evaluate."""
-        from repro.farm.errors import UnknownTenant
-
         try:
             return self.farm.tenant(name)
         except UnknownTenant:
@@ -592,8 +591,6 @@ def _read_meta(name: str, meta_path: Path) -> dict:
 
 def _build_configs(*, surrogate, acquisition, scheduler) -> dict:
     """Typed configs from wire/meta dicts (``None`` -> defaults)."""
-    from repro.bo.config import AcquisitionConfig, SchedulerConfig, SurrogateConfig
-
     out = {}
     for key, cls, payload in (
         ("surrogate", SurrogateConfig, surrogate),

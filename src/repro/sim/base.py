@@ -44,7 +44,7 @@ import numpy as np
 
 from repro.backend import BackendNotAvailable
 from repro.circuits.dc import ConvergenceError
-from repro.circuits.netlist import is_ground
+from repro.circuits.netlist import Circuit, is_ground
 
 #: sim-backend names resolve_sim_backend accepts (besides instances)
 SIM_BACKENDS = ("mna", "ngspice")
@@ -162,6 +162,18 @@ def _lookup(mapping: dict, key: str, what: str):
     raise _NamedLookupError(
         f"no {what} named {key!r}; available: {sorted(mapping)}"
     )
+
+
+def _find_device(circuit: Circuit, name: str):
+    """Device lookup tolerating SPICE's case-insensitive names."""
+    try:
+        return circuit.device(name)
+    except KeyError:
+        folded = name.lower()
+        for device in circuit.devices:
+            if device.name.lower() == folded:
+                return device
+        raise
 
 
 @dataclass

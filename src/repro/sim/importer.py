@@ -53,7 +53,7 @@ from repro.circuits.mosfet import MOSFET
 from repro.circuits.netlist import Circuit
 from repro.circuits.spice import parse_netlist
 from repro.circuits.testbenches.base import DesignVariable, SizingProblem
-from repro.sim.base import OperatingPoint
+from repro.sim.base import OperatingPoint, _find_device
 
 #: device type -> the attribute a bare (no-``.attr``) variable name binds to
 _NATURAL_VALUE = {
@@ -80,17 +80,6 @@ _SETTABLE = {
 def _split_binding(variable_name: str) -> tuple[str, str | None]:
     device, _, attr = variable_name.partition(".")
     return device.strip(), (attr.strip().lower() or None)
-
-
-def _find_device(circuit: Circuit, name: str):
-    try:
-        return circuit.device(name)
-    except KeyError:
-        folded = name.lower()
-        for device in circuit.devices:
-            if device.name.lower() == folded:
-                return device
-        raise
 
 
 def _resolve_binding(circuit: Circuit, variable_name: str) -> tuple[str, str]:

@@ -41,19 +41,8 @@ from repro.sim.base import (
     OperatingPointResult,
     RawResults,
     SimulatorBackend,
+    _find_device,
 )
-
-
-def _find_device(circuit: Circuit, name: str):
-    """Device lookup tolerating SPICE's case-insensitive names."""
-    try:
-        return circuit.device(name)
-    except KeyError:
-        folded = name.lower()
-        for device in circuit.devices:
-            if device.name.lower() == folded:
-                return device
-        raise
 
 
 def _branch_devices(circuit: Circuit) -> list:

@@ -127,7 +127,7 @@ class TestThompsonNNBO:
     def test_nnbo_with_thompson_acquisition(self):
         """Algorithm 1 with TS instead of wEI still solves the toy problem."""
         from repro.bo.config import AcquisitionConfig, SurrogateConfig
-        from repro.core import NNBO
+        from repro.bo import NNBO
 
         problem = toy_constrained_quadratic(2)
         result = NNBO(
@@ -146,7 +146,7 @@ class TestThompsonNNBO:
 
     def test_invalid_acquisition_name(self):
         from repro.bo.config import AcquisitionConfig
-        from repro.core import NNBO
+        from repro.bo import NNBO
 
         with pytest.raises(ValueError):
             NNBO(

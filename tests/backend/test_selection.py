@@ -130,7 +130,7 @@ class TestConfigWiring:
     def test_nnbo_bank_uses_configured_backend(self):
         from repro.benchfns import toy_constrained_quadratic
         from repro.bo.config import SurrogateConfig
-        from repro.core import NNBO
+        from repro.bo import NNBO
 
         bo = NNBO(
             toy_constrained_quadratic(2),

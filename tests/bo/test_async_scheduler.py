@@ -30,7 +30,7 @@ from repro.bo.config import (
     SurrogateConfig,
 )
 from repro.bo.history import OptimizationResult
-from repro.bo.loop import SurrogateBO
+from repro.bo.loop import NNBO, SurrogateBO
 from repro.bo.problem import FunctionProblem
 from repro.bo.scheduler import (
     FakeClock,
@@ -40,7 +40,6 @@ from repro.bo.scheduler import (
 )
 from repro.benchfns import toy_constrained_quadratic
 from repro.bo.study import Study
-from repro.core import NNBO
 from repro.farm import EvaluationFarm, FarmStudyDriver
 
 # shared with the synchronous scheduler suite: same GP factory, same

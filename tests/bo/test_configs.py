@@ -22,10 +22,9 @@ from repro.bo.config import (
     SurrogateConfig,
     config_to_dict,
 )
-from repro.bo.loop import SurrogateBO
+from repro.bo.loop import NNBO, SurrogateBO
 from repro.bo.scheduler import FakeClock, SerialEvaluator, make_evaluator
 from repro.benchfns import toy_constrained_quadratic
-from repro.core import NNBO
 
 from test_scheduler import gp_factory
 

@@ -17,9 +17,8 @@ import numpy as np
 import pytest
 
 from repro.bo.config import AcquisitionConfig, SchedulerConfig, SurrogateConfig
-from repro.bo.loop import SurrogateBO
+from repro.bo.loop import NNBO, SurrogateBO
 from repro.bo.scheduler import FakeClock
-from repro.core import NNBO
 from repro.benchfns import toy_constrained_quadratic
 
 # shared helpers: picklable problem (process pools) and the GP factory

@@ -18,7 +18,7 @@ import pytest
 from repro.bo.config import AcquisitionConfig, SchedulerConfig, SurrogateConfig
 from repro.bo.design import make_design
 from repro.bo.history import OptimizationResult
-from repro.bo.loop import SurrogateBO
+from repro.bo.loop import NNBO, SurrogateBO
 from repro.bo.problem import FunctionProblem
 from repro.bo.proposer import Proposer
 from repro.bo.scheduler import (
@@ -28,7 +28,6 @@ from repro.bo.scheduler import (
     make_evaluator,
 )
 from repro.benchfns import toy_constrained_quadratic
-from repro.core import NNBO
 from repro.gp import GPRegression
 
 
@@ -259,7 +258,7 @@ class TestExecutors:
         then counted the host's CPUs instead of the usable ones."""
         import os
 
-        from repro.bo.scheduler import MAX_DEFAULT_WORKERS, default_pool_workers
+        from repro.utils import MAX_DEFAULT_WORKERS, default_pool_workers
 
         try:
             usable = len(os.sched_getaffinity(0))

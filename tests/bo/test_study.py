@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from repro.bo.config import SchedulerConfig
-from repro.bo.loop import SurrogateBO
+from repro.bo.loop import NNBO, SurrogateBO
 from repro.bo.problem import Evaluation
 from repro.bo.scheduler import FakeClock
 from repro.bo.study import (
@@ -34,7 +34,6 @@ from repro.bo.study import (
     UnknownTrial,
 )
 from repro.benchfns import toy_constrained_quadratic
-from repro.core import NNBO
 
 # shared helpers: the GP factory and the picklable problem
 from test_scheduler import gp_factory, make_picklable_problem

@@ -7,9 +7,8 @@ import pytest
 
 from repro.benchfns import toy_constrained_quadratic
 from repro.bo.config import AcquisitionConfig, SurrogateConfig
-from repro.bo.loop import SurrogateBO
+from repro.bo.loop import NNBO, SurrogateBO
 from per_member_engine import DeepEnsemble, FeatureGPTrainer, NeuralFeatureGP
-from repro.core import NNBO
 
 TINY_NN = SurrogateConfig(n_ensemble=2, hidden_dims=(12, 12), n_features=8, epochs=50)
 

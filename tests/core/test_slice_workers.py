@@ -21,11 +21,12 @@ import numpy as np
 import pytest
 
 import repro
-import repro.bo.scheduler as scheduler
+import repro.utils
 from repro.benchfns import toy_constrained_quadratic
 from repro.bo.config import SchedulerConfig, SurrogateConfig
+from repro.bo.loop import NNBO
 from repro.bo.scheduler import FakeClock
-from repro.core import NNBO, BatchedFeatureGPTrainer, BatchedNeuralFeatureGP, SurrogateBank
+from repro.core import BatchedFeatureGPTrainer, BatchedNeuralFeatureGP, SurrogateBank
 from repro.core import slice_workers
 from repro.core.slice_workers import WORKERS, blas_single_thread
 from repro.gp.linalg import CholeskyError, jitter_cholesky
@@ -52,7 +53,7 @@ def groups(monkeypatch):
     """Set the split's group count (``default_pool_workers()``)."""
 
     def set_groups(n: int):
-        monkeypatch.setattr(scheduler, "default_pool_workers", lambda: n)
+        monkeypatch.setattr(repro.utils, "default_pool_workers", lambda: n)
 
     return set_groups
 
@@ -291,8 +292,8 @@ class TestFailurePaths:
                 f"""
                 import sys
                 sys.path.insert(0, {src!r})  # in-process, as perfbench does
-                import repro.bo.scheduler
-                repro.bo.scheduler.default_pool_workers = lambda: 2
+                import repro.utils
+                repro.utils.default_pool_workers = lambda: 2
                 from repro.api import NNBO, SurrogateConfig
                 from repro.benchfns import toy_constrained_quadratic
                 from repro.core.slice_workers import WORKERS

@@ -10,7 +10,7 @@ from repro.experiments.report import (
     group_results,
     report_from_files,
 )
-from repro.utils.serialization import save_result
+from repro.bo.serialization import save_result
 
 
 def run(algorithm, best, n=3):

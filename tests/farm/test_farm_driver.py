@@ -20,10 +20,9 @@ from repro.bo.config import (
     SpeculationConfig,
     SurrogateConfig,
 )
-from repro.bo.loop import SurrogateBO
+from repro.bo.loop import NNBO, SurrogateBO
 from repro.bo.scheduler import FakeClock
 from repro.bo.study import Study
-from repro.core import NNBO
 from repro.farm import EvaluationFarm, FarmStudyDriver
 from farm_helpers import (
     gp_factory,

@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 from repro.baselines import DifferentialEvolution, WEIBO
+from repro.bo import NNBO
 from repro.bo.config import SurrogateConfig
 from repro.circuits.pvt import standard_corners
 from repro.circuits.testbenches import ChargePumpProblem, TwoStageOpAmpProblem
-from repro.core import NNBO
 from repro.experiments.runner import run_repeats, summarize
 
 #: miniature NN-GP ensemble shared by the end-to-end runs

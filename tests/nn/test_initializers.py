@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.nn.initializers import he_normal, xavier_uniform, zeros_init
+from repro.nn.initializers import he_normal, xavier_uniform
 
 
 class TestHeNormal:
@@ -27,10 +27,3 @@ class TestXavierUniform:
         w = xavier_uniform((100, 100), rng=0)
         assert abs(w.mean()) < 0.01
 
-
-class TestZeros:
-    def test_all_zero(self):
-        assert np.all(zeros_init((4, 4)) == 0.0)
-
-    def test_1d_shape(self):
-        assert zeros_init(7).shape == (7,)

@@ -32,7 +32,7 @@ from scipy import linalg as sla
 
 from repro.core.trainer import LOG_NOISE_BOUNDS, LOG_PRIOR_BOUNDS
 from repro.gp.linalg import jitter_cholesky, log_det_from_cholesky
-from repro.nn.initializers import he_normal, xavier_uniform, zeros_init
+from repro.nn.initializers import he_normal, xavier_uniform
 from repro.nn.layers import Layer
 from repro.utils.rng import ensure_rng, spawn_rngs
 from repro.utils.scaling import StandardScaler
@@ -181,7 +181,7 @@ class Linear(Layer):
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.weight = np.asarray(weight_init((in_dim, out_dim), rng), dtype=float)
-        self.bias = zeros_init(out_dim)
+        self.bias = np.zeros(out_dim)
         self.grad_weight = np.zeros_like(self.weight)
         self.grad_bias = np.zeros_like(self.bias)
         self._x: np.ndarray | None = None

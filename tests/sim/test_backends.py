@@ -224,6 +224,15 @@ class TestRawResultsAccessors:
         assert raw.op().branch_current("vdd") == raw.op().branch_current("VDD")
         assert raw.op().region("m1") == raw.op().region("M1")
 
+    def test_sweep_source_is_case_insensitive(self, raw):
+        folded = MNABackend().run(
+            build_cs_stage(), [DCTransferSweep("vin", (0.6, 0.8, 1.0))]
+        ).sweep()
+        np.testing.assert_array_equal(folded.voltage("d"), raw.sweep().voltage("d"))
+        np.testing.assert_array_equal(
+            folded.branch_current("VIN"), raw.sweep().branch_current("VIN")
+        )
+
     def test_ground_aliases_read_as_zero(self, raw):
         for alias in ("0", "gnd", "GND", "VSS!", "ground"):
             assert raw.op().voltage(alias) == 0.0

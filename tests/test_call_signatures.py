@@ -26,9 +26,9 @@ from repro.bo.config import (
     SpeculationConfig,
     SurrogateConfig,
 )
-from repro.bo.loop import SurrogateBO
+from repro.bo.loop import NNBO, SurrogateBO
 from repro.bo.study import Study
-from repro.core import NNBO, BatchedFeatureGPTrainer, BatchedNeuralFeatureGP, SurrogateBank
+from repro.core import BatchedFeatureGPTrainer, BatchedNeuralFeatureGP, SurrogateBank
 
 ROOT = Path(__file__).resolve().parents[1]
 SCANNED = ("src", "examples", "benchmarks", "README.md")

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.bo.history import OptimizationResult
 from repro.bo.problem import Evaluation
-from repro.utils.serialization import (
+from repro.bo.serialization import (
     DamagedArray,
     array_from_dict,
     array_to_dict,
