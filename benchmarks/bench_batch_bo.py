@@ -31,7 +31,6 @@ import os
 import time
 
 import numpy as np
-import pytest
 
 from artifacts import write_bench_json
 from repro.acquisition.maximize import DifferentialEvolutionMaximizer

@@ -17,13 +17,11 @@ back-propagation and the Adam update, on one BLAS thread).
 Run: ``pytest benchmarks/bench_complexity.py --benchmark-only``
 """
 
-import time
-
 import numpy as np
 import pytest
 
-from repro.core import BatchedFeatureGPTrainer, BatchedNeuralFeatureGP
-from repro.gp import GPRegression, RBF
+from repro.core import BatchedFeatureGPTrainer
+from repro.experiments import complexity
 
 DIM = 10
 N_SMALL, N_LARGE = 64, 512
@@ -38,34 +36,16 @@ def make_data(n, seed=0):
 
 
 def gp_train_step(n):
-    x, y = make_data(n)
-    gp = GPRegression(kernel=RBF(DIM), optimize=False, seed=0)
-    gp.fit(x, y)
-    theta = gp._get_theta()
-    return lambda: gp._nll_and_grad(theta)
-
-
-def make_nngp():
-    return BatchedNeuralFeatureGP(
-        DIM, n_stack=1, hidden_dims=(50, 50), n_features=N_FEATURES, seed=0
-    )
+    return complexity.gp_train_step(complexity.fixed_gp(*make_data(n)))
 
 
 def nngp_train_step(n):
     x, y = make_data(n)
-    model = make_nngp()
-    z = ((y - y.mean()) / y.std())[None, :]
-    epoch = BatchedFeatureGPTrainer(epochs=1, patience=None)
-    return lambda: epoch.train(model, x, z)
+    return complexity.nngp_train_step(complexity.nngp_model(DIM, N_FEATURES), x, y)
 
 
-def _best_time(fn, repeats=5):
-    best = np.inf
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
+def _best_time(fn):
+    return complexity.best_time(fn, repeats=5)
 
 
 @pytest.mark.benchmark(group="complexity-train")
@@ -108,9 +88,7 @@ def test_scaling_shape(benchmark):
 @pytest.mark.benchmark(group="complexity-predict")
 @pytest.mark.parametrize("n", [N_SMALL, N_LARGE])
 def test_gp_predict(benchmark, n):
-    x, y = make_data(n)
-    gp = GPRegression(kernel=RBF(DIM), optimize=False, seed=0)
-    gp.fit(x, y)
+    gp = complexity.fixed_gp(*make_data(n))
     x_test = np.random.default_rng(1).uniform(size=(256, DIM))
     benchmark(lambda: gp.predict(x_test))
 
@@ -119,7 +97,7 @@ def test_gp_predict(benchmark, n):
 @pytest.mark.parametrize("n", [N_SMALL, N_LARGE])
 def test_nngp_predict(benchmark, n):
     x, y = make_data(n)
-    model = make_nngp()
+    model = complexity.nngp_model(DIM, N_FEATURES)
     model.fit(x, y, trainer=BatchedFeatureGPTrainer(epochs=0))
     x_test = np.random.default_rng(1).uniform(size=(256, DIM))
     benchmark(lambda: model.predict(x_test))

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core import BatchedFeatureGPTrainer, SurrogateBank
+from repro.experiments.ablation import nlpd
 
 N_TRAIN, N_TEST = 35, 250
 EPOCHS = 150
@@ -24,11 +25,6 @@ TRIALS = 3
 
 def target(x):
     return np.sin(3.0 * x[:, 0]) * np.cos(2.0 * x[:, 1]) + 0.5 * x[:, 0] * x[:, 1]
-
-
-def nlpd(y, mean, var):
-    var = np.maximum(var, 1e-12)
-    return float(np.mean(0.5 * np.log(2 * np.pi * var) + 0.5 * (y - mean) ** 2 / var))
 
 
 def fit_and_score(k, trial_seed):

@@ -40,21 +40,26 @@ __all__ = [
     "__version__",
 ]
 
-#: the ``__all__`` names that :mod:`repro.api` does not export
+#: the ``__all__`` names defined outside :mod:`repro.bo`
+_BASELINE_NAMES = ("DifferentialEvolution", "GASPAD", "WEIBO")
 _GP_NAMES = ("GPRegression", "Matern52", "RBF")
 
 
 def __getattr__(name: str):
     """Load a public name on first access (PEP 562).
 
-    ``import repro`` then loads no submodule, so a process that needs one
-    layer (a slice worker imports only the NN-GP engine) pays for that
-    layer alone; :mod:`repro.api` is where the public names are imported.
+    ``import repro`` then loads no submodule, and a name loads only the
+    package that defines it (:mod:`repro.bo`, :mod:`repro.baselines` or
+    :mod:`repro.gp`): ``from repro import NNBO`` pulls in the BO stack,
+    not the service, farm and circuit layers :mod:`repro.api` also
+    exports.
     """
-    if name in _GP_NAMES:
+    if name in _BASELINE_NAMES:
+        import repro.baselines as home
+    elif name in _GP_NAMES:
         import repro.gp as home
     elif name in __all__:
-        import repro.api as home
+        import repro.bo as home
     else:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return getattr(home, name)

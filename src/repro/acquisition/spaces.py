@@ -8,11 +8,11 @@ effective at high ``d`` by maximizing along one-dimensional subspaces, and
 TuRBO-style trust regions restrict proposals to a box around the
 incumbent that grows on success and shrinks on failure.
 
-A :class:`ProposalSpace` decides, per proposal, the region to search:
+A :class:`ProposalSpace` decides, per proposal, the region to search
+(the whole unit box is no space at all: :func:`make_proposal_space`
+returns ``None`` for it and the driver keeps its maximizer unwrapped, so
+the default stays bitwise unchanged):
 
-* :class:`FullSpace` — the whole unit box (the historical path; the
-  driver skips the wrapper entirely so the default stays bitwise
-  unchanged),
 * :class:`LineSpace` — a fan of random one-dimensional lines through
   the incumbent, each clipped to the unit box and maximized by a dense
   1-D scan plus a bounded scalar polish in the embedded coordinate (the
@@ -146,18 +146,16 @@ class EmbeddedAcquisition:
 class ProposalSpace:
     """Strategy interface: pick the subregion each proposal searches.
 
-    ``frame(dim, incumbent, rng)`` returns the embedding for one proposal
-    (``None`` means "the full box" — the wrapper then delegates to the
-    inner maximizer untouched).  ``observe(improved)`` feeds landing
-    outcomes to adaptive spaces (trust-region counters); the state
-    travels through study checkpoints via ``state_to_dict`` /
-    ``restore_state``.
+    ``frame(dim, incumbent, rng)`` returns the embedding for one
+    proposal.  ``observe(improved)`` feeds landing outcomes to adaptive
+    spaces (trust-region counters); the state travels through study
+    checkpoints via ``state_to_dict`` / ``restore_state``.
     """
 
     name = "full"
 
     def frame(self, dim: int, incumbent, rng):
-        """The embedding for the next proposal (``None`` = full box)."""
+        """The embedding for the next proposal."""
         raise NotImplementedError
 
     def frames(self, dim: int, incumbent, rng) -> list:
@@ -181,15 +179,6 @@ class ProposalSpace:
 
     def restore_state(self, state: dict) -> None:
         """Inverse of :meth:`state_to_dict`."""
-
-
-class FullSpace(ProposalSpace):
-    """The whole unit box — the historical proposal path."""
-
-    name = "full"
-
-    def frame(self, dim: int, incumbent, rng):
-        return None
 
 
 class DenseLineMaximizer(AcquisitionMaximizer):
@@ -371,9 +360,8 @@ class SubspaceMaximizer(AcquisitionMaximizer):
     The driver sets the incumbent (best-known unit design) before each
     proposal round; ``maximize`` asks the space for a frame, maximizes the
     embedded acquisition with the space's engine, and lifts the champion
-    back to the unit box.  A ``None`` frame (the full space) delegates to
-    the wrapped maximizer untouched, so q-batches and the pending-point
-    machinery — which only ever call ``maximize`` — compose unchanged.
+    back to the unit box.  q-batches and the pending-point machinery only
+    ever call ``maximize``, so they compose with subspaces unchanged.
     """
 
     def __init__(self, space: ProposalSpace, inner: AcquisitionMaximizer):
@@ -388,8 +376,6 @@ class SubspaceMaximizer(AcquisitionMaximizer):
     def maximize(self, acquisition, dim: int, rng=None) -> np.ndarray:
         rng = ensure_rng(rng)
         frames = self.space.frames(dim, self.incumbent, rng)
-        if len(frames) == 1 and frames[0] is None:
-            return self.inner.maximize(acquisition, dim, rng)
         engine = self.space.embedded_maximizer(self.inner)
         best_x: np.ndarray | None = None
         best_value = -np.inf
@@ -474,7 +460,6 @@ __all__ = [
     "BoxFrame",
     "DenseLineMaximizer",
     "EmbeddedAcquisition",
-    "FullSpace",
     "LineFrame",
     "LineSpace",
     "ProposalSpace",

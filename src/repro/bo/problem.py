@@ -205,21 +205,11 @@ class Problem:
         :attr:`cache_decimals`); :attr:`n_cache_hits` / misses count the
         lookups and :meth:`clear_evaluation_cache` resets the store.
         """
-        u = check_vector_1d(u, "u", length=self.dim)
-        u_clipped = np.clip(u, 0.0, 1.0)
-        if not self.cache_evaluations:
-            return self.evaluate(self.scaler.inverse_transform(u_clipped))
-        key = self.cache_key(u)
-        with self._cache_lock:
-            cached = self._eval_cache.get(key)
-            if cached is not None:
-                self.n_cache_hits += 1
-                return cached
-        evaluation = self.evaluate(self.scaler.inverse_transform(u_clipped))
-        with self._cache_lock:
-            self.n_cache_misses += 1
-            self._eval_cache[key] = evaluation
-            self._append_disk_entry(key, evaluation)
+        cached = self.lookup_cached(u)
+        if cached is not None:
+            return cached
+        evaluation = self.evaluate_unit_uncached(u)
+        self.store_evaluation(u, evaluation)
         return evaluation
 
     @property

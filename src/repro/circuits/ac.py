@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.circuits.dc import DCAnalysis, DCSolution
+from repro.circuits.dc import DCSolution
 from repro.circuits.mna import plan_for
 from repro.circuits.netlist import Circuit
 
@@ -65,11 +65,6 @@ class ACAnalysis:
             plan.gather([self.circuit]), op, 2.0 * np.pi * freqs, self.gmin
         )
         return ACResult(self.circuit, freqs, np.linalg.solve(y, b[..., None])[..., 0])
-
-
-def operating_point(circuit: Circuit, initial=None, **dc_kwargs) -> DCSolution:
-    """Convenience: run a DC analysis with default settings."""
-    return DCAnalysis(circuit, **dc_kwargs).solve(initial=initial)
 
 
 def log_freqs(f_start: float, f_stop: float, points_per_decade: int = 10) -> np.ndarray:

@@ -2,8 +2,11 @@
 
 Sweeps the DC value of one source while re-solving the operating point
 with warm starts — the workhorse for transfer characteristics (inverter
-VTC, mirror compliance curves) and the same machinery the charge-pump
-testbench uses internally for its output-voltage sweeps.
+VTC, mirror compliance curves).  The charge-pump testbench's output-voltage
+sweeps do not come through here: they run as
+:class:`~repro.sim.base.DCTransferSweep` analyses on
+:class:`~repro.sim.mna.MNABackend`, which solves each sweep point of all
+its circuits as one batched Newton.
 """
 
 from __future__ import annotations

@@ -7,8 +7,9 @@ and (b) a batch prediction, as the training-set size N grows with the
 feature dimension M fixed.  The paper's claim is about the *scaling
 shape*: the classic GP's likelihood evaluation is dominated by an N x N
 Cholesky (cubic), while the NN-GP works through the M x M A-matrix (linear
-in N).  The companion benchmark ``benchmarks/bench_complexity.py`` asserts
-the shape; this module prints the full table::
+in N).  The companion benchmark ``benchmarks/bench_complexity.py`` times
+the same training steps and asserts the shape; this module prints the full
+table::
 
     python -m repro.experiments.complexity
 """
@@ -25,13 +26,41 @@ from repro.gp import GPRegression, RBF
 from repro.experiments.tables import render_table
 
 
-def _time_call(fn, repeats: int = 3) -> float:
+def best_time(fn, repeats: int = 3) -> float:
+    """Fastest of ``repeats`` wall-clock timings of ``fn()`` (seconds)."""
     best = np.inf
     for _ in range(repeats):
         t0 = time.perf_counter()
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def fixed_gp(x: np.ndarray, y: np.ndarray) -> GPRegression:
+    """RBF GP fitted at its initial hyperparameters (no likelihood search)."""
+    gp = GPRegression(kernel=RBF(x.shape[1]), optimize=False, seed=0)
+    gp.fit(x, y)
+    return gp
+
+
+def gp_train_step(gp: GPRegression):
+    """The GP's training step: one marginal-likelihood + gradient evaluation."""
+    theta = gp._get_theta()
+    return lambda: gp._nll_and_grad(theta)
+
+
+def nngp_model(dim: int, n_features: int) -> BatchedNeuralFeatureGP:
+    """One NN-GP at the paper's network size (two hidden layers of 50)."""
+    return BatchedNeuralFeatureGP(
+        dim, n_stack=1, hidden_dims=(50, 50), n_features=n_features, seed=0
+    )
+
+
+def nngp_train_step(model: BatchedNeuralFeatureGP, x: np.ndarray, y: np.ndarray):
+    """The NN-GP's training step: one epoch of the trainer a fit runs."""
+    z = ((y - y.mean()) / y.std())[None, :]
+    epoch = BatchedFeatureGPTrainer(epochs=1, patience=None)
+    return lambda: epoch.train(model, x, z)
 
 
 def measure_scaling(
@@ -59,27 +88,17 @@ def measure_scaling(
         x = rng.uniform(size=(n, dim))
         y = np.sin(x.sum(axis=1)) + 0.01 * rng.normal(size=n)
 
-        gp = GPRegression(kernel=RBF(dim), optimize=False, seed=0)
-        gp.fit(x, y)
-        theta = gp._get_theta()
-        columns["GP train-step (ms)"][label] = 1e3 * _time_call(
-            lambda: gp._nll_and_grad(theta)
-        )
-        columns["GP predict (ms)"][label] = 1e3 * _time_call(
-            lambda: gp.predict(x_test)
-        )
+        gp = fixed_gp(x, y)
+        columns["GP train-step (ms)"][label] = 1e3 * best_time(gp_train_step(gp))
+        columns["GP predict (ms)"][label] = 1e3 * best_time(lambda: gp.predict(x_test))
 
-        nngp = BatchedNeuralFeatureGP(
-            dim, n_stack=1, hidden_dims=(50, 50), n_features=n_features, seed=0
-        )
+        nngp = nngp_model(dim, n_features)
         nngp.fit(x, y, trainer=BatchedFeatureGPTrainer(epochs=0))
-        columns["NN-GP predict (ms)"][label] = 1e3 * _time_call(
+        columns["NN-GP predict (ms)"][label] = 1e3 * best_time(
             lambda: nngp.predict(x_test)
         )
-        z = ((y - y.mean()) / y.std())[None, :]
-        epoch = BatchedFeatureGPTrainer(epochs=1, patience=None)
-        columns["NN-GP train-step (ms)"][label] = 1e3 * _time_call(
-            lambda: epoch.train(nngp, x, z)
+        columns["NN-GP train-step (ms)"][label] = 1e3 * best_time(
+            nngp_train_step(nngp, x, y)
         )
     return columns
 

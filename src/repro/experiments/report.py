@@ -17,11 +17,9 @@ from collections import defaultdict
 from pathlib import Path
 
 from repro.bo.history import OptimizationResult
-from repro.experiments.runner import summarize
+from repro.experiments.runner import STATISTIC_ROWS, statistic_rows, summarize
 from repro.experiments.tables import render_markdown_table, render_table
 from repro.bo.serialization import load_result
-
-DEFAULT_ROWS = ["mean", "median", "best", "worst", "Avg. # Sim", "# Success"]
 
 
 def group_results(results: list[OptimizationResult]) -> dict[str, list]:
@@ -43,20 +41,10 @@ def columns_from_results(
     if not results:
         raise ValueError("no results to report")
     sign = -1.0 if negate_objective else 1.0
-    columns: dict[str, dict] = {}
-    for name, runs in group_results(results).items():
-        summary = summarize(runs)
-        # the sign flip alone maps min-objective <-> max-performance: the
-        # lowest objective (summary.best) becomes the highest performance
-        columns[name] = {
-            "mean": sign * summary.mean,
-            "median": sign * summary.median,
-            "best": sign * summary.best,
-            "worst": sign * summary.worst,
-            "Avg. # Sim": summary.avg_sims,
-            "# Success": summary.success_rate,
-        }
-    return columns
+    return {
+        name: statistic_rows(summarize(runs), sign)
+        for name, runs in group_results(results).items()
+    }
 
 
 def report_from_files(
@@ -67,8 +55,8 @@ def report_from_files(
     results = [load_result(Path(p)) for p in paths]
     columns = columns_from_results(results, negate_objective=negate_objective)
     if markdown:
-        return render_markdown_table(DEFAULT_ROWS, columns)
-    return render_table(title, DEFAULT_ROWS, columns)
+        return render_markdown_table(STATISTIC_ROWS, columns)
+    return render_table(title, STATISTIC_ROWS, columns)
 
 
 def main(argv=None) -> str:

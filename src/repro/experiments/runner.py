@@ -1,4 +1,4 @@
-"""Multi-run statistics harness.
+"""Multi-run statistics harness and the paper-table driver.
 
 The paper averages every algorithm over repeated runs (10 for the op-amp,
 12 for the charge pump) and reports, per algorithm: performance metrics of
@@ -6,19 +6,29 @@ the best design, the spread (mean/median/best/worst) of the best objective
 across runs, the average number of simulations, and the success count.
 This module produces exactly those statistics from lists of
 :class:`~repro.bo.history.OptimizationResult`.
+
+Tables I and II run the same procedure on different testbenches: a
+:class:`TableConfig` preset holds a table's testbench, budgets and NN-BO's
+typed configs, and :func:`table_main` is the command line both tables
+share (``repro.experiments.table1`` / ``table2`` keep only their presets,
+row labels and titles).
 """
 
 from __future__ import annotations
 
+import argparse
 import pickle
 import warnings
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from repro.baselines import DifferentialEvolution, GASPAD, WEIBO
+from repro.bo import NNBO
 from repro.bo.config import AcquisitionConfig, SchedulerConfig, SurrogateConfig
 from repro.bo.history import OptimizationResult
+from repro.experiments.tables import render_table
 
 
 @dataclass
@@ -154,41 +164,169 @@ def run_repeats(
     return results
 
 
-def nnbo_configs(config):
-    """Build NN-BO's typed configs from a table experiment config.
+def summarize(results: list[OptimizationResult]) -> AlgorithmSummary:
+    """Aggregate repeated runs into an :class:`AlgorithmSummary`."""
+    if not results:
+        raise ValueError("no results to summarize")
+    algorithm = results[0].algorithm
+    successes = [r for r in results if r.success]
+    best_objectives = np.array([r.best_objective() for r in successes])
+    sims = np.array([r.n_sims_to_best() for r in successes], dtype=float)
+    best_run_metrics: dict = {}
+    if successes:
+        best_run = min(successes, key=lambda r: r.best_objective())
+        record = best_run.best_feasible()
+        if record is not None:
+            best_run_metrics = dict(record.evaluation.metrics)
+    return AlgorithmSummary(
+        algorithm=algorithm,
+        n_runs=len(results),
+        n_success=len(successes),
+        best_objectives=best_objectives,
+        sims_to_best=sims,
+        best_run_metrics=best_run_metrics,
+    )
 
-    The Table I/II configs carry the same flat fields (budgets, model
-    sizes, scheduler knobs); this maps them onto the
-    (:class:`SurrogateConfig`, :class:`AcquisitionConfig`,
-    :class:`SchedulerConfig`) triple the optimizer constructors take.
+
+#: the paper's per-algorithm statistics, in table row order
+STATISTIC_ROWS = ("mean", "median", "best", "worst", "Avg. # Sim", "# Success")
+
+
+def statistic_rows(summary: AlgorithmSummary, sign: float = 1.0) -> dict:
+    """The :data:`STATISTIC_ROWS` values of one algorithm's column.
+
+    ``sign=-1`` reports a maximized performance whose objective is its
+    negative (the op-amp's GAIN): the flip alone maps the lowest objective
+    (``summary.best``) to the highest performance.
     """
-    surrogate = SurrogateConfig(
-        n_ensemble=config.n_ensemble,
-        hidden_dims=config.hidden_dims,
-        n_features=config.n_features,
-        epochs=config.epochs,
-        backend=getattr(config, "backend", "numpy"),
-        device=getattr(config, "device", None),
+    values = (
+        sign * summary.mean,
+        sign * summary.median,
+        sign * summary.best,
+        sign * summary.worst,
+        summary.avg_sims,
+        summary.success_rate,
     )
-    acquisition = AcquisitionConfig(
-        pending_strategy=config.pending_strategy,
-        proposal_space=getattr(config, "proposal_space", "full"),
-    )
-    scheduler = SchedulerConfig(
-        q=config.q,
-        executor=config.eval_executor,
-        n_eval_workers=config.n_eval_workers,
-        async_refit=config.async_refit,
-    )
-    return surrogate, acquisition, scheduler
+    return dict(zip(STATISTIC_ROWS, values))
+
+
+@dataclass(frozen=True)
+class TableConfig:
+    """One paper table's experiment: testbench, budgets and NN-BO's configs.
+
+    ``problem`` is the testbench class, built fresh for every run from
+    ``problem_kwargs`` (plus ``sim_backend`` unless they name one).
+    NN-BO and WEIBO spend ``bo_budget`` simulations, GASPAD
+    ``gaspad_budget`` and DE ``de_budget``; only NN-BO takes the typed
+    ``surrogate`` / ``acquisition`` / ``scheduler`` configs (batch size,
+    evaluation executor, async refit policy, pending-point strategy,
+    proposal space, array backend).  ``n_workers`` parallelizes the
+    repeated runs of each algorithm across a process pool.  Presets are
+    frozen: derive variants with :func:`dataclasses.replace`.
+    """
+
+    problem: type
+    n_repeats: int
+    n_initial: int
+    bo_budget: int
+    gaspad_budget: int
+    de_budget: int
+    surrogate: SurrogateConfig = SurrogateConfig()
+    acquisition: AcquisitionConfig = AcquisitionConfig()
+    scheduler: SchedulerConfig = SchedulerConfig()
+    algorithms: tuple = ("NN-BO", "WEIBO", "GASPAD", "DE")
+    seed: int = 2019
+    verbose: bool = False
+    n_workers: int | None = None
+    sim_backend: str = "mna"
+    problem_kwargs: dict = field(default_factory=dict)
+
+
+def make_problem(config: TableConfig):
+    """Fresh testbench instance (stateless across runs except counters)."""
+    kwargs = dict(config.problem_kwargs)
+    kwargs.setdefault("sim_backend", config.sim_backend)
+    return config.problem(**kwargs)
+
+
+def make_optimizer(name: str, config: TableConfig, problem, seed: int):
+    """Construct one of the four compared algorithms with its budget."""
+    if name == "NN-BO":
+        return NNBO(
+            problem,
+            n_initial=config.n_initial,
+            max_evaluations=config.bo_budget,
+            surrogate=config.surrogate,
+            acquisition_config=config.acquisition,
+            scheduler_config=config.scheduler,
+            seed=seed,
+        )
+    if name == "WEIBO":
+        return WEIBO(
+            problem,
+            n_initial=config.n_initial,
+            max_evaluations=config.bo_budget,
+            seed=seed,
+        )
+    if name == "GASPAD":
+        return GASPAD(
+            problem,
+            n_initial=config.n_initial,
+            pop_size=min(20, config.n_initial),
+            max_evaluations=config.gaspad_budget,
+            seed=seed,
+        )
+    if name == "DE":
+        return DifferentialEvolution(
+            problem,
+            pop_size=50 if config.de_budget >= 500 else 15,
+            max_evaluations=config.de_budget,
+            seed=seed,
+        )
+    raise ValueError(f"unknown algorithm {name!r}")
+
+
+@dataclass
+class OptimizerFactory:
+    """Picklable per-seed optimizer factory (one per algorithm column).
+
+    Lambdas cannot cross process boundaries; this module-level callable
+    pickles cleanly, so ``run_repeats(n_workers=...)`` can ship it to pool
+    workers and the repeated runs parallelize.
+    """
+
+    name: str
+    config: TableConfig
+
+    def __call__(self, seed: int):
+        return make_optimizer(self.name, self.config, make_problem(self.config), seed)
+
+
+def run_experiment(config: TableConfig, label: str, to_column) -> dict[str, dict]:
+    """Run all configured algorithms; returns ``{algorithm: column}``.
+
+    ``to_column`` maps each algorithm's :class:`AlgorithmSummary` to its
+    table column; ``label`` tags the progress lines (``[table1] ...``).
+    """
+    columns: dict[str, dict] = {}
+    for name in config.algorithms:
+        if config.verbose:
+            print(f"[{label}] running {name} x{config.n_repeats}")
+        results = run_repeats(
+            OptimizerFactory(name, config),
+            n_repeats=config.n_repeats,
+            seed=config.seed,
+            verbose=config.verbose,
+            n_workers=config.n_workers,
+        )
+        columns[name] = to_column(summarize(results))
+    return columns
 
 
 def add_scheduler_arguments(parser) -> None:
     """The evaluation-scheduler argparse options shared by the table drivers.
 
-    One definition keeps the Table I and Table II CLIs accepting the same
-    flags with the same help text; pair with
-    :func:`apply_scheduler_arguments`.
+    Pair with :func:`apply_scheduler_arguments`.
     """
     parser.add_argument(
         "--workers", type=int, default=None,
@@ -254,52 +392,70 @@ def add_scheduler_arguments(parser) -> None:
     )
 
 
-def apply_scheduler_arguments(args, config) -> None:
-    """Copy the :func:`add_scheduler_arguments` flags onto a table config.
+def _passed(**flags) -> dict:
+    """The flags that were given on the command line (not left at ``None``)."""
+    return {name: value for name, value in flags.items() if value is not None}
 
-    Only explicitly passed flags override the config's preset defaults.
+
+def apply_scheduler_arguments(args, config: TableConfig) -> TableConfig:
+    """A copy of ``config`` with the :func:`add_scheduler_arguments` flags.
+
+    Only explicitly passed flags override the preset's values; NN-BO's
+    flags land in its typed configs.
     """
-    if args.workers is not None:
-        config.n_workers = args.workers
-    if args.q is not None:
-        config.q = args.q
-    if args.eval_executor is not None:
-        config.eval_executor = args.eval_executor
-    if args.eval_workers is not None:
-        config.n_eval_workers = args.eval_workers
-    if args.async_refit is not None:
-        config.async_refit = args.async_refit
-    if args.pending_strategy is not None:
-        config.pending_strategy = args.pending_strategy
-    if args.proposal_space is not None:
-        config.proposal_space = args.proposal_space
-    if args.backend is not None:
-        config.backend = args.backend
-    if args.device is not None:
-        config.device = args.device
-    if args.sim_backend is not None:
-        config.sim_backend = args.sim_backend
-
-
-def summarize(results: list[OptimizationResult]) -> AlgorithmSummary:
-    """Aggregate repeated runs into an :class:`AlgorithmSummary`."""
-    if not results:
-        raise ValueError("no results to summarize")
-    algorithm = results[0].algorithm
-    successes = [r for r in results if r.success]
-    best_objectives = np.array([r.best_objective() for r in successes])
-    sims = np.array([r.n_sims_to_best() for r in successes], dtype=float)
-    best_run_metrics: dict = {}
-    if successes:
-        best_run = min(successes, key=lambda r: r.best_objective())
-        record = best_run.best_feasible()
-        if record is not None:
-            best_run_metrics = dict(record.evaluation.metrics)
-    return AlgorithmSummary(
-        algorithm=algorithm,
-        n_runs=len(results),
-        n_success=len(successes),
-        best_objectives=best_objectives,
-        sims_to_best=sims,
-        best_run_metrics=best_run_metrics,
+    return replace(
+        config,
+        surrogate=replace(
+            config.surrogate, **_passed(backend=args.backend, device=args.device)
+        ),
+        acquisition=replace(
+            config.acquisition,
+            **_passed(
+                pending_strategy=args.pending_strategy,
+                proposal_space=args.proposal_space,
+            ),
+        ),
+        scheduler=replace(
+            config.scheduler,
+            **_passed(
+                q=args.q,
+                executor=args.eval_executor,
+                n_eval_workers=args.eval_workers,
+                async_refit=args.async_refit,
+            ),
+        ),
+        **_passed(n_workers=args.workers, sim_backend=args.sim_backend),
     )
+
+
+def table_main(
+    argv, *, description: str, label: str, title: str, row_labels, to_column,
+    presets: dict,
+) -> str:
+    """Command line of one paper table; prints and returns the rendered table.
+
+    ``presets`` maps ``--preset`` names to frozen :class:`TableConfig`
+    instances (``"quick"`` is the default); ``to_column`` and ``label`` go
+    to :func:`run_experiment`, ``title`` and ``row_labels`` to
+    :func:`~repro.experiments.tables.render_table`.
+    """
+    parser = argparse.ArgumentParser(description=description)
+    parser.add_argument(
+        "--preset", choices=tuple(presets), default="quick",
+        help="quick: scaled-down budgets; paper: the full "
+        f"{title.split(':')[0]} setup",
+    )
+    parser.add_argument("--repeats", type=int, default=None)
+    parser.add_argument("--seed", type=int, default=None)
+    add_scheduler_arguments(parser)
+    parser.add_argument("--quiet", action="store_true")
+    args = parser.parse_args(argv)
+    config = replace(
+        apply_scheduler_arguments(args, presets[args.preset]),
+        verbose=not args.quiet,
+        **_passed(n_repeats=args.repeats, seed=args.seed),
+    )
+    columns = run_experiment(config, label, to_column)
+    table = render_table(title, row_labels, columns)
+    print(table)
+    return table

@@ -3,16 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.acquisition.maximize import (
-    DifferentialEvolutionMaximizer,
-    RandomSearchMaximizer,
-)
+from repro.acquisition.maximize import RandomSearchMaximizer
 from repro.acquisition.spaces import (
     PROPOSAL_SPACES,
     BoxFrame,
     DenseLineMaximizer,
     EmbeddedAcquisition,
-    FullSpace,
     LineFrame,
     LineSpace,
     SubspaceMaximizer,
@@ -255,17 +251,6 @@ class TestTrustRegionSpace:
 
 
 class TestSubspaceMaximizer:
-    def test_full_space_delegates_bitwise(self):
-        """FullSpace wrapping must not perturb the inner maximizer at all
-        (the `full` default's bitwise guarantee rests on this)."""
-        acq = peaked([0.3, 0.7])
-        inner = DifferentialEvolutionMaximizer(pop_size=15, generations=8)
-        wrapped = SubspaceMaximizer(FullSpace(), inner)
-        wrapped.set_incumbent([0.5, 0.5])
-        a = wrapped.maximize(acq, 2, np.random.default_rng(7))
-        b = inner.maximize(acq, 2, np.random.default_rng(7))
-        np.testing.assert_array_equal(a, b)
-
     def test_line_pick_lies_on_a_fan_line(self):
         incumbent = np.array([0.4, 0.6, 0.5])
         space = LineSpace(n_lines=4)

@@ -9,8 +9,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.experiments import ablation, complexity, table1, table2
+from repro.bo.config import AcquisitionConfig, SurrogateConfig
+from repro.experiments import ablation, complexity, runner, table1, table2
 from repro.experiments.ablation import nlpd
+from repro.experiments.runner import make_optimizer, make_problem
 
 
 @pytest.mark.parametrize("module", [table1, table2], ids=["table1", "table2"])
@@ -18,53 +20,57 @@ from repro.experiments.ablation import nlpd
 def test_cli_flags_leave_module_presets_alone(monkeypatch, module, preset):
     """Regression: ``main`` assigned the parsed flags onto the shared
     ``QUICK``/``PAPER`` instances, so one CLI call rewrote the presets
-    every later caller in the process saw."""
+    every later caller in the process saw.  The presets are frozen now,
+    and the flags reach the run as a copy."""
     presets = (replace(module.QUICK), replace(module.PAPER))
     ran = []
-    monkeypatch.setattr(module, "run_experiment", lambda config: ran.append(config) or {})
-    monkeypatch.setattr(module, "render_table", lambda *args: "")
+    monkeypatch.setattr(runner, "run_experiment", lambda config, *args: ran.append(config) or {})
+    monkeypatch.setattr(runner, "render_table", lambda *args: "")
     module.main([
         "--preset", preset, "--q", "3", "--repeats", "1",
         "--eval-executor", "thread", "--seed", "7", "--quiet",
     ])
     (config,) = ran
-    assert (config.q, config.n_repeats, config.eval_executor, config.seed) == (3, 1, "thread", 7)
+    scheduler = config.scheduler
+    assert (scheduler.q, config.n_repeats, scheduler.executor, config.seed) == (3, 1, "thread", 7)
     assert config.verbose is False
+    assert config.n_initial == getattr(module, preset.upper()).n_initial
     assert (module.QUICK, module.PAPER) == presets
 
 
 class TestTable1Machinery:
     def test_make_optimizer_budgets(self):
-        config = table1.Table1Config()
-        problem = table1.make_problem(config)
-        nnbo = table1.make_optimizer("NN-BO", config, problem, seed=0)
+        config = table1.PAPER
+        problem = make_problem(config)
+        nnbo = make_optimizer("NN-BO", config, problem, seed=0)
         assert nnbo.max_evaluations == 100  # paper budget
         assert nnbo.n_initial == 30
-        gaspad = table1.make_optimizer("GASPAD", config, problem, seed=0)
+        gaspad = make_optimizer("GASPAD", config, problem, seed=0)
         assert gaspad.max_evaluations == 200
-        de = table1.make_optimizer("DE", config, problem, seed=0)
+        de = make_optimizer("DE", config, problem, seed=0)
         assert de.max_evaluations == 1100
 
     def test_paper_preset_matches_paper(self):
         assert table1.PAPER.n_repeats == 10
-        assert table1.PAPER.n_ensemble == 5
-        assert table1.PAPER.hidden_dims == (50, 50)
+        assert table1.PAPER.surrogate.n_ensemble == 5
+        assert table1.PAPER.surrogate.hidden_dims == (50, 50)
 
     def test_proposal_space_flows_into_acquisition_config(self):
-        from repro.experiments.runner import nnbo_configs
-
-        config = table1.Table1Config(proposal_space="trust-region")
-        _, acquisition, _ = nnbo_configs(config)
-        assert acquisition.proposal_space == "trust-region"
+        config = replace(
+            table1.PAPER, acquisition=AcquisitionConfig(proposal_space="trust-region")
+        )
+        nnbo = make_optimizer("NN-BO", config, make_problem(config), seed=0)
+        assert nnbo.acquisition_config.proposal_space == "trust-region"
+        assert nnbo.proposal_space is not None
         # the default stays on the bitwise-pinned full-space path
-        _, acquisition, _ = nnbo_configs(table1.Table1Config())
-        assert acquisition.proposal_space == "full"
-        assert acquisition.resolve_proposal_space() is None
+        nnbo = make_optimizer("NN-BO", table1.PAPER, make_problem(table1.PAPER), seed=0)
+        assert nnbo.acquisition_config.proposal_space == "full"
+        assert nnbo.proposal_space is None
 
     def test_unknown_algorithm(self):
         config = table1.QUICK
         with pytest.raises(ValueError):
-            table1.make_optimizer("CMA-ES", config, table1.make_problem(config), 0)
+            make_optimizer("CMA-ES", config, make_problem(config), 0)
 
     def test_summary_to_column_flips_sign(self):
         from repro.experiments.runner import AlgorithmSummary
@@ -103,6 +109,27 @@ class TestTable2Machinery:
 
     def test_quick_config_small(self):
         assert table2.QUICK.bo_budget <= 50
+
+
+def test_table_driver_end_to_end(monkeypatch):
+    """Both tables' CLIs run the shared driver at miniature budgets:
+    Table I with all four algorithms, Table II with NN-BO alone."""
+    mini = dict(
+        n_repeats=1, n_initial=5, bo_budget=7, gaspad_budget=8, de_budget=18,
+        surrogate=SurrogateConfig(n_ensemble=2, hidden_dims=(8, 8), n_features=8, epochs=5),
+    )
+    monkeypatch.setattr(table1, "QUICK", replace(table1.QUICK, **mini))
+    monkeypatch.setattr(table2, "QUICK", replace(table2.QUICK, algorithms=("NN-BO",), **mini))
+    for module, algorithms in (
+        (table1, ["NN-BO", "WEIBO", "GASPAD", "DE"]),
+        (table2, ["NN-BO"]),
+    ):
+        title, _, header, _, *rows = module.main(["--quiet"]).splitlines()
+        assert title == module.TITLE
+        assert [cell.strip() for cell in header.split(" | ")] == ["Metric", *algorithms]
+        cells = {row.split(" | ")[0].strip(): row.split(" | ")[1:] for row in rows}
+        assert list(cells) == module.ROW_LABELS
+        assert all(cell.strip() in ("0/1", "1/1") for cell in cells["# Success"])
 
 
 class TestComplexity:

@@ -30,7 +30,6 @@ from repro.sim import (
     OperatingPoint,
     SIM_BACKENDS,
     SimulationError,
-    SimulatorBackend,
     SimulatorNotAvailable,
     check_sim_backend,
     resolve_sim_backend,

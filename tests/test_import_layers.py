@@ -86,21 +86,61 @@ _ABOVE_THE_ENGINE = (
 )
 
 
-def test_slice_worker_imports_only_the_engine():
+def _run_fresh(code: str):
+    """The JSON that ``code`` prints when run in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     done = subprocess.run(
-        [sys.executable, "-c", _PROBE],
+        [sys.executable, "-c", code],
         capture_output=True,
         text=True,
         timeout=120,
         env=env,
     )
     assert done.returncode == 0, done.stderr
-    bare, loaded = json.loads(done.stdout)
-    assert bare == [], f"import repro loaded {bare}"
-    above = [
+    return json.loads(done.stdout)
+
+
+def _inside(modules, packages) -> list:
+    """The ``modules`` that are one of ``packages`` or inside one."""
+    return [
         name
-        for name in loaded
-        if any(name == top or name.startswith(top + ".") for top in _ABOVE_THE_ENGINE)
+        for name in modules
+        if any(name == top or name.startswith(top + ".") for top in packages)
     ]
+
+
+def test_slice_worker_imports_only_the_engine():
+    bare, loaded = _run_fresh(_PROBE)
+    assert bare == [], f"import repro loaded {bare}"
+    above = _inside(loaded, _ABOVE_THE_ENGINE)
     assert not above, f"the slice worker's imports loaded {above}"
+
+
+_ROOT_PROBE = """\
+import json, sys
+from repro import NNBO, Study, SurrogateConfig
+print(json.dumps(sorted(sys.modules)))
+"""
+
+#: what the BO stack's root names must not load
+_BESIDE_THE_BO_STACK = (
+    "repro.api",
+    "repro.service",
+    "repro.farm",
+    "repro.sim",
+    "repro.circuits",
+    "repro.baselines",
+    "repro.core",
+)
+
+
+def test_root_names_load_only_their_package():
+    beside = _inside(_run_fresh(_ROOT_PROBE), _BESIDE_THE_BO_STACK)
+    assert not beside, f"from repro import NNBO, Study, SurrogateConfig loaded {beside}"
+    import repro.api
+    import repro.gp
+
+    for name in repro.__all__:
+        if name != "__version__":
+            home = repro.api if name in repro.api.__all__ else repro.gp
+            assert getattr(repro, name) is getattr(home, name), name
