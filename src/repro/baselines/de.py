@@ -35,6 +35,24 @@ def better(a: Evaluation, b: Evaluation) -> bool:
     return feasibility_key(a) < feasibility_key(b)
 
 
+def trial_vector(
+    population: np.ndarray,
+    target: int,
+    mutation: float,
+    crossover: float,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """DE/rand/1/bin trial vector for ``population[target]`` in the unit box."""
+    n_pop, dim = population.shape
+    choices = [j for j in range(n_pop) if j != target]
+    r1, r2, r3 = rng.choice(choices, size=3, replace=False)
+    mutant = population[r1] + mutation * (population[r2] - population[r3])
+    mutant = np.clip(mutant, 0.0, 1.0)
+    cross = rng.uniform(size=dim) < crossover
+    cross[rng.integers(0, dim)] = True
+    return np.where(cross, mutant, population[target])
+
+
 class DifferentialEvolution:
     """DE/rand/1/bin over the unit box with Deb-rule selection.
 
@@ -93,7 +111,9 @@ class DifferentialEvolution:
             for i in range(self.pop_size):
                 if result.n_evaluations >= self.max_evaluations:
                     break
-                trial = self._trial_vector(population, i)
+                trial = trial_vector(
+                    population, i, self.mutation, self.crossover, self.rng
+                )
                 evaluation = self.problem.evaluate_unit(trial)
                 result.append(
                     self.problem.scaler.inverse_transform(trial), evaluation
@@ -107,13 +127,3 @@ class DifferentialEvolution:
                     f"best {result.best_objective():.6g}"
                 )
         return result
-
-    def _trial_vector(self, population: np.ndarray, target: int) -> np.ndarray:
-        n_pop, dim = population.shape
-        choices = [j for j in range(n_pop) if j != target]
-        r1, r2, r3 = self.rng.choice(choices, size=3, replace=False)
-        mutant = population[r1] + self.mutation * (population[r2] - population[r3])
-        mutant = np.clip(mutant, 0.0, 1.0)
-        cross = self.rng.uniform(size=dim) < self.crossover
-        cross[self.rng.integers(0, dim)] = True
-        return np.where(cross, mutant, population[target])

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.baselines.de import feasibility_key, trial_vector
 from repro.bo.design import latin_hypercube
 from repro.bo.history import OptimizationResult
 from repro.bo.loop import _sanitize_targets
@@ -124,13 +125,7 @@ class GASPAD:
     def _select_population(self, archive_x, archive_eval) -> np.ndarray:
         """Best ``pop_size`` archive members under the feasibility rules."""
         order = sorted(
-            range(len(archive_eval)),
-            key=lambda i: (
-                not archive_eval[i].feasible,
-                archive_eval[i].objective
-                if archive_eval[i].feasible
-                else archive_eval[i].violation,
-            ),
+            range(len(archive_eval)), key=lambda i: feasibility_key(archive_eval[i])
         )
         chosen = order[: self.pop_size]
         return np.stack([archive_x[i] for i in chosen])
@@ -140,15 +135,9 @@ class GASPAD:
         children = np.empty((self.children_per_gen, dim))
         for c in range(self.children_per_gen):
             target = self.rng.integers(0, n_pop)
-            choices = [j for j in range(n_pop) if j != target]
-            r1, r2, r3 = self.rng.choice(choices, size=3, replace=False)
-            mutant = population[r1] + self.mutation * (
-                population[r2] - population[r3]
+            children[c] = trial_vector(
+                population, target, self.mutation, self.crossover, self.rng
             )
-            mutant = np.clip(mutant, 0.0, 1.0)
-            cross = self.rng.uniform(size=dim) < self.crossover
-            cross[self.rng.integers(0, dim)] = True
-            children[c] = np.where(cross, mutant, population[target])
         return children
 
     def _prescreen(self, children, archive_x, archive_eval) -> np.ndarray:

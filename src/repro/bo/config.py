@@ -30,6 +30,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, is_dataclass
 
+import numpy as np
+
 from repro import utils
 from repro.acquisition.fantasy import FANTASY_STRATEGIES
 from repro.acquisition.penalization import validate_pending_strategy
@@ -530,20 +532,28 @@ class SchedulerConfig:
 
 
 def config_to_dict(config) -> dict:
-    """JSON-safe dictionary form of a config (object-valued fields skipped).
+    """JSON form of a dataclass: its fields in declaration order.
 
-    Used by study checkpoints for provenance/validation; executor
-    instances and virtual clocks cannot round-trip through JSON and are
-    recorded by type name instead.
+    The one dataclass walk of the package.  It writes the typed configs
+    (checkpoint provenance, :func:`~repro.bo.serialization.config_digest`),
+    study trials (checkpoints and the service's wire trials) and proposal
+    ledger entries.  Tuples and arrays become lists, nested dataclasses
+    nested dicts; executor instances and virtual clocks cannot
+    round-trip through JSON and are recorded by type name instead.
     """
     payload = {}
     for f in fields(config):
         value = getattr(config, f.name)
-        if isinstance(value, tuple):
+        # JSON scalars first: they are most fields of every caller
+        if isinstance(value, (str, int, float, bool, type(None))):
+            pass
+        elif isinstance(value, tuple):
             value = list(value)
+        elif isinstance(value, np.ndarray):
+            value = value.tolist()
         elif is_dataclass(value) and not isinstance(value, type):
             value = config_to_dict(value)
-        elif not isinstance(value, (str, int, float, bool, type(None))):
+        else:
             value = type(value).__name__
         payload[f.name] = value
     return payload

@@ -82,9 +82,9 @@ class OptimizationResult:
         #: from the memoization cache without re-running the simulator
         self.cache_hits = 0
         self.cache_misses = 0
-        #: the :class:`~repro.bo.scheduler.ProposalLedger` of an
-        #: asynchronous run (proposal/commit order provenance); ``None``
-        #: for synchronous runs
+        #: the :class:`~repro.bo.scheduler.ProposalLedger` (proposal/commit
+        #: order provenance) of every :class:`~repro.bo.study.Study` run;
+        #: ``None`` for the GASPAD and DE baselines
         self.ledger = None
 
     # -- recording ------------------------------------------------------------

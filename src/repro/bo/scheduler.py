@@ -341,6 +341,11 @@ class ProposalEntry:
     retracted: bool = False
     speculative: bool = False
 
+    def __post_init__(self):
+        # a checkpoint's JSON lists come back as tuples
+        self.u = tuple(self.u)
+        self.pending_at_proposal = tuple(int(i) for i in self.pending_at_proposal)
+
 
 class ProposalLedger:
     """Replayable record of an asynchronous run's proposal/commit order.
@@ -368,8 +373,8 @@ class ProposalLedger:
         """Register a new proposal; returns its entry (id = position)."""
         entry = ProposalEntry(
             proposal_id=len(self.entries),
-            u=tuple(np.asarray(u, dtype=float).ravel().tolist()),
-            pending_at_proposal=tuple(int(i) for i in pending),
+            u=np.asarray(u, dtype=float).ravel().tolist(),
+            pending_at_proposal=pending,
             n_landed_at_submit=self._n_committed,
             virtual_ready=virtual_ready,
             strategy=str(strategy),

@@ -26,52 +26,37 @@ from repro.bo.scheduler import ProposalEntry, ProposalLedger
 
 
 def ledger_to_dict(ledger) -> dict | None:
-    """JSON-safe form of an asynchronous run's proposal ledger."""
+    """JSON-safe form of a run's proposal ledger (``None`` passes through)."""
     if ledger is None:
         return None
-    return {
-        "entries": [
-            {
-                "proposal_id": entry.proposal_id,
-                "u": list(entry.u),
-                "pending_at_proposal": list(entry.pending_at_proposal),
-                "n_landed_at_submit": entry.n_landed_at_submit,
-                "virtual_ready": entry.virtual_ready,
-                "committed_at": entry.committed_at,
-                "record_index": entry.record_index,
-                "strategy": entry.strategy,
-                "retracted": entry.retracted,
-                "speculative": entry.speculative,
-            }
-            for entry in ledger.entries
-        ]
-    }
+    return {"entries": [config_to_dict(entry) for entry in ledger.entries]}
 
 
 def ledger_from_dict(data: dict | None):
-    """Inverse of :func:`ledger_to_dict`."""
+    """Inverse of :func:`ledger_to_dict`.
+
+    Entries written before ``strategy``, ``retracted`` or ``speculative``
+    existed load with those fields' defaults.
+    """
     if data is None:
         return None
     ledger = ProposalLedger()
     for item in data.get("entries", ()):
-        entry = ProposalEntry(
-            proposal_id=int(item["proposal_id"]),
-            u=tuple(float(v) for v in item["u"]),
-            pending_at_proposal=tuple(
-                int(i) for i in item["pending_at_proposal"]
-            ),
-            n_landed_at_submit=int(item["n_landed_at_submit"]),
-            virtual_ready=item.get("virtual_ready"),
-            committed_at=item.get("committed_at"),
-            record_index=item.get("record_index"),
-            strategy=item.get("strategy", "fantasy"),
-            retracted=bool(item.get("retracted", False)),
-            speculative=bool(item.get("speculative", False)),
-        )
+        entry = ProposalEntry(**item)
         ledger.entries.append(entry)
         if entry.committed_at is not None:
             ledger._n_committed += 1
     return ledger
+
+
+def scalar_metrics(metrics: dict) -> dict:
+    """The JSON-scalar entries of a metrics dict.
+
+    The one rule for metrics that leave the process (run files, checkpoint
+    histories, the service's wire records and client tells): nested
+    simulator payloads are dropped.
+    """
+    return {k: v for k, v in metrics.items() if isinstance(v, (int, float, str, bool))}
 
 
 def result_to_dict(result: OptimizationResult) -> dict:
@@ -80,17 +65,15 @@ def result_to_dict(result: OptimizationResult) -> dict:
     Round-trips the full trace: per-record batch/async provenance
     (``iteration``, ``batch_index``, ``pending``, ``proposal_id``,
     ``pending_at_proposal``), the cache counters, and the proposal ledger
-    of asynchronous runs (``result.ledger``).  Only scalar metrics
-    survive (nested simulator payloads are dropped, as before).
+    (``result.ledger``: every :class:`~repro.bo.study.Study` run has one;
+    the GASPAD and DE baselines leave it ``None``).  Only
+    :func:`scalar_metrics` survive.  The record form is written by hand:
+    it puts ``phase`` before ``objective``, which is not the field order
+    of :class:`~repro.bo.history.EvaluationRecord`.
     """
     records = []
     for record in result.records:
         ev = record.evaluation
-        metrics = {
-            k: v
-            for k, v in ev.metrics.items()
-            if isinstance(v, (int, float, str, bool))
-        }
         records.append(
             {
                 "index": record.index,
@@ -98,7 +81,7 @@ def result_to_dict(result: OptimizationResult) -> dict:
                 "phase": record.phase,
                 "objective": ev.objective,
                 "constraints": ev.constraints.tolist(),
-                "metrics": metrics,
+                "metrics": scalar_metrics(ev.metrics),
                 "iteration": record.iteration,
                 "batch_index": record.batch_index,
                 "pending": list(record.pending),

@@ -141,6 +141,9 @@ class Trial:
     def __post_init__(self):
         self.u = np.asarray(self.u, dtype=float).ravel()
         self.x = np.asarray(self.x, dtype=float).ravel()
+        # a checkpoint's or the wire's JSON lists come back as tuples
+        self.pending = tuple(self.pending)
+        self.pending_at_proposal = tuple(self.pending_at_proposal)
 
 
 class Study:
@@ -873,33 +876,15 @@ class Study:
 
 
 def _trial_to_dict(trial: Trial) -> dict:
-    return {
-        "id": trial.id,
-        "u": trial.u.tolist(),
-        "phase": trial.phase,
-        "batch_index": trial.batch_index,
-        "iteration": trial.iteration,
-        "pending": list(trial.pending),
-        "proposal_id": trial.proposal_id,
-        "pending_at_proposal": list(trial.pending_at_proposal),
-        "speculative": trial.speculative,
-    }
+    data = config_to_dict(trial)
+    # natural units are rebuilt from u on resume
+    del data["x"]
+    return data
 
 
 def _trial_from_dict(data: dict, problem: Problem) -> Trial:
     u = np.asarray(data["u"], dtype=float)
-    return Trial(
-        id=int(data["id"]),
-        u=u,
-        x=problem.scaler.inverse_transform(u),
-        phase=data["phase"],
-        batch_index=int(data["batch_index"]),
-        iteration=data["iteration"],
-        pending=tuple(int(i) for i in data["pending"]),
-        proposal_id=data["proposal_id"],
-        pending_at_proposal=tuple(int(i) for i in data["pending_at_proposal"]),
-        speculative=bool(data.get("speculative", False)),
-    )
+    return Trial(**data, x=problem.scaler.inverse_transform(u))
 
 
 __all__ = [

@@ -52,9 +52,10 @@ def make_optimizer(name: str, seed: int, n_initial: int, budget: int):
 def mean_convergence(results) -> np.ndarray:
     """Pointwise mean of best-so-far curves, ignoring infeasible prefixes."""
     curves = np.stack([r.best_so_far() for r in results])
+    finite = np.isfinite(curves)
+    # 0/0 at a point where every run is still infeasible gives NaN
     with np.errstate(invalid="ignore"):
-        masked = np.where(np.isfinite(curves), curves, np.nan)
-        return np.nanmean(masked, axis=0)
+        return np.where(finite, curves, 0.0).sum(axis=0) / finite.sum(axis=0)
 
 
 def run_convergence(

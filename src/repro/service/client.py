@@ -26,6 +26,7 @@ import threading
 from repro.backend import BackendNotAvailable
 from repro.bo.history import EvaluationRecord
 from repro.bo.problem import Evaluation
+from repro.bo.serialization import scalar_metrics
 from repro.bo.study import (
     BudgetExhausted,
     CheckpointMismatch,
@@ -389,17 +390,12 @@ def health(address, *, timeout: float = 60.0) -> dict:
 def _split_evaluation(evaluation) -> tuple[float, list, dict | None]:
     """Break a :meth:`Study.tell`-shaped evaluation into wire fields."""
     if isinstance(evaluation, Evaluation):
-        metrics = {
-            k: v
-            for k, v in evaluation.metrics.items()
-            if isinstance(v, (int, float, str, bool))
-        }
         return (
             float(evaluation.objective),
             [float(c) for c in evaluation.constraints],
-            metrics or None,
+            scalar_metrics(evaluation.metrics) or None,
         )
-    if isinstance(evaluation, tuple):
+    if isinstance(evaluation, (tuple, list)):
         objective, constraints = evaluation
         return float(objective), [float(c) for c in constraints], None
     return float(evaluation), [], None

@@ -1,25 +1,39 @@
 """Versioned wire protocol of the BO service.
 
-Plain JSON over HTTP, shaped by the typed request/response dataclasses in
-this module.  Every response body carries ``protocol_version``; requests
-may carry it too, and the server rejects a mismatch with the
-``protocol-mismatch`` error code instead of guessing.  Errors travel as a
-structured envelope ``{"error": {"code", "message", "detail"}}`` (see
+Plain JSON over HTTP.  The typed request dataclasses in this module parse
+and check every request body; replies are plain dicts.  Every response
+body carries ``protocol_version``; requests may carry it too, and the
+server rejects a mismatch with the ``protocol-mismatch`` error code
+instead of guessing.  Errors travel as a structured envelope
+``{"error": {"code", "message", "detail"}}`` (see
 :mod:`repro.service.errors`).
 
-Endpoints (all under ``/v1``)::
+Endpoints (all under ``/v1``) and their reply keys, in order, after
+``protocol_version``::
 
-    POST   /v1/studies                  create a study
-    GET    /v1/studies                  list studies
-    GET    /v1/studies/{name}           status (Study.describe + pending)
-    DELETE /v1/studies/{name}           delete a study
-    POST   /v1/studies/{name}/ask       propose trials (leased)
-    POST   /v1/studies/{name}/tell      commit one evaluated trial
-    POST   /v1/studies/{name}/retract   abandon a pending trial
-    POST   /v1/studies/{name}/evaluate  evaluate a pending trial server-side
-    GET    /v1/studies/{name}/best      best feasible record
-    POST   /v1/studies/{name}/checkpoint  force a durable checkpoint
-    GET    /v1/health                   liveness + store counters
+    POST   /v1/studies                    create a study       study
+    GET    /v1/studies                    list studies         studies
+    GET    /v1/studies/{name}             status               study, pending_trials, leases
+    DELETE /v1/studies/{name}             delete a study       deleted
+    POST   /v1/studies/{name}/ask         propose (leased)     trials
+    POST   /v1/studies/{name}/tell        commit a result      record
+    POST   /v1/studies/{name}/retract     abandon a trial      trial
+    POST   /v1/studies/{name}/evaluate    run on the farm      record
+    GET    /v1/studies/{name}/best        best feasible        record
+    POST   /v1/studies/{name}/checkpoint  force a checkpoint   study, n_evaluations, n_pending
+    GET    /v1/health                     liveness             status, n_studies, n_resident
+
+``study`` is the JSON-safe :meth:`~repro.bo.study.Study.describe`
+snapshot in the create and status replies, and the study's name in the
+checkpoint reply.  ``studies`` lists the store's study names and
+``deleted`` names the deleted study.  A trial (``trial``, each of
+``trials`` and ``pending_trials``) is a :class:`WireTrial`'s fields, and
+a ``record`` a :class:`WireRecord`'s (``null`` from ``best`` before the
+first feasible landing).  ``pending_trials`` carries every
+asked-but-untold trial, so a client resuming after its own crash, or the
+server's, can re-adopt its in-flight work; ``leases`` maps each leased
+trial id, as a string, to its remaining lease seconds.  ``status`` is
+always ``"ok"``.
 
 Floats cross the wire via JSON's shortest round-trip repr, so a design
 vector or objective read back from a response is bitwise identical to the
@@ -33,8 +47,10 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from repro.bo.config import config_to_dict
 from repro.bo.history import EvaluationRecord
 from repro.bo.problem import Evaluation
+from repro.bo.serialization import scalar_metrics
 from repro.bo.study import Trial
 from repro.service.errors import BadRequest, ProtocolMismatch
 
@@ -57,11 +73,12 @@ def check_protocol_version(payload: dict) -> None:
 
 
 class WireMessage:
-    """Base for the typed request/response dataclasses.
+    """Base for the typed wire dataclasses (requests, trials, records).
 
     ``from_wire`` validates field names (unknown keys are a
     ``bad-request``, so typos fail loudly instead of silently applying
-    defaults) and required fields; ``to_wire`` emits a JSON-safe dict.
+    defaults) and required fields; ``to_wire`` returns the fields as
+    stored, which the builders keep as JSON values.
     """
 
     @classmethod
@@ -92,29 +109,12 @@ class WireMessage:
             raise BadRequest(f"invalid {cls.__name__}: {exc}") from exc
 
     def to_wire(self) -> dict:
-        payload = {}
-        for f in fields(self):
-            payload[f.name] = _json_safe(getattr(self, f.name))
-        return payload
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 # sentinel default marking a wire field as required (dataclasses need a
 # default for ordering freedom; from_wire enforces presence)
 _REQUIRED = object()
-
-
-def _json_safe(value):
-    if isinstance(value, np.ndarray):
-        return [float(v) for v in value.ravel()]
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _json_safe(v) for k, v in value.items()}
-    if isinstance(value, WireMessage):
-        return value.to_wire()
-    return value
 
 
 # -- requests -----------------------------------------------------------------------
@@ -197,7 +197,7 @@ class EvaluateRequest(WireMessage):
     trial_id: int = _REQUIRED
 
 
-# -- responses ----------------------------------------------------------------------
+# -- trials and records -------------------------------------------------------------
 
 
 @dataclass
@@ -227,33 +227,12 @@ class WireTrial(WireMessage):
 
     @classmethod
     def from_trial(cls, trial: Trial, lease_expires_s: float | None = None):
-        return cls(
-            id=trial.id,
-            u=[float(v) for v in trial.u],
-            x=[float(v) for v in trial.x],
-            phase=trial.phase,
-            batch_index=trial.batch_index,
-            iteration=trial.iteration,
-            pending=list(trial.pending),
-            proposal_id=trial.proposal_id,
-            pending_at_proposal=list(trial.pending_at_proposal),
-            speculative=bool(trial.speculative),
-            lease_expires_s=lease_expires_s,
-        )
+        return cls(**config_to_dict(trial), lease_expires_s=lease_expires_s)
 
     def to_trial(self) -> Trial:
-        return Trial(
-            id=int(self.id),
-            u=np.asarray(self.u, dtype=float),
-            x=np.asarray(self.x, dtype=float),
-            phase=str(self.phase),
-            batch_index=int(self.batch_index),
-            iteration=self.iteration,
-            pending=tuple(int(i) for i in self.pending),
-            proposal_id=self.proposal_id,
-            pending_at_proposal=tuple(int(i) for i in self.pending_at_proposal),
-            speculative=bool(self.speculative),
-        )
+        data = self.to_wire()
+        del data["lease_expires_s"]
+        return Trial(**data)
 
 
 @dataclass
@@ -286,11 +265,7 @@ class WireRecord(WireMessage):
             phase=record.phase,
             iteration=record.iteration,
             batch_index=record.batch_index,
-            metrics={
-                k: v
-                for k, v in ev.metrics.items()
-                if isinstance(v, (int, float, str, bool))
-            },
+            metrics=scalar_metrics(ev.metrics),
         )
 
     def to_record(self) -> EvaluationRecord:
@@ -308,94 +283,13 @@ class WireRecord(WireMessage):
         )
 
 
-@dataclass
-class AskResponse(WireMessage):
-    trials: list = field(default_factory=list)  # list[WireTrial dicts]
-
-
-@dataclass
-class TellResponse(WireMessage):
-    record: dict = _REQUIRED  # WireRecord dict
-
-
-@dataclass
-class RetractResponse(WireMessage):
-    trial: dict = _REQUIRED  # WireTrial dict
-
-
-@dataclass
-class EvaluateResponse(WireMessage):
-    record: dict = _REQUIRED  # WireRecord dict
-
-
-@dataclass
-class BestResponse(WireMessage):
-    record: dict | None = None  # WireRecord dict or None
-
-
-@dataclass
-class StatusResponse(WireMessage):
-    """``GET /v1/studies/{name}`` — :meth:`Study.describe` plus live detail.
-
-    ``study`` is the JSON-safe describe() snapshot; ``pending_trials``
-    carries the full wire form of every asked-but-untold trial (so a
-    client resuming after its own crash — or the server's — can re-adopt
-    its in-flight work), and ``leases`` maps trial id to remaining lease
-    seconds.
-    """
-
-    study: dict = _REQUIRED
-    pending_trials: list = field(default_factory=list)
-    leases: dict = field(default_factory=dict)
-
-
-@dataclass
-class CreateResponse(WireMessage):
-    study: dict = _REQUIRED  # describe() snapshot
-
-
-@dataclass
-class ListResponse(WireMessage):
-    studies: list = field(default_factory=list)
-
-
-@dataclass
-class DeleteResponse(WireMessage):
-    deleted: str = _REQUIRED
-
-
-@dataclass
-class CheckpointResponse(WireMessage):
-    study: str = _REQUIRED
-    n_evaluations: int = 0
-    n_pending: int = 0
-
-
-@dataclass
-class HealthResponse(WireMessage):
-    status: str = "ok"
-    n_studies: int = 0
-    n_resident: int = 0
-
-
 __all__ = [
     "AskRequest",
-    "AskResponse",
-    "BestResponse",
-    "CheckpointResponse",
-    "CreateResponse",
     "CreateStudyRequest",
-    "DeleteResponse",
     "EvaluateRequest",
-    "EvaluateResponse",
-    "HealthResponse",
-    "ListResponse",
     "PROTOCOL_VERSION",
     "RetractRequest",
-    "RetractResponse",
-    "StatusResponse",
     "TellRequest",
-    "TellResponse",
     "URL_PREFIX",
     "WireMessage",
     "WireRecord",

@@ -33,21 +33,10 @@ from repro.service.protocol import (
     PROTOCOL_VERSION,
     URL_PREFIX,
     AskRequest,
-    AskResponse,
-    BestResponse,
-    CheckpointResponse,
-    CreateResponse,
     CreateStudyRequest,
-    DeleteResponse,
     EvaluateRequest,
-    EvaluateResponse,
-    HealthResponse,
-    ListResponse,
     RetractRequest,
-    RetractResponse,
-    StatusResponse,
     TellRequest,
-    TellResponse,
     WireRecord,
     WireTrial,
 )
@@ -182,19 +171,19 @@ class StudyServer:
 
     # -- request dispatch -------------------------------------------------------------
 
-    def _dispatch(self, method: str, path: str, payload: dict):
-        """Route one request; returns a response message (or raises)."""
+    def _dispatch(self, method: str, path: str, payload: dict) -> dict:
+        """Route one request; returns the reply body (or raises)."""
         store = self.store
         if path == f"{URL_PREFIX}/health":
             _require(method, "GET", path)
-            return HealthResponse(
-                status="ok",
-                n_studies=store.n_studies,
-                n_resident=store.n_resident,
-            )
+            return {
+                "status": "ok",
+                "n_studies": store.n_studies,
+                "n_resident": store.n_resident,
+            }
         if path == f"{URL_PREFIX}/studies":
             if method == "GET":
-                return ListResponse(studies=store.study_names())
+                return {"studies": store.study_names()}
             _require(method, "POST", path)
             request = CreateStudyRequest.from_wire(payload)
             describe = store.create(
@@ -208,7 +197,7 @@ class StudyServer:
                 acquisition=request.acquisition,
                 scheduler=request.scheduler,
             )
-            return CreateResponse(study=describe)
+            return {"study": describe}
         match = _STUDY_PATH.match(path)
         if match is None:
             raise BadRequest(
@@ -218,60 +207,60 @@ class StudyServer:
         name, verb = match.group("name"), match.group("verb")
         if verb is None:
             if method == "DELETE":
-                return DeleteResponse(deleted=store.delete(name))
+                return {"deleted": store.delete(name)}
             _require(method, "GET", path)
             describe, pending, leases = store.status(name)
-            return StatusResponse(
-                study=describe,
-                pending_trials=[
+            return {
+                "study": describe,
+                "pending_trials": [
                     WireTrial.from_trial(t, leases.get(t.id)).to_wire()
                     for t in pending
                 ],
-                leases={str(tid): s for tid, s in leases.items()},
-            )
+                "leases": {str(tid): s for tid, s in leases.items()},
+            }
         if verb == "ask":
             _require(method, "POST", path)
             request = AskRequest.from_wire(payload)
             pairs = store.ask(name, n=request.n, lease_s=request.lease_s)
-            return AskResponse(
-                trials=[
+            return {
+                "trials": [
                     WireTrial.from_trial(trial, lease).to_wire()
                     for trial, lease in pairs
                 ]
-            )
+            }
         if verb == "tell":
             _require(method, "POST", path)
             request = TellRequest.from_wire(payload)
             record = store.tell(
                 name, request.trial_id, request.to_evaluation()
             )
-            return TellResponse(record=WireRecord.from_record(record).to_wire())
+            return {"record": WireRecord.from_record(record).to_wire()}
         if verb == "retract":
             _require(method, "POST", path)
             request = RetractRequest.from_wire(payload)
             trial = store.retract(name, request.trial_id)
-            return RetractResponse(trial=WireTrial.from_trial(trial).to_wire())
+            return {"trial": WireTrial.from_trial(trial).to_wire()}
         if verb == "evaluate":
             _require(method, "POST", path)
             request = EvaluateRequest.from_wire(payload)
             record = store.evaluate(name, request.trial_id)
-            return EvaluateResponse(
-                record=WireRecord.from_record(record).to_wire()
-            )
+            return {"record": WireRecord.from_record(record).to_wire()}
         if verb == "best":
             _require(method, "GET", path)
             record = store.best(name)
-            return BestResponse(
-                record=None
+            return {
+                "record": None
                 if record is None
                 else WireRecord.from_record(record).to_wire()
-            )
+            }
         if verb == "checkpoint":
             _require(method, "POST", path)
             n_evaluations, n_pending = store.checkpoint(name)
-            return CheckpointResponse(
-                study=name, n_evaluations=n_evaluations, n_pending=n_pending
-            )
+            return {
+                "study": name,
+                "n_evaluations": n_evaluations,
+                "n_pending": n_pending,
+            }
         raise BadRequest(
             f"no such endpoint {path!r}; see repro.service.protocol "
             "for the endpoint table"
@@ -320,7 +309,7 @@ def _make_handler(server: StudyServer):
             try:
                 payload = self._read_payload()
                 protocol.check_protocol_version(payload)
-                response = server._dispatch(method, self.path, payload)
+                reply = server._dispatch(method, self.path, payload)
             except Exception as exc:
                 status, envelope = error_envelope(exc)
                 self._send(
@@ -328,9 +317,7 @@ def _make_handler(server: StudyServer):
                     {"protocol_version": PROTOCOL_VERSION, "error": envelope},
                 )
                 return
-            body = {"protocol_version": PROTOCOL_VERSION}
-            body.update(response.to_wire())
-            self._send(200, body)
+            self._send(200, {"protocol_version": PROTOCOL_VERSION, **reply})
 
         def _read_payload(self) -> dict:
             length = int(self.headers.get("Content-Length") or 0)

@@ -288,6 +288,31 @@ class TestAskTellProtocol:
         ]
 
 
+CHECKPOINT_TRIAL_KEYS = [
+    "id",
+    "u",
+    "phase",
+    "batch_index",
+    "iteration",
+    "pending",
+    "proposal_id",
+    "pending_at_proposal",
+    "speculative",
+]
+LEDGER_ENTRY_KEYS = [
+    "proposal_id",
+    "u",
+    "pending_at_proposal",
+    "n_landed_at_submit",
+    "virtual_ready",
+    "committed_at",
+    "record_index",
+    "strategy",
+    "retracted",
+    "speculative",
+]
+
+
 class TestCheckpointResume:
     def _drive(self, study, until=None):
         for trial in study.start_initial():
@@ -314,6 +339,33 @@ class TestCheckpointResume:
         np.testing.assert_array_equal(
             resumed.result.objectives, uninterrupted.result.objectives
         )
+
+    def test_checkpoint_trial_and_ledger_entry_keys(self, tmp_path):
+        """The checkpoint form of trials and ledger entries, in order."""
+        study = make_study(n_initial=3, max_evaluations=8)
+        study.ask(2)
+        path = tmp_path / "study.json"
+        payload = json.loads(study.checkpoint(path).read_text())
+        assert [list(t) for t in payload["pending"]] == [CHECKPOINT_TRIAL_KEYS] * 2
+        assert [list(t) for t in payload["initial_queue"]] == [CHECKPOINT_TRIAL_KEYS]
+        for trial in study.start_initial():
+            study.tell(trial, study.problem.evaluate_unit(trial.u))
+        landed, dropped = study.ask()[0], study.ask()[0]
+        study.retract(dropped)
+        study.tell(landed, study.problem.evaluate_unit(landed.u))
+        (pending,) = study.ask()
+        payload = json.loads(study.checkpoint(path).read_text())
+        assert payload["initial_queue"] == []
+        (trial,) = payload["pending"]
+        assert list(trial) == CHECKPOINT_TRIAL_KEYS
+        assert trial["pending_at_proposal"] == list(pending.pending_at_proposal)
+        entries = payload["result"]["ledger"]["entries"]
+        assert [list(e) for e in entries] == [LEDGER_ENTRY_KEYS] * 3
+        assert [(e["committed_at"], e["retracted"]) for e in entries] == [
+            (1, False),
+            (None, True),
+            (None, False),
+        ]
 
     def test_resume_validates_problem_and_kwargs(self, tmp_path):
         study = self._drive(make_study(), until=6)

@@ -1,5 +1,7 @@
 """Tests for the convergence-curve experiment machinery."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -37,7 +39,9 @@ class TestMeanConvergence:
 
     def test_all_infeasible_point_is_nan(self):
         a = result_with_curve([1.0, 1.0], feasible_from=1)
-        curve = mean_convergence([a])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            curve = mean_convergence([a])
         assert np.isnan(curve[0])
 
 

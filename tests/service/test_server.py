@@ -20,6 +20,7 @@ import pytest
 from repro.benchfns import toy_constrained_quadratic
 from repro.bo.config import SurrogateConfig
 from repro.bo.study import BudgetExhausted, Study, StudyError, UnknownTrial
+from repro.farm import EvaluationFarm
 from repro.service import (
     ProtocolMismatch,
     ServiceError,
@@ -128,6 +129,12 @@ class TestClientMirrorsStudy:
         np.testing.assert_array_equal(
             record.evaluation.constraints, evaluation.constraints
         )
+        # ... and as a list, which Study.tell accepts too
+        (t2,) = client.ask(1)
+        record = client.tell(t2, [evaluation.objective, list(evaluation.constraints)])
+        np.testing.assert_array_equal(
+            record.evaluation.constraints, evaluation.constraints
+        )
 
     def test_status_and_pending_trials_roundtrip(self, server):
         client = create_toy(server.address, "toy", seed=2)
@@ -146,6 +153,111 @@ class TestClientMirrorsStudy:
         assert body["study"] == "toy"
         assert body["n_evaluations"] == 0
         assert body["n_pending"] == 1
+
+
+WIRE_TRIAL_KEYS = [
+    "id",
+    "u",
+    "x",
+    "phase",
+    "batch_index",
+    "iteration",
+    "pending",
+    "proposal_id",
+    "pending_at_proposal",
+    "speculative",
+    "lease_expires_s",
+]
+WIRE_RECORD_KEYS = [
+    "index",
+    "x",
+    "objective",
+    "constraints",
+    "feasible",
+    "phase",
+    "iteration",
+    "batch_index",
+    "metrics",
+]
+
+
+class TestReplyForms:
+    """Every endpoint's reply keys, in order, as deployed clients read them."""
+
+    def test_every_endpoint_reply_keys(self, tmp_path):
+        with EvaluationFarm("async-thread", n_workers=1) as farm:
+            with StudyServer(tmp_path / "store", farm=farm) as server:
+                conn = ServiceConnection(server.address)
+                studies = f"{URL_PREFIX}/studies"
+                study = f"{studies}/toy"
+
+                def reply(method, path, payload=None):
+                    body = conn.request(method, path, payload)
+                    keys = list(body)
+                    assert keys[0] == "protocol_version"
+                    return body, keys[1:]
+
+                try:
+                    body, keys = reply(
+                        "POST",
+                        studies,
+                        {
+                            "name": "toy",
+                            "problem": "toy_constrained_quadratic",
+                            "n_initial": 2,
+                            "max_evaluations": 6,
+                            "seed": 4,
+                            "surrogate": TINY,
+                        },
+                    )
+                    assert keys == ["study"]
+                    assert reply("GET", studies)[1] == ["studies"]
+                    body, keys = reply("POST", f"{study}/ask", {"n": 2})
+                    assert keys == ["trials"]
+                    assert [list(t) for t in body["trials"]] == [WIRE_TRIAL_KEYS] * 2
+                    first, second = body["trials"]
+                    evaluation = PROBLEM.evaluate(np.asarray(first["x"]))
+                    body, keys = reply(
+                        "POST",
+                        f"{study}/tell",
+                        {
+                            "trial_id": first["id"],
+                            "objective": evaluation.objective,
+                            "constraints": evaluation.constraints.tolist(),
+                            "metrics": {"gain": 1.5},
+                        },
+                    )
+                    assert keys == ["record"]
+                    assert list(body["record"]) == WIRE_RECORD_KEYS
+                    body, keys = reply(
+                        "POST", f"{study}/evaluate", {"trial_id": second["id"]}
+                    )
+                    assert keys == ["record"]
+                    assert list(body["record"]) == WIRE_RECORD_KEYS
+                    body, keys = reply("POST", f"{study}/ask", {"n": 1, "lease_s": 60.0})
+                    (search,) = body["trials"]
+                    assert list(search) == WIRE_TRIAL_KEYS
+                    body, keys = reply("GET", study)
+                    assert keys == ["study", "pending_trials", "leases"]
+                    assert [list(t) for t in body["pending_trials"]] == [WIRE_TRIAL_KEYS]
+                    assert list(body["leases"]) == [str(search["id"])]
+                    body, keys = reply(
+                        "POST", f"{study}/retract", {"trial_id": search["id"]}
+                    )
+                    assert keys == ["trial"]
+                    assert list(body["trial"]) == WIRE_TRIAL_KEYS
+                    body, keys = reply("GET", f"{study}/best")
+                    assert keys == ["record"]
+                    assert body["record"] is None or list(body["record"]) == (
+                        WIRE_RECORD_KEYS
+                    )
+                    body, keys = reply("POST", f"{study}/checkpoint")
+                    assert keys == ["study", "n_evaluations", "n_pending"]
+                    body, keys = reply("GET", f"{URL_PREFIX}/health")
+                    assert keys == ["status", "n_studies", "n_resident"]
+                    assert reply("DELETE", study)[1] == ["deleted"]
+                finally:
+                    conn.close()
 
 
 class TestErrorsOverTheWire:

@@ -13,6 +13,7 @@ from repro.bo.serialization import (
     DamagedArray,
     array_from_dict,
     array_to_dict,
+    ledger_from_dict,
     load_result,
     result_from_dict,
     result_to_dict,
@@ -178,6 +179,37 @@ class TestLedgerProvenanceRoundtrip:
         ]
         assert clone.cache_hits == original.cache_hits
         assert clone.cache_misses == original.cache_misses
+
+    def test_ledger_entry_without_later_fields_still_loads(self):
+        """Entries saved before ``strategy``/``retracted``/``speculative``."""
+        old = {
+            "proposal_id": 0,
+            "u": [0.25, 0.75],
+            "pending_at_proposal": [],
+            "n_landed_at_submit": 0,
+            "virtual_ready": None,
+            "committed_at": 1,
+            "record_index": 2,
+        }
+        in_flight = {
+            **old,
+            "proposal_id": 1,
+            "pending_at_proposal": [0],
+            "committed_at": None,
+            "record_index": None,
+        }
+        ledger = ledger_from_dict({"entries": [old, in_flight]})
+        first, second = ledger.entries
+        assert first.u == (0.25, 0.75)
+        assert second.pending_at_proposal == (0,)
+        assert (first.strategy, first.retracted, first.speculative) == (
+            "fantasy",
+            False,
+            False,
+        )
+        assert ledger.completion_order == [0]
+        # the committed count carries on: the next proposal saw one landing
+        assert ledger.open(np.zeros(2), (1,)).n_landed_at_submit == 1
 
     def test_sync_result_without_provenance_still_loads(self):
         """Pre-provenance dicts (older saves) stay readable."""
