@@ -4,7 +4,10 @@ The paper calls its inner loop just an "optimize engine" (Fig. 2); these
 benches quantify our choice — DE over the unit box with Nelder-Mead
 polish — against plain random search, and measure the per-call cost of
 the wEI acquisition with NN-GP ensembles vs classic GPs (the quantity the
-O(1)-prediction claim accelerates inside every BO iteration).
+O(1)-prediction claim accelerates inside every BO iteration).  The call
+shapes are the maximizer's: 256-row DE batches, and the single-row probes
+the polish sends thousands of times per stage, with an incumbent and in
+feasibility search (no incumbent: wEI reads only the constraints).
 
 Run: ``pytest benchmarks/bench_acquisition.py --benchmark-only``
 """
@@ -35,7 +38,7 @@ def _data(seed=0):
 
 
 @pytest.fixture(scope="module")
-def nngp_acquisition():
+def nngp_bank():
     x, objective, constraint = _data()
     bank = SurrogateBank(
         DIM,
@@ -47,9 +50,16 @@ def nngp_acquisition():
         seed=0,
     )
     bank.fit(x, np.stack([objective, constraint]))
-    return WeightedExpectedImprovement(
-        bank.target_model(0), [bank.target_model(1)], tau=float(objective.min())
-    )
+    return bank, float(objective.min())
+
+
+def _nngp_wei(bank, tau):
+    return WeightedExpectedImprovement(bank.target_model(0), [bank.target_model(1)], tau=tau)
+
+
+@pytest.fixture(scope="module")
+def nngp_acquisition(nngp_bank):
+    return _nngp_wei(*nngp_bank)
 
 
 @pytest.fixture(scope="module")
@@ -60,16 +70,33 @@ def gp_acquisition():
     return WeightedExpectedImprovement(obj, [con], tau=float(objective.min()))
 
 
-def _alternating_batches():
-    """Two 256-point batches in turn: the bank keeps its last batch's
-    prediction, so a repeated batch would time a cache hit."""
-    return itertools.cycle(np.random.default_rng(2).uniform(size=(2, 256, DIM)))
+def _alternating_batches(rows=256, count=2):
+    """``count`` distinct ``rows``-point batches in turn.
+
+    The maximizer never asks twice at the same points, so neither do the
+    benches: a probe bench cycles through many single rows, as the polish
+    walks its simplex.
+    """
+    return itertools.cycle(np.random.default_rng(2).uniform(size=(count, rows, DIM)))
 
 
 @pytest.mark.benchmark(group="acquisition-eval")
 def test_wei_eval_nngp(benchmark, nngp_acquisition):
     batches = _alternating_batches()
     values = benchmark(lambda: nngp_acquisition(next(batches)))
+    assert np.all(np.isfinite(values))
+
+
+@pytest.mark.benchmark(group="acquisition-probe")
+@pytest.mark.parametrize("phase", ["incumbent", "feasibility-search"])
+def test_wei_probe_nngp(benchmark, nngp_bank, phase):
+    """One single-row polish probe; without an incumbent (``tau=None``)
+    wEI is the PF product, and its one inference pass skips the
+    objective's slices."""
+    bank, tau = nngp_bank
+    acquisition = _nngp_wei(bank, tau if phase == "incumbent" else None)
+    probes = _alternating_batches(rows=1, count=64)
+    values = benchmark(lambda: acquisition(next(probes)))
     assert np.all(np.isfinite(values))
 
 

@@ -24,13 +24,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.acquisition.base import ModelRows
+
 FANTASY_STRATEGIES = ("believer", "cl-min", "cl-max")
 
 
-def objective_lie(
-    objective_model, u: np.ndarray, observed: np.ndarray, strategy: str
-) -> float:
-    """The lie value recorded for the objective at pending point ``u``.
+def _constant_lie(observed: np.ndarray, strategy: str) -> float | None:
+    """The constant-liar value, or ``None`` where the lie is the believer's.
 
     Constant-liar strategies take the extremum over the *finite* observed
     objectives only: a single NaN/inf from a failed simulation would
@@ -49,8 +49,22 @@ def objective_lie(
         return float(np.min(finite))
     if strategy == "cl-max" and finite.size:
         return float(np.max(finite))
-    mean, _ = objective_model.predict(np.atleast_2d(np.asarray(u, dtype=float)))
-    return float(np.asarray(mean).ravel()[0])
+    return None
+
+
+def _believer_lies(models, u: np.ndarray) -> list[float]:
+    """Posterior means of ``models`` at ``u``, read in one call."""
+    u2 = np.atleast_2d(np.asarray(u, dtype=float))
+    mean, _ = ModelRows(models).predict(u2)
+    return [float(row[0]) for row in mean]
+
+
+def objective_lie(
+    objective_model, u: np.ndarray, observed: np.ndarray, strategy: str
+) -> float:
+    """The lie value recorded for the objective at pending point ``u``."""
+    lie = _constant_lie(observed, strategy)
+    return _believer_lies([objective_model], u)[0] if lie is None else lie
 
 
 def fantasy_lies(
@@ -58,24 +72,22 @@ def fantasy_lies(
 ) -> tuple[float, list[float]]:
     """Objective and constraint lies for one pending point, in one call.
 
-    Convenience wrapper shared by the batch (q-point) and asynchronous
-    proposers: the objective lie follows ``strategy``, constraints always
-    take believer (posterior-mean) lies.
+    Shared by the batch (q-point) and asynchronous proposers: the
+    objective lie follows ``strategy``, constraints always take believer
+    (posterior-mean) lies.  Every posterior mean the lies need is read in
+    one :class:`~repro.acquisition.base.ModelRows` call, so a bank's
+    target views answer in one stacked pass.
     """
-    return (
-        objective_lie(objective_model, u, observed, strategy),
-        constraint_lies(constraint_models, u),
-    )
+    lie = _constant_lie(observed, strategy)
+    if lie is not None:
+        return lie, constraint_lies(constraint_models, u)
+    means = _believer_lies([objective_model, *constraint_models], u)
+    return means[0], means[1:]
 
 
 def constraint_lies(constraint_models, u: np.ndarray) -> list[float]:
     """Believer lies (posterior means) for every constraint at ``u``."""
-    u2 = np.atleast_2d(np.asarray(u, dtype=float))
-    lies = []
-    for model in constraint_models:
-        mean, _ = model.predict(u2)
-        lies.append(float(np.asarray(mean).ravel()[0]))
-    return lies
+    return _believer_lies(constraint_models, u)
 
 
 class FantasyModelSet:

@@ -232,10 +232,8 @@ class HallucinatedUCB(WeightedExpectedImprovement):
         super().__init__(objective_model, constraint_models, tau, log_space=log_space)
         self.kappa = float(kappa)
 
-    def _improvement(self, x: np.ndarray) -> np.ndarray:
-        mean, var = self.objective_model.predict(x)
-        mean = np.asarray(mean, dtype=float)
-        sigma = np.sqrt(np.maximum(np.asarray(var, dtype=float), _MIN_SIGMA**2))
+    def _improvement(self, mean: np.ndarray, var: np.ndarray) -> np.ndarray:
+        sigma = np.sqrt(np.maximum(var, _MIN_SIGMA**2))
         return np.maximum(self.tau - (mean - self.kappa * sigma), 0.0)
 
     def __repr__(self) -> str:

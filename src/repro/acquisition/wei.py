@@ -11,11 +11,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.acquisition.base import expected_improvement, probability_of_feasibility
+from repro.acquisition.base import ModelRows, expected_improvement, probability_of_feasibility
+
+#: floor under each factor before its log (log-space evaluation)
+_TINY = 1e-300
 
 
 class WeightedExpectedImprovement:
     """Callable acquisition built from fitted surrogates.
+
+    Each call reads the surrogates it needs once, as stacked rows
+    (:class:`~repro.acquisition.base.ModelRows`): the objective only once
+    an incumbent exists, then every constraint.  Over one bank's target
+    views that is one inference pass, and during feasibility search it
+    skips the objective's slices altogether.
 
     Parameters
     ----------
@@ -49,41 +58,34 @@ class WeightedExpectedImprovement:
         self.log_space = bool(log_space)
         if tau is None and objective_model is None and not self.constraint_models:
             raise ValueError("acquisition needs an objective model or constraints")
+        self._improves = tau is not None and objective_model is not None
+        read = [objective_model] if self._improves else []
+        self._rows = ModelRows(read + self.constraint_models)
 
-    def _improvement(self, x: np.ndarray) -> np.ndarray:
+    def _improvement(self, mean: np.ndarray, var: np.ndarray) -> np.ndarray:
         """The objective-improvement factor; the hook subclasses override.
 
         :class:`~repro.acquisition.penalization.HallucinatedUCB` swaps EI
         for the optimistic confidence bound here while inheriting the
         whole feasibility-product (plain and log-space) machinery.
         """
-        mean, var = self.objective_model.predict(x)
         return expected_improvement(mean, var, self.tau)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """Evaluate the acquisition on a batch of points, shape ``(n, d)``."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        n = x.shape[0]
+        mean, var = self._rows.predict(x)
+        if self._improves:
+            factors = np.empty_like(mean)
+            factors[0] = self._improvement(mean[0], var[0])
+            factors[1:] = probability_of_feasibility(mean[1:], var[1:])
+        else:
+            factors = probability_of_feasibility(mean, var)
+        # reduced along the factor axis in eq. 7's order, objective first:
+        # the same additions or products as one factor at a time
         if self.log_space:
-            return self._evaluate_log(x, n)
-        value = np.ones(n)
-        if self.tau is not None and self.objective_model is not None:
-            value = self._improvement(x)
-        for model in self.constraint_models:
-            g_mean, g_var = model.predict(x)
-            value = value * probability_of_feasibility(g_mean, g_var)
-        return value
-
-    def _evaluate_log(self, x: np.ndarray, n: int) -> np.ndarray:
-        tiny = 1e-300
-        log_value = np.zeros(n)
-        if self.tau is not None and self.objective_model is not None:
-            log_value = np.log(np.maximum(self._improvement(x), tiny))
-        for model in self.constraint_models:
-            g_mean, g_var = model.predict(x)
-            pf = probability_of_feasibility(g_mean, g_var)
-            log_value = log_value + np.log(np.maximum(pf, tiny))
-        return log_value
+            return np.add.reduce(np.log(np.maximum(factors, _TINY)), axis=0)
+        return np.multiply.reduce(factors, axis=0)
 
     def __repr__(self) -> str:
         phase = "feasibility-search" if self.tau is None else f"tau={self.tau:.4g}"

@@ -316,6 +316,5 @@ def restore_bank_state(bank, data: dict):
     gp._x_fantasy = []
     gp._z_fantasy = []
     gp.update_posterior()
-    bank._pred_cache = None
     return bank
 

@@ -107,6 +107,26 @@ class CheckpointMismatch(StudyError):
         self.actual = actual
 
 
+def tell_form(evaluation) -> str:
+    """The :meth:`Study.tell` form of ``evaluation``, or :class:`StudyError`.
+
+    ``"evaluation"`` for an :class:`~repro.bo.problem.Evaluation`,
+    ``"pair"`` for an ``(objective, constraints)`` tuple or list, and
+    ``"objective"`` for a bare real number.  The service client checks a
+    tell with this same rule before it crosses the wire.
+    """
+    if isinstance(evaluation, Evaluation):
+        return "evaluation"
+    if isinstance(evaluation, (tuple, list)) and len(evaluation) == 2:
+        return "pair"
+    if isinstance(evaluation, (int, float, np.floating, np.integer)):
+        return "objective"
+    raise StudyError(
+        "tell() accepts an Evaluation, an (objective, constraints) "
+        f"pair, or a bare objective; got {evaluation!r}"
+    )
+
+
 @dataclass
 class Trial:
     """One proposed design travelling through the ask/tell cycle.
@@ -660,15 +680,8 @@ class Study:
         return task
 
     def _coerce_evaluation(self, evaluation) -> Evaluation:
-        if isinstance(evaluation, Evaluation):
-            if evaluation.constraints.shape[0] != self.problem.n_constraints:
-                raise StudyError(
-                    f"evaluation has {evaluation.constraints.shape[0]} "
-                    f"constraints but problem {self.problem.name!r} defines "
-                    f"{self.problem.n_constraints}"
-                )
-            return evaluation
-        if isinstance(evaluation, (int, float, np.floating, np.integer)):
+        form = tell_form(evaluation)
+        if form == "objective":
             if self.problem.n_constraints:
                 raise StudyError(
                     f"problem {self.problem.name!r} has "
@@ -676,15 +689,16 @@ class Study:
                     f"an Evaluation, got bare objective {evaluation!r}"
                 )
             return Evaluation(float(evaluation), np.empty(0))
-        if isinstance(evaluation, (tuple, list)) and len(evaluation) == 2:
+        if form == "pair":
             objective, constraints = evaluation
-            return self._coerce_evaluation(
-                Evaluation(float(objective), np.asarray(constraints, dtype=float))
+            evaluation = Evaluation(float(objective), np.asarray(constraints, dtype=float))
+        if evaluation.constraints.shape[0] != self.problem.n_constraints:
+            raise StudyError(
+                f"evaluation has {evaluation.constraints.shape[0]} "
+                f"constraints but problem {self.problem.name!r} defines "
+                f"{self.problem.n_constraints}"
             )
-        raise StudyError(
-            "tell() accepts an Evaluation, an (objective, constraints) "
-            f"pair, or a bare objective; got {evaluation!r}"
-        )
+        return evaluation
 
     def _sync_cache_counters(self) -> None:
         hits, misses = self.problem.cache_stats
@@ -895,4 +909,5 @@ __all__ = [
     "StudyError",
     "Trial",
     "UnknownTrial",
+    "tell_form",
 ]

@@ -74,7 +74,8 @@ Two classes realize the engine:
   a stack axis).
 * :class:`SurrogateBank` — the modelling front-end used by the BO loop: it
   owns the target layout, fits objective and constraint ensembles in one
-  call, and exposes per-target moment-matched predictions (eq. 13).
+  call, and exposes moment-matched predictions (eq. 13) for one target or
+  a contiguous range of targets, computing only those targets' slices.
 """
 
 from __future__ import annotations
@@ -200,6 +201,7 @@ class BatchedNeuralFeatureGP:
         self._chol_a = None
         self._coef_r = None
         self._a_inv = None
+        self._predictive = None
 
     # -- basic properties -------------------------------------------------------
 
@@ -486,34 +488,54 @@ class BatchedNeuralFeatureGP:
         # accelerators run one fused batched factorization.
         self._chol_a = xb.batched_cholesky(a_mat)
         self._coef_r, self._a_inv = xb.batched_solve_r_and_inverse(self._chol_a, u)
+        # predict's per-slice constants, shaped to broadcast over (S, n):
+        # computed once per posterior instead of once per acquisition probe
+        self._predictive = (
+            self._coef_r[..., None],
+            self._a_inv,
+            self.noise_variance[:, None],
+            self._y_scale[:, None],
+            (self._y_scale**2)[:, None],
+            self._y_mean[:, None],
+        )
 
     # -- prediction (eq. 10, per slice) ---------------------------------------------
 
     def predict(
-        self, x: np.ndarray, include_noise: bool = False
+        self, x: np.ndarray, include_noise: bool = False, slices: slice = slice(None)
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-slice posterior means and variances, each shape ``(S, n)``.
+        """Posterior means and variances of the slices ``slices``, each ``(S', n)``.
 
-        Values are in each slice's original target units; the variance is
-        the latent function's, ``include_noise`` adds sigma_n^2 (the
-        paper's eq. 10 includes it; for acquisition optimization the
-        latent-function variance is standard).
+        ``slices`` is a contiguous run of the stack (all S slices by
+        default).  The network and the cached posterior are read through
+        basic-slice views, so each selected slice runs the same per-slice
+        GEMMs as in the full pass, and its rows are bitwise the full pass's;
+        the slices left out cost nothing.  Values are in each slice's
+        original target units; the variance is the latent function's,
+        ``include_noise`` adds sigma_n^2 (the paper's eq. 10 includes it;
+        for acquisition optimization the latent-function variance is
+        standard).
         """
         self._require_fitted()
         xb = self.xb
-        feats = self.features(x)
-        z_mean = (feats @ self._coef_r[..., None])[..., 0]
+        # validated once here: the inference forward checks nothing
+        x = xb.asarray(check_matrix_2d(x, "x", self.input_dim))
+        feats = self.network.infer(x, slices)
+        if self.add_bias_feature:
+            ones = xb.ones((feats.shape[0], feats.shape[1], 1))
+            feats = xb.concatenate([feats, ones], axis=2)
+        coef, a_inv, sn2, scale, scale_sq, shift = self._predictive
+        z_mean = (feats @ coef[slices])[..., 0]
         # sigma_n^2 phi^T A^{-1} phi via the cached stacked inverse (see
         # update_posterior); agrees with the serial Cholesky-solve route to
         # well below the engine's 1e-8 tolerance
-        quad = xb.sum((feats @ self._a_inv) * feats, axis=2)
-        sn2 = self.noise_variance
-        z_var = sn2[:, None] * quad
+        quad = xb.sum((feats @ a_inv[slices]) * feats, axis=2)
+        z_var = sn2[slices] * quad
         if include_noise:
-            z_var = z_var + sn2[:, None]
+            z_var = z_var + sn2[slices]
         z_var = xb.maximum(z_var, 1e-14)
-        mean = z_mean * self._y_scale[:, None] + self._y_mean[:, None]
-        var = z_var * (self._y_scale**2)[:, None]
+        mean = z_mean * scale[slices] + shift[slices]
+        var = z_var * scale_sq[slices]
         # results return to the host: every consumer (moment matching,
         # acquisitions) runs numpy-side regardless of backend
         return xb.from_device(mean), xb.from_device(var)
@@ -579,6 +601,7 @@ class BatchedNeuralFeatureGP:
         sub._chol_a = None
         sub._coef_r = None
         sub._a_inv = None
+        sub._predictive = None
         return sub
 
     def _require_fitted(self):
@@ -598,6 +621,10 @@ class _BankTargetModel:
     Implements the plain ``predict(x) -> (mean, var)`` protocol the
     acquisition functions expect, so the bank drops into
     :class:`~repro.acquisition.wei.WeightedExpectedImprovement` unchanged.
+    A call runs only this target's K slices.  Acquisitions that read
+    several targets at one point recognize consecutive views of one bank
+    by their ``bank`` and ``target`` attributes and ask the bank for the
+    whole range in one pass (:class:`~repro.acquisition.base.ModelRows`).
     """
 
     def __init__(self, bank: "SurrogateBank", target: int):
@@ -616,9 +643,12 @@ class SurrogateBank:
 
     The bank owns ``S = n_targets * n_members`` stacked networks (slice
     ``t * K + k`` is member ``k`` of target ``t``), fits them all with one
-    :meth:`fit` call, and serves per-target moment-matched predictions
-    (eq. 13).  K independent members are trained on the same data from
-    different random initializations and combined by moment matching,
+    :meth:`fit` call, and serves moment-matched predictions (eq. 13) for
+    one target or a contiguous range of targets, each in one stacked
+    inference pass over exactly those targets' slices
+    (:meth:`predict_target`).  K independent members are trained on the
+    same data from different random initializations and combined by
+    moment matching,
 
         mu(x)      = 1/K sum_k mu_k(x)
         sigma^2(x) = 1/K sum_k (mu_k(x)^2 + sigma_k^2(x)) - mu(x)^2
@@ -691,7 +721,6 @@ class SurrogateBank:
             backend=backend,
         )
         self._trainer_factory = trainer_factory
-        self._pred_cache: tuple | None = None
 
     # -- basic properties -------------------------------------------------------
 
@@ -726,7 +755,6 @@ class SurrogateBank:
         y_stack = np.repeat(targets, self.n_members, axis=0)
         trainer = self._trainer_factory() if self._trainer_factory else None
         self._gp.fit(x, y_stack, trainer=trainer)
-        self._pred_cache = None
         return self
 
     # -- fantasy conditioning (q-point acquisition) ---------------------------------
@@ -748,7 +776,6 @@ class SurrogateBank:
                 f"expected ({self.n_targets},) lie targets, got {lie_targets.shape}"
             )
         self._gp.fantasize(x_new, np.repeat(lie_targets, self.n_members))
-        self._pred_cache = None
         return self
 
     def observe(self, x_new: np.ndarray, targets: np.ndarray) -> "SurrogateBank":
@@ -768,7 +795,6 @@ class SurrogateBank:
                 f"expected ({self.n_targets},) targets, got {targets.shape}"
             )
         self._gp.observe(x_new, np.repeat(targets, self.n_members))
-        self._pred_cache = None
         return self
 
     def clear_fantasies(self, update: bool = True) -> "SurrogateBank":
@@ -778,7 +804,6 @@ class SurrogateBank:
         conditioning call (see :meth:`BatchedNeuralFeatureGP.clear_fantasies`).
         """
         self._gp.clear_fantasies(update=update)
-        self._pred_cache = None
         return self
 
     @property
@@ -788,37 +813,38 @@ class SurrogateBank:
 
     # -- prediction -----------------------------------------------------------------
 
-    def _stacked_predict(self, x: np.ndarray):
-        """All-slice and all-target predictions with a one-entry cache.
+    def _slices(self, target) -> slice:
+        """The stack slices of a target index or a contiguous target range."""
+        rows = target if isinstance(target, range) else range(target, target + 1)
+        if rows.step != 1 or not 0 <= rows.start < rows.stop <= self.n_targets:
+            raise IndexError(
+                f"target {target} is not a non-empty contiguous run of "
+                f"[0, {self.n_targets})"
+            )
+        return slice(rows.start * self.n_members, rows.stop * self.n_members)
 
-        The acquisition evaluates objective and constraint models on the
-        *same* candidate batch (thousands of single-point batches during
-        the polish phase), so one stacked forward pass plus one vectorized
-        moment-match (eq. 13 over a ``(T, K, n)`` view) serves all T
-        target queries.
+    def predict_target(self, target, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Moment-matched ensemble prediction (eq. 13) for one or more targets.
+
+        ``target`` is one index, for ``(n,)`` mean and variance, or a
+        contiguous ``range`` of targets, for ``(len(target), n)`` rows.
+        Either way one stacked inference pass runs over exactly those
+        targets' K member slices, and every row is bitwise what that
+        target alone returns.  The acquisitions ask for every target they
+        read at a point in one call.
         """
-        x = np.asarray(x, dtype=float)
-        # key on the raw bytes (not their hash): a silent hash collision
-        # would serve another candidate's predictions
-        key = (x.shape, x.tobytes())
-        if self._pred_cache is not None and self._pred_cache[0] == key:
-            return self._pred_cache[1:]
-        means, variances = self._gp.predict(x)
-        n = means.shape[1]
-        mean_tkn = means.reshape(self.n_targets, self.n_members, n)
-        var_tkn = variances.reshape(self.n_targets, self.n_members, n)
-        mu = mean_tkn.mean(axis=1)
-        second_moment = (mean_tkn**2 + var_tkn).mean(axis=1)
+        means, variances = self._gp.predict(x, slices=self._slices(target))
+        k = self.n_members
+        shape = (means.shape[0] // k, k, means.shape[1])
+        mean_tkn = means.reshape(shape)
+        var_tkn = variances.reshape(shape)
+        # np.mean's own reduction and division, without its Python wrapper
+        mu = np.add.reduce(mean_tkn, axis=1) / k
+        second_moment = np.add.reduce(mean_tkn**2 + var_tkn, axis=1) / k
         var = np.maximum(second_moment - mu**2, 1e-14)
-        self._pred_cache = (key, means, variances, mu, var)
-        return means, variances, mu, var
-
-    def predict_target(self, target: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Moment-matched ensemble prediction (eq. 13) for one target."""
-        if not 0 <= target < self.n_targets:
-            raise IndexError(f"target {target} out of range [0, {self.n_targets})")
-        _, _, mu, var = self._stacked_predict(x)
-        return mu[target], var[target]
+        if isinstance(target, range):
+            return mu, var
+        return mu[0], var[0]
 
     def target_model(self, target: int) -> _BankTargetModel:
         """A ``predict``-protocol view of one target's ensemble."""
@@ -830,10 +856,7 @@ class SurrogateBank:
         self, target: int, x: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Per-member means and variances for one target, ``(K, n)`` each."""
-        means, variances, _, _ = self._stacked_predict(x)
-        lo = target * self.n_members
-        hi = lo + self.n_members
-        return means[lo:hi].copy(), variances[lo:hi].copy()
+        return self._gp.predict(x, slices=self._slices(target))
 
     def __repr__(self) -> str:
         return (

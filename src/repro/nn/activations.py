@@ -41,6 +41,9 @@ class Activation(Layer):
         self._x = self.xb.asarray(x, dtype=float)
         return self._value(self._x)
 
+    def infer(self, x, slices: slice = slice(None)):
+        return self._value(x)
+
     def backward(self, grad_out):
         if self._x is None:
             raise RuntimeError("backward() called before forward()")

@@ -117,6 +117,11 @@ class BatchedLinear(Layer):
         self._x = x
         return x @ self.weight + self.bias[:, None, :]
 
+    def infer(self, x, slices: slice = slice(None)):
+        # basic-slice views: each selected slice runs the same GEMM as in
+        # the full-stack forward, so its rows are bitwise the full pass's
+        return x @ self.weight[slices] + self.bias[slices, None, :]
+
     def backward(self, grad_out):
         if self._x is None:
             raise RuntimeError("backward() called before forward()")
@@ -179,6 +184,12 @@ class BatchedSequential(Layer):
         for layer in self.layers:
             out = layer.forward(out)
         return out
+
+    def infer(self, x, slices: slice = slice(None)):
+        """Prediction-only forward of the slices ``slices`` (see :meth:`Layer.infer`)."""
+        for layer in self.layers:
+            x = layer.infer(x, slices)
+        return x
 
     def backward(self, grad_out):
         grad = self.xb.asarray(grad_out, dtype=float)

@@ -22,6 +22,14 @@ class Layer:
         """Propagate ``dL/d(output)`` to ``dL/d(input)``; store param grads."""
         raise NotImplementedError
 
+    def infer(self, x, slices: slice = slice(None)):
+        """Prediction-only forward over the stack slices ``slices``.
+
+        Caches nothing for :meth:`backward` and checks nothing: the caller
+        validates its input once.
+        """
+        raise NotImplementedError
+
     @property
     def params(self) -> list[np.ndarray]:
         """Live references to this layer's parameter arrays."""

@@ -25,7 +25,6 @@ import threading
 
 from repro.backend import BackendNotAvailable
 from repro.bo.history import EvaluationRecord
-from repro.bo.problem import Evaluation
 from repro.bo.serialization import scalar_metrics
 from repro.bo.study import (
     BudgetExhausted,
@@ -33,6 +32,7 @@ from repro.bo.study import (
     StudyError,
     Trial,
     UnknownTrial,
+    tell_form,
 )
 from repro.service.errors import SERVICE_ERROR_CLASSES, ServiceError
 from repro.service.protocol import (
@@ -388,14 +388,19 @@ def health(address, *, timeout: float = 60.0) -> dict:
 
 
 def _split_evaluation(evaluation) -> tuple[float, list, dict | None]:
-    """Break a :meth:`Study.tell`-shaped evaluation into wire fields."""
-    if isinstance(evaluation, Evaluation):
+    """Break a :meth:`Study.tell`-shaped evaluation into wire fields.
+
+    Any other value raises the :class:`StudyError` ``Study.tell`` raises
+    (:func:`~repro.bo.study.tell_form`), before anything is sent.
+    """
+    form = tell_form(evaluation)
+    if form == "evaluation":
         return (
             float(evaluation.objective),
             [float(c) for c in evaluation.constraints],
             scalar_metrics(evaluation.metrics) or None,
         )
-    if isinstance(evaluation, (tuple, list)):
+    if form == "pair":
         objective, constraints = evaluation
         return float(objective), [float(c) for c in constraints], None
     return float(evaluation), [], None

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.acquisition.fantasy import fantasy_lies, objective_lie
+from repro.core import BatchedFeatureGPTrainer, SurrogateBank
 
 
 class ConstantMeanModel:
@@ -79,3 +80,42 @@ class TestFantasyLies:
         assert obj_lie == 1.0
         assert cons_lies == [-1.0, 0.5]
         assert np.all(np.isfinite([obj_lie, *cons_lies]))
+
+    @pytest.mark.parametrize("strategy", ["believer", "cl-min"])
+    def test_bank_views_read_once_and_match_each_target(self, monkeypatch, strategy):
+        """Over one bank's target views the believer lies come from one
+        stacked pass, equal to asking each target on its own."""
+        rng = np.random.default_rng(0)
+        x = rng.uniform(size=(16, 2))
+        bank = SurrogateBank(
+            2,
+            n_targets=3,
+            n_members=2,
+            hidden_dims=(8, 8),
+            n_features=6,
+            trainer_factory=lambda: BatchedFeatureGPTrainer(epochs=20),
+            seed=0,
+        )
+        bank.fit(x, np.stack([x[:, 0] + x[:, 1], x[:, 0] - 0.5, 0.4 - x[:, 1]]))
+        u = np.array([0.3, 0.6])
+        expected = [float(bank.predict_target(t, u[None, :])[0][0]) for t in range(3)]
+        predict = bank.gp.predict
+        calls = []
+
+        def spy(x, include_noise=False, slices=slice(None)):
+            calls.append(slices)
+            return predict(x, include_noise=include_noise, slices=slices)
+
+        monkeypatch.setattr(bank.gp, "predict", spy)
+        observed = np.array([0.2, -0.1])
+        obj_lie, cons_lies = fantasy_lies(
+            bank.target_model(0),
+            [bank.target_model(1), bank.target_model(2)],
+            u,
+            observed,
+            strategy,
+        )
+        if strategy == "believer":
+            assert (obj_lie, cons_lies, calls) == (expected[0], expected[1:], [slice(0, 6)])
+        else:
+            assert (obj_lie, cons_lies, calls) == (-0.1, expected[1:], [slice(2, 6)])

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from repro.acquisition.base import expected_improvement, probability_of_feasibility
+from repro.acquisition.penalization import (
+    HallucinatedUCB,
+    LocalPenalizer,
+    PenalizedAcquisition,
+)
 from repro.acquisition.wei import WeightedExpectedImprovement
+from repro.core import BatchedFeatureGPTrainer, SurrogateBank
 
 
 class StubModel:
@@ -112,3 +118,126 @@ class TestLogSpace:
         assert "feasibility-search" in repr(acq)
         acq = WeightedExpectedImprovement(flat(0.0), [], tau=1.0)
         assert "tau=1" in repr(acq)
+
+
+KW = dict(hidden_dims=(12, 12), n_features=8)
+K = 3  # members per target
+
+
+def fitted_bank():
+    """An objective and three constraints, K members each, fitted in one bank."""
+    x = np.random.default_rng(3).uniform(size=(24, 3))
+    targets = np.stack(
+        [
+            np.sin(3.0 * x[:, 0]) + x[:, 1],
+            x[:, 0] - 0.6,
+            np.cos(2.0 * x[:, 1]) - 0.5 * x[:, 2] - 0.2,
+            x[:, 2] ** 2 - 0.3,
+        ]
+    )
+    bank = SurrogateBank(
+        3,
+        n_targets=4,
+        n_members=K,
+        trainer_factory=lambda: BatchedFeatureGPTrainer(epochs=30),
+        seed=1,
+        **KW,
+    )
+    return bank.fit(x, targets)
+
+
+class PredictOnly:
+    """One bank target behind ``predict(x)`` alone: forces wEI's per-model loop."""
+
+    def __init__(self, bank, target):
+        self._bank = bank
+        self._target = target
+
+    def predict(self, x):
+        return self._bank.predict_target(self._target, x)
+
+
+def factor_by_factor(models, tau, log_space, x):
+    """Eq. 7 one factor at a time, in order: EI (given an incumbent), then
+    each constraint's PF, each model asked on its own."""
+    objective, *constraints = models
+    factors = [] if tau is None else [expected_improvement(*objective.predict(x), tau)]
+    factors += [probability_of_feasibility(*model.predict(x)) for model in constraints]
+    value = np.zeros(len(x)) if log_space else np.ones(len(x))
+    for factor in factors:
+        value = value + np.log(np.maximum(factor, 1e-300)) if log_space else value * factor
+    return value
+
+
+def acquisition_family(models, tau, log_space, penalizer):
+    """wEI, hallucinated UCB and penalized wEI over the same four models."""
+    objective, *constraints = models
+    wei = WeightedExpectedImprovement(objective, constraints, tau=tau, log_space=log_space)
+    return [
+        wei,
+        HallucinatedUCB(objective, constraints, tau=tau, kappa=1.5, log_space=log_space),
+        PenalizedAcquisition(wei, penalizer, log_space=log_space),
+    ]
+
+
+class TestSinglePass:
+    """Over one bank's target views every call is one stacked pass over the
+    targets it reads; the per-model loop over predict-only adapters is the
+    reference, and the values must be bitwise equal."""
+
+    @pytest.mark.parametrize("tau", [None, 0.4])
+    @pytest.mark.parametrize("log_space", [False, True])
+    @pytest.mark.parametrize("rows", [1, 144])
+    def test_bitwise_equal_to_per_model_loop(self, tau, log_space, rows):
+        bank = fitted_bank()
+        rng = np.random.default_rng(rows)
+        pending = rng.uniform(size=(2, 3))
+        mean, var = bank.predict_target(0, pending)
+        penalizer = LocalPenalizer(pending, mean, var, best=0.1, lipschitz=2.0)
+        if rows == 1:  # single-row probes, as the polish sends them
+            batches = list(rng.uniform(-0.2, 1.2, size=(48, 1, 3)))
+        else:  # one DE-sized batch
+            batches = [rng.uniform(-0.2, 1.2, size=(rows, 3))]
+
+        def check():
+            views = [bank.target_model(t) for t in range(4)]
+            loop = [PredictOnly(bank, t) for t in range(4)]
+            fast = acquisition_family(views, tau, log_space, penalizer)
+            slow = acquisition_family(loop, tau, log_space, penalizer)
+            for single, per_model in zip(fast, slow):
+                for x in batches:
+                    np.testing.assert_array_equal(single(x), per_model(x))
+            for x in batches:
+                expected = factor_by_factor(views, tau, log_space, x)
+                np.testing.assert_array_equal(fast[0](x), expected)
+
+        check()
+        bank.fantasize(np.array([0.45, 0.55, 0.5]), np.array([0.1, -0.2, 0.3, -0.1]))
+        check()
+        bank.observe(np.array([0.2, 0.8, 0.6]), np.array([0.0, 0.1, -0.1, 0.2]))
+        check()
+        bank.clear_fantasies()
+        check()
+
+    @pytest.mark.parametrize("tau, read", [(None, slice(K, 4 * K)), (0.4, slice(0, 4 * K))])
+    def test_one_pass_over_the_targets_read(self, monkeypatch, tau, read):
+        """Feasibility search (tau None) never computes the objective's
+        slices; with an incumbent the one pass covers every target."""
+        bank = fitted_bank()
+        predict = bank.gp.predict
+        calls = []
+
+        def spy(x, include_noise=False, slices=slice(None)):
+            calls.append(slices)
+            return predict(x, include_noise=include_noise, slices=slices)
+
+        monkeypatch.setattr(bank.gp, "predict", spy)
+        acq = WeightedExpectedImprovement(
+            bank.target_model(0),
+            [bank.target_model(t) for t in range(1, 4)],
+            tau=tau,
+            log_space=True,
+        )
+        for x in np.random.default_rng(0).uniform(size=(5, 1, 3)):
+            acq(x)
+        assert calls == [read] * 5

@@ -176,6 +176,45 @@ class TestSurrogateBank:
         np.testing.assert_array_equal(mu, bank.predict_target(1, x[:4])[0])
         np.testing.assert_array_equal(var, bank.predict_target(1, x[:4])[1])
 
+    def test_target_ranges_are_bitwise_the_all_slice_pass(self):
+        """One target, a contiguous range of targets, or one target's
+        members: each runs only its own slices, and every row is bitwise
+        what the all-slice pass gives (moment-matched by eq. 13)."""
+        x, targets = make_data()
+        four = np.vstack([targets, targets[0] ** 2 - 0.3, np.sin(5.0 * x[:, 2])])
+        bank = SurrogateBank(
+            3,
+            n_targets=4,
+            n_members=3,
+            trainer_factory=lambda: BatchedFeatureGPTrainer(epochs=15),
+            seed=2,
+            **KW,
+        )
+        bank.fit(x, four)
+        rng = np.random.default_rng(5)
+        for n in (1, 144):
+            x_query = rng.uniform(-0.2, 1.2, size=(n, 3))
+            means, variances = bank.gp.predict(x_query)
+            mean_tkn = means.reshape(4, 3, n)
+            var_tkn = variances.reshape(4, 3, n)
+            full_mu = mean_tkn.mean(axis=1)
+            second_moment = (mean_tkn**2 + var_tkn).mean(axis=1)
+            full_var = np.maximum(second_moment - full_mu**2, 1e-14)
+            for lo in range(4):
+                mu, var = bank.predict_target(lo, x_query)
+                np.testing.assert_array_equal(mu, full_mu[lo])
+                np.testing.assert_array_equal(var, full_var[lo])
+                k_means, k_vars = bank.member_predictions(lo, x_query)
+                np.testing.assert_array_equal(k_means, means[3 * lo : 3 * lo + 3])
+                np.testing.assert_array_equal(k_vars, variances[3 * lo : 3 * lo + 3])
+                for hi in range(lo + 1, 5):
+                    mu, var = bank.predict_target(range(lo, hi), x_query)
+                    np.testing.assert_array_equal(mu, full_mu[lo:hi])
+                    np.testing.assert_array_equal(var, full_var[lo:hi])
+        for bad in (range(1, 1), range(0, 4, 2), range(2, 5), 4):
+            with pytest.raises(IndexError):
+                bank.predict_target(bad, x)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             SurrogateBank(3, n_targets=0, **KW)

@@ -136,6 +136,34 @@ class TestClientMirrorsStudy:
             record.evaluation.constraints, evaluation.constraints
         )
 
+    @pytest.mark.parametrize(
+        "evaluation",
+        [(1.0, [0.1], 3), (1.0,), "1.5", None, {"objective": 1.0}, np.array(1.0)],
+        ids=["triple", "single", "string", "none", "dict", "0-d-array"],
+    )
+    def test_tell_rejects_what_study_rejects(self, server, evaluation):
+        """A shape ``Study.tell`` refuses raises the same StudyError in the
+        client, before anything crosses the wire."""
+        study = Study(
+            toy_constrained_quadratic(2),
+            n_initial=3,
+            max_evaluations=9,
+            seed=1,
+            surrogate=SurrogateConfig(**TINY),
+        )
+        (local,) = study.ask(1)
+        with pytest.raises(StudyError) as in_process:
+            study.tell(local, evaluation)
+        client = create_toy(server.address, "toy", seed=1)
+        (trial,) = client.ask(1)
+        with pytest.raises(StudyError) as remote:
+            client.tell(trial, evaluation)
+        assert type(remote.value) is type(in_process.value)
+        assert str(remote.value) == str(in_process.value)
+        # the trial is still pending and takes a well-formed evaluation
+        record = client.tell(trial, PROBLEM.evaluate(trial.x))
+        assert record.index == 0
+
     def test_status_and_pending_trials_roundtrip(self, server):
         client = create_toy(server.address, "toy", seed=2)
         asked = client.ask(2)
