@@ -1,7 +1,7 @@
-"""Micro-benchmarks of the acquisition layer (DESIGN.md ablation target).
+"""Micro-benchmarks of the acquisition layer: the inner-loop ablation.
 
 The paper calls its inner loop just an "optimize engine" (Fig. 2); these
-benches quantify our choice — DE over the unit box with Nelder-Mead
+benches ablate our choice — DE over the unit box with Nelder-Mead
 polish — against plain random search, and measure the per-call cost of
 the wEI acquisition with NN-GP ensembles vs classic GPs (the quantity the
 O(1)-prediction claim accelerates inside every BO iteration).  The call
@@ -17,6 +17,7 @@ import itertools
 import numpy as np
 import pytest
 
+from repro.acquisition.fantasy import PerTargetBank
 from repro.acquisition.maximize import (
     DifferentialEvolutionMaximizer,
     RandomSearchMaximizer,
@@ -53,21 +54,19 @@ def nngp_bank():
     return bank, float(objective.min())
 
 
-def _nngp_wei(bank, tau):
-    return WeightedExpectedImprovement(bank.target_model(0), [bank.target_model(1)], tau=tau)
-
-
 @pytest.fixture(scope="module")
 def nngp_acquisition(nngp_bank):
-    return _nngp_wei(*nngp_bank)
+    return WeightedExpectedImprovement(*nngp_bank)
 
 
 @pytest.fixture(scope="module")
 def gp_acquisition():
     x, objective, constraint = _data()
-    obj = GPRegression(n_restarts=1, seed=0).fit(x, objective)
-    con = GPRegression(n_restarts=1, seed=1).fit(x, constraint)
-    return WeightedExpectedImprovement(obj, [con], tau=float(objective.min()))
+    bank = PerTargetBank(
+        lambda rng: GPRegression(n_restarts=1, seed=rng), np.random.default_rng(0), 2
+    )
+    bank.fit(x, np.stack([objective, constraint]))
+    return WeightedExpectedImprovement(bank, tau=float(objective.min()))
 
 
 def _alternating_batches(rows=256, count=2):
@@ -94,7 +93,7 @@ def test_wei_probe_nngp(benchmark, nngp_bank, phase):
     wEI is the PF product, and its one inference pass skips the
     objective's slices."""
     bank, tau = nngp_bank
-    acquisition = _nngp_wei(bank, tau if phase == "incumbent" else None)
+    acquisition = WeightedExpectedImprovement(bank, tau if phase == "incumbent" else None)
     probes = _alternating_batches(rows=1, count=64)
     values = benchmark(lambda: acquisition(next(probes)))
     assert np.all(np.isfinite(values))

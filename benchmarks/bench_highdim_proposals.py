@@ -38,6 +38,7 @@ import numpy as np
 import pytest
 
 from artifacts import write_bench_json
+from repro.acquisition.fantasy import PerTargetBank
 from repro.acquisition.maximize import DifferentialEvolutionMaximizer
 from repro.acquisition.spaces import (
     LineSpace,
@@ -80,9 +81,9 @@ def fitted_acquisition(problem, seed: int = 0):
     rng = np.random.default_rng(seed)
     x = make_design("lhs", N_TRAIN, problem.dim, rng)
     y = np.array([problem.evaluate_unit(u).objective for u in x])
-    model = GPRegression(n_restarts=1, seed=rng).fit(x, y)
+    bank = PerTargetBank(gp_factory, rng, 1).fit(x, y[None, :])
     tau = float(np.min(y))
-    return WeightedExpectedImprovement(model, [], tau=tau), x, y
+    return WeightedExpectedImprovement(bank, tau=tau), x, y
 
 
 def make_maximizer(space: str):

@@ -15,9 +15,8 @@ from repro.acquisition.base import (
 )
 from repro.acquisition.fantasy import (
     FANTASY_STRATEGIES,
-    FantasyModelSet,
-    constraint_lies,
-    objective_lie,
+    PerTargetBank,
+    fantasy_lies,
 )
 from repro.acquisition.maximize import (
     AcquisitionMaximizer,
@@ -47,13 +46,13 @@ __all__ = [
     "AcquisitionMaximizer",
     "DifferentialEvolutionMaximizer",
     "FANTASY_STRATEGIES",
-    "FantasyModelSet",
     "HallucinatedUCB",
     "LineSpace",
     "LocalPenalizer",
     "PENDING_STRATEGIES",
     "PROPOSAL_SPACES",
     "PenalizedAcquisition",
+    "PerTargetBank",
     "ProposalSpace",
     "RandomSearchMaximizer",
     "ScanPolishMaximizer",
@@ -62,11 +61,10 @@ __all__ = [
     "TrustRegionSpace",
     "WeightedExpectedImprovement",
     "make_proposal_space",
-    "constraint_lies",
     "estimate_lipschitz",
     "expected_improvement",
+    "fantasy_lies",
     "lower_confidence_bound",
-    "objective_lie",
     "probability_of_feasibility",
     "probability_of_improvement",
     "upper_confidence_bound",

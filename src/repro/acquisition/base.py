@@ -3,8 +3,6 @@
 All functions take predictive mean/variance arrays (as returned by the
 surrogates) and are vectorized over query points.  Minimization convention
 throughout, matching the paper's problem statement (eq. 1).
-:class:`ModelRows` reads several surrogates at once, as the stacked rows
-an acquisition feeds these primitives.
 """
 
 from __future__ import annotations
@@ -80,46 +78,3 @@ def probability_of_feasibility(mean, var) -> np.ndarray:
     mean = np.asarray(mean, dtype=float)
     sigma = _sigma(var)
     return _norm_cdf(-mean / sigma)
-
-
-class ModelRows:
-    """Several surrogates read at the same points, as stacked rows.
-
-    :meth:`predict` returns ``(mean, var)`` of shape ``(len(models), n)``,
-    row ``i`` holding ``models[i].predict(x)``.  When the models are the
-    ``target_model(t)`` views of one
-    :class:`~repro.core.batched_gp.SurrogateBank` for consecutive targets
-    (how the proposer builds them), one stacked inference pass over
-    exactly those targets' slices answers every row, bitwise equal to the
-    per-model calls.  Any other surrogate (the GP baselines'
-    ``GPRegression``, fantasy-refitted per-target models) is asked model
-    by model.
-    """
-
-    def __init__(self, models):
-        self.models = list(models)
-        self._bank, self._targets = _bank_targets(self.models)
-
-    def predict(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Rows of means and variances at the 2-D batch ``x``."""
-        if self._bank is not None:
-            return self._bank.predict_target(self._targets, x)
-        if not self.models:
-            return np.empty((0, len(x))), np.empty((0, len(x)))
-        moments = [model.predict(x) for model in self.models]
-        return (
-            np.stack([np.asarray(mean, dtype=float) for mean, _ in moments]),
-            np.stack([np.asarray(var, dtype=float) for _, var in moments]),
-        )
-
-
-def _bank_targets(models) -> tuple[object, range | None]:
-    """``(bank, targets)`` if ``models`` view consecutive targets of one bank."""
-    views = [(getattr(model, "bank", None), getattr(model, "target", None)) for model in models]
-    if not views or None in views[0]:
-        return None, None
-    bank, first = views[0]
-    targets = range(first, first + len(views))
-    if any(view[0] is not bank or view[1] != target for view, target in zip(views, targets)):
-        return None, None
-    return bank, targets

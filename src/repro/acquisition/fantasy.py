@@ -12,19 +12,18 @@ otherwise every pick lands on the same argmax.  The pretend value is the
   so far (classic constant liar; ``cl-min`` is optimistic and explores
   harder, ``cl-max`` is pessimistic and packs picks tighter).
 
-Two conditioning paths exist.  The batched :class:`~repro.core.batched_gp.
-SurrogateBank` exposes ``fantasize`` (a cheap posterior-only rank update
-through the stacked engine).  For per-target surrogates (e.g. the WEIBO
-GP baseline) this module provides :class:`FantasyModelSet`, which refits
-each model on the augmented dataset — the textbook constant-liar
-procedure.
+Every surrogate answers one bank surface: ``fit(x, targets)``,
+``predict_target(t or range, x)``, ``fantasize(u, lies)`` and
+``reset_fantasies()``.  The batched :class:`~repro.core.batched_gp.
+SurrogateBank` conditions on a lie with a cheap posterior-only rank
+update.  :class:`PerTargetBank` puts per-target surrogates (e.g. the WEIBO
+GP baseline) behind the same surface and refits each model on the
+augmented dataset, the textbook constant-liar procedure.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from repro.acquisition.base import ModelRows
 
 FANTASY_STRATEGIES = ("believer", "cl-min", "cl-max")
 
@@ -52,82 +51,99 @@ def _constant_lie(observed: np.ndarray, strategy: str) -> float | None:
     return None
 
 
-def _believer_lies(models, u: np.ndarray) -> list[float]:
-    """Posterior means of ``models`` at ``u``, read in one call."""
-    u2 = np.atleast_2d(np.asarray(u, dtype=float))
-    mean, _ = ModelRows(models).predict(u2)
-    return [float(row[0]) for row in mean]
-
-
-def objective_lie(
-    objective_model, u: np.ndarray, observed: np.ndarray, strategy: str
-) -> float:
-    """The lie value recorded for the objective at pending point ``u``."""
-    lie = _constant_lie(observed, strategy)
-    return _believer_lies([objective_model], u)[0] if lie is None else lie
-
-
-def fantasy_lies(
-    objective_model, constraint_models, u: np.ndarray, observed: np.ndarray, strategy: str
-) -> tuple[float, list[float]]:
-    """Objective and constraint lies for one pending point, in one call.
+def fantasy_lies(bank, u: np.ndarray, observed: np.ndarray, strategy: str) -> np.ndarray:
+    """The ``(n_targets,)`` lies for one pending point, from one read.
 
     Shared by the batch (q-point) and asynchronous proposers: the
-    objective lie follows ``strategy``, constraints always take believer
-    (posterior-mean) lies.  Every posterior mean the lies need is read in
-    one :class:`~repro.acquisition.base.ModelRows` call, so a bank's
-    target views answer in one stacked pass.
+    objective (target 0) lie follows ``strategy``, constraints always take
+    believer (posterior-mean) lies.  Every posterior mean the lies need is
+    read in one ``bank.predict_target`` call over a range of targets.
     """
     lie = _constant_lie(observed, strategy)
-    if lie is not None:
-        return lie, constraint_lies(constraint_models, u)
-    means = _believer_lies([objective_model, *constraint_models], u)
-    return means[0], means[1:]
+    first = 0 if lie is None else 1
+    if first == bank.n_targets:  # a constant objective lie and no constraints
+        return np.array([lie])
+    u2 = np.atleast_2d(np.asarray(u, dtype=float))
+    means = bank.predict_target(range(first, bank.n_targets), u2)[0][:, 0]
+    return means if lie is None else np.concatenate([[lie], means])
 
 
-def constraint_lies(constraint_models, u: np.ndarray) -> list[float]:
-    """Believer lies (posterior means) for every constraint at ``u``."""
-    return _believer_lies(constraint_models, u)
+class PerTargetBank:
+    """T per-target surrogates behind the :class:`~repro.core.batched_gp.
+    SurrogateBank` surface.
 
-
-class FantasyModelSet:
-    """Per-target surrogates plus the training data their fantasies extend.
-
-    Wraps the per-target (non-bank) fit of one BO iteration: the
-    objective model, the constraint models, and the sanitized targets each
-    was fitted on.  :meth:`add_fantasy` conditions every model on a
-    pending point by refitting it on the augmented dataset.  Models are
-    per-iteration throwaways, so conditioning mutates them in place.
+    ``factory(rng) -> model`` builds one surrogate with ``fit(x, y)`` and
+    ``predict(x) -> (mean, var)``; :meth:`fit` calls it once per target,
+    in target order, from ``rng`` (the study's stream, so the order is the
+    trace).  :meth:`fantasize` conditions every model on a pending point
+    by refitting it on the augmented dataset.  The models are throwaways
+    of one fit, so conditioning mutates them in place.
     """
 
-    def __init__(self, x, objective_model, objective_y, constraint_models, constraint_ys):
-        self._x_rows = [np.asarray(x, dtype=float)]
-        self.objective_model = objective_model
-        self._objective_y = [np.asarray(objective_y, dtype=float)]
-        self.constraint_models = list(constraint_models)
-        self._constraint_ys = [
-            [np.asarray(y, dtype=float)] for y in constraint_ys
-        ]
+    def __init__(self, factory, rng, n_targets: int):
+        self.factory = factory
+        self.rng = rng
+        self.n_targets = int(n_targets)
+        self.models: list = []
+        self._x_rows: list[np.ndarray] = []
+        self._target_rows: list[np.ndarray] = []
+
+    def fit(self, x: np.ndarray, targets: np.ndarray) -> "PerTargetBank":
+        """Build and fit one fresh model per row of ``targets`` ``(T, N)``."""
+        x = np.asarray(x, dtype=float)
+        targets = np.asarray(targets, dtype=float)
+        if targets.shape != (self.n_targets, len(x)):
+            raise ValueError(
+                f"expected targets shape ({self.n_targets}, {len(x)}), "
+                f"got {targets.shape}"
+            )
+        self.models = []
+        for y in targets:
+            model = self.factory(self.rng)
+            model.fit(x, y)
+            self.models.append(model)
+        self._x_rows = [x]
+        self._target_rows = [targets]
+        return self
+
+    def fantasize(self, x_new: np.ndarray, lie_targets: np.ndarray) -> "PerTargetBank":
+        """Refit every model on the data plus a lie of ``(T,)`` values at ``x_new``."""
+        x_new = np.asarray(x_new, dtype=float).reshape(1, -1)
+        if x_new.shape[1] != self._x_rows[0].shape[1]:
+            raise ValueError(
+                f"expected a {self._x_rows[0].shape[1]}-dim point, got {x_new.shape}"
+            )
+        lie_targets = np.asarray(lie_targets, dtype=float).ravel()
+        if lie_targets.shape != (self.n_targets,):
+            raise ValueError(
+                f"expected ({self.n_targets},) lie targets, got {lie_targets.shape}"
+            )
+        self._x_rows.append(x_new)
+        self._target_rows.append(lie_targets[:, None])
+        x_aug = np.vstack(self._x_rows)
+        for model, y in zip(self.models, np.concatenate(self._target_rows, axis=1)):
+            model.fit(x_aug, y)
+        return self
 
     @property
     def n_fantasies(self) -> int:
         """Pending points currently conditioning the models."""
         return len(self._x_rows) - 1
 
-    def add_fantasy(self, u: np.ndarray, obj_lie: float, cons_lies) -> None:
-        """Condition all models on a fantasy observation of ``u``."""
-        u = np.asarray(u, dtype=float).ravel()
-        cons_lies = list(cons_lies)
-        if len(cons_lies) != len(self.constraint_models):
-            raise ValueError(
-                f"expected {len(self.constraint_models)} constraint lies, "
-                f"got {len(cons_lies)}"
-            )
-        self._x_rows.append(u[None, :])
-        self._objective_y.append(np.array([float(obj_lie)]))
-        for ys, lie in zip(self._constraint_ys, cons_lies):
-            ys.append(np.array([float(lie)]))
-        x_aug = np.vstack(self._x_rows)
-        self.objective_model.fit(x_aug, np.concatenate(self._objective_y))
-        for model, ys in zip(self.constraint_models, self._constraint_ys):
-            model.fit(x_aug, np.concatenate(ys))
+    def reset_fantasies(self) -> int:
+        """Keep the fantasies; return how many carry into the next conditioning.
+
+        Each cost a refit, and they are always the first pending designs:
+        every landing, and every retract while they hold a lie, refits.
+        """
+        return self.n_fantasies
+
+    def predict_target(self, target, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``models[target].predict(x)``, or stacked rows for a ``range``."""
+        if not isinstance(target, range):
+            return self.models[target].predict(x)
+        moments = [self.models[t].predict(x) for t in target]
+        return (
+            np.stack([np.asarray(mean, dtype=float) for mean, _ in moments]),
+            np.stack([np.asarray(var, dtype=float) for _, var in moments]),
+        )

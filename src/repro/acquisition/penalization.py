@@ -47,7 +47,7 @@ _MIN_SIGMA = 1e-12
 
 
 def estimate_lipschitz(
-    model,
+    predict,
     dim: int,
     n_samples: int = 32,
     step: float = 1e-4,
@@ -55,17 +55,14 @@ def estimate_lipschitz(
 ) -> float:
     """Max-gradient-norm Lipschitz estimate of a posterior mean surface.
 
-    Central finite differences of ``model.predict``'s mean at ``n_samples``
-    uniform points in the unit box, all evaluated in ONE stacked predict
-    call (``n_samples * 2 * dim`` rows) so the batched engine amortizes the
-    forward pass.  The sample stream is seeded internally — never from the
-    BO loop's generator — so calling this does not perturb the proposal RNG
-    stream and the estimate is a pure function of the surrogate state.
-
-    Only the plain ``predict`` protocol is needed, so one call serves a
-    bank's target view (:meth:`~repro.core.batched_gp.SurrogateBank.
-    target_model`, one stacked forward pass for every probe) and the
-    per-target surrogates of the GP baselines alike.
+    Central finite differences of the mean that ``predict(x) -> (mean,
+    var)`` returns, at ``n_samples`` uniform points in the unit box, all
+    evaluated in ONE stacked predict call (``n_samples * 2 * dim`` rows) so the
+    batched engine amortizes the forward pass.  The sample stream is
+    seeded internally — never from the BO loop's generator — so calling
+    this does not perturb the proposal RNG stream and the estimate is a
+    pure function of the surrogate state.  The proposer passes the
+    objective's ``bank.predict_target`` for target 0.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
@@ -79,7 +76,7 @@ def estimate_lipschitz(
     queries = np.concatenate(
         [plus.reshape(-1, dim), minus.reshape(-1, dim)], axis=0
     )
-    mean, _ = model.predict(queries)
+    mean, _ = predict(queries)
     mean = np.asarray(mean, dtype=float).ravel()
     half = n_samples * dim
     # actual per-coordinate spacing (clipping at the box edge shrinks it)
@@ -221,15 +218,14 @@ class HallucinatedUCB(WeightedExpectedImprovement):
 
     def __init__(
         self,
-        objective_model,
-        constraint_models,
+        bank,
         tau: float | None,
         kappa: float = 2.0,
         log_space: bool = False,
     ):
         if kappa < 0:
             raise ValueError(f"kappa must be non-negative, got {kappa}")
-        super().__init__(objective_model, constraint_models, tau, log_space=log_space)
+        super().__init__(bank, tau, log_space=log_space)
         self.kappa = float(kappa)
 
     def _improvement(self, mean: np.ndarray, var: np.ndarray) -> np.ndarray:
@@ -240,7 +236,7 @@ class HallucinatedUCB(WeightedExpectedImprovement):
         phase = "feasibility-search" if self.tau is None else f"tau={self.tau:.4g}"
         return (
             f"HallucinatedUCB({phase}, kappa={self.kappa}, "
-            f"n_constraints={len(self.constraint_models)})"
+            f"n_constraints={self.bank.n_targets - 1})"
         )
 
 

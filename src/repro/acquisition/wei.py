@@ -11,29 +11,29 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.acquisition.base import ModelRows, expected_improvement, probability_of_feasibility
+from repro.acquisition.base import expected_improvement, probability_of_feasibility
 
 #: floor under each factor before its log (log-space evaluation)
 _TINY = 1e-300
 
 
 class WeightedExpectedImprovement:
-    """Callable acquisition built from fitted surrogates.
+    """Callable acquisition over a fitted surrogate bank.
 
-    Each call reads the surrogates it needs once, as stacked rows
-    (:class:`~repro.acquisition.base.ModelRows`): the objective only once
-    an incumbent exists, then every constraint.  Over one bank's target
-    views that is one inference pass, and during feasibility search it
-    skips the objective's slices altogether.
+    Each call reads the targets it needs in one
+    ``bank.predict_target(range, x)`` call: the objective (target 0) only
+    once an incumbent exists, then every constraint.  On the NN-GP bank
+    that is one inference pass, and during feasibility search it skips
+    the objective's slices altogether.
 
     Parameters
     ----------
-    objective_model:
-        Surrogate with ``predict(x) -> (mean, var)`` for the objective.
-        May be ``None`` when only feasibility search is wanted.
-    constraint_models:
-        One surrogate per constraint ``g_i(x) < 0`` (possibly empty for
-        unconstrained problems, where wEI reduces to plain EI).
+    bank:
+        The fitted surrogates behind the bank surface (a
+        :class:`~repro.core.batched_gp.SurrogateBank` or a
+        :class:`~repro.acquisition.fantasy.PerTargetBank`): target 0 is
+        the objective, targets ``1..T-1`` the constraints ``g_i(x) < 0``
+        (none for unconstrained problems, where wEI reduces to plain EI).
     tau:
         Best *feasible* objective observed so far, or ``None`` if no
         feasible point exists yet.
@@ -45,22 +45,12 @@ class WeightedExpectedImprovement:
         transform ``log wEI``, which leaves the argmax unchanged.
     """
 
-    def __init__(
-        self,
-        objective_model,
-        constraint_models,
-        tau: float | None,
-        log_space: bool = False,
-    ):
-        self.objective_model = objective_model
-        self.constraint_models = list(constraint_models)
+    def __init__(self, bank, tau: float | None, log_space: bool = False):
+        self.bank = bank
         self.tau = tau
         self.log_space = bool(log_space)
-        if tau is None and objective_model is None and not self.constraint_models:
-            raise ValueError("acquisition needs an objective model or constraints")
-        self._improves = tau is not None and objective_model is not None
-        read = [objective_model] if self._improves else []
-        self._rows = ModelRows(read + self.constraint_models)
+        self._improves = tau is not None
+        self._targets = range(0 if self._improves else 1, bank.n_targets)
 
     def _improvement(self, mean: np.ndarray, var: np.ndarray) -> np.ndarray:
         """The objective-improvement factor; the hook subclasses override.
@@ -74,7 +64,10 @@ class WeightedExpectedImprovement:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """Evaluate the acquisition on a batch of points, shape ``(n, d)``."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        mean, var = self._rows.predict(x)
+        if self._targets:
+            mean, var = self.bank.predict_target(self._targets, x)
+        else:  # no incumbent and no constraints: the empty product
+            mean = var = np.empty((0, len(x)))
         if self._improves:
             factors = np.empty_like(mean)
             factors[0] = self._improvement(mean[0], var[0])
@@ -91,5 +84,5 @@ class WeightedExpectedImprovement:
         phase = "feasibility-search" if self.tau is None else f"tau={self.tau:.4g}"
         return (
             f"WeightedExpectedImprovement({phase}, "
-            f"n_constraints={len(self.constraint_models)})"
+            f"n_constraints={self.bank.n_targets - 1})"
         )

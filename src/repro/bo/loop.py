@@ -48,8 +48,11 @@ loop bitwise (pinned by ``tests/bo/test_scheduler.py``); the
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
+from repro.acquisition.fantasy import PerTargetBank
 from repro.acquisition.maximize import (
     AcquisitionMaximizer,
     DifferentialEvolutionMaximizer,
@@ -82,20 +85,17 @@ class SurrogateBO:
         The :class:`~repro.bo.problem.Problem` to minimize.
     surrogate_factory:
         Callable ``(rng) -> model`` returning a fresh GP-style surrogate
-        with ``fit(x, y)`` and ``predict(x) -> (mean, var)``.  Called once
-        per modelled quantity per iteration (the per-target loop path used
-        by the WEIBO/GP baselines).  Such models serve the wEI family
-        only: Thompson sampling draws weight-space posterior functions,
-        which needs ``surrogate_bank_factory``.
+        with ``fit(x, y)`` and ``predict(x) -> (mean, var)``, one per
+        modelled quantity per fit (the WEIBO/GP baselines).  The
+        constructor puts these per-target models behind the bank surface
+        (:class:`~repro.acquisition.fantasy.PerTargetBank`).  They serve
+        the wEI family only: Thompson sampling draws weight-space posterior
+        functions, which needs ``surrogate_bank_factory``.
     surrogate_bank_factory:
         Callable ``(rng, n_targets) -> bank`` returning a fresh
-        :class:`~repro.core.batched_gp.SurrogateBank`-style object with
-        ``fit(x, targets)`` (``targets`` of shape ``(n_targets, N)``) and
-        ``target_model(t) -> predict-protocol model``.  When provided it
-        replaces the per-target factory loop with ONE batched fit of the
-        objective and all constraints together (the paper method's hot
-        path); ``surrogate_factory`` may still be passed alongside for
-        introspection/compatibility but is not called by the proposer.
+        :class:`~repro.core.batched_gp.SurrogateBank`: ONE batched fit of
+        the objective and all constraints together (the paper method's
+        hot path).  Pass exactly one of the two factories.
     n_initial:
         Size of the random initial design (Algorithm 1, line 1).
     max_evaluations:
@@ -150,15 +150,16 @@ class SurrogateBO:
                 f"max_evaluations ({max_evaluations}) must cover the initial "
                 f"design ({n_initial})"
             )
-        if surrogate_factory is None and surrogate_bank_factory is None:
+        if (surrogate_factory is None) == (surrogate_bank_factory is None):
             raise ValueError(
-                "provide surrogate_factory and/or surrogate_bank_factory"
+                "provide exactly one of surrogate_factory and "
+                "surrogate_bank_factory"
             )
         if acquisition_config is None:
             acquisition_config = AcquisitionConfig()
         if scheduler_config is None:
             scheduler_config = SchedulerConfig()
-        if acquisition_config.acquisition == "thompson" and surrogate_bank_factory is None:
+        if acquisition_config.acquisition == "thompson" and surrogate_factory is not None:
             raise ValueError(
                 "acquisition='thompson' requires surrogate_bank_factory "
                 "(Thompson draws weight-space posterior functions from the "
@@ -167,7 +168,7 @@ class SurrogateBO:
             )
         if (
             scheduler_config.async_refit == "fantasy-only"
-            and surrogate_bank_factory is None
+            and surrogate_factory is not None
         ):
             raise ValueError(
                 "async_refit='fantasy-only' requires surrogate_bank_factory "
@@ -176,6 +177,8 @@ class SurrogateBO:
             )
         self.problem = problem
         self.surrogate_factory = surrogate_factory
+        if surrogate_factory is not None:
+            surrogate_bank_factory = partial(PerTargetBank, surrogate_factory)
         self.surrogate_bank_factory = surrogate_bank_factory
         self.n_initial = int(n_initial)
         self.max_evaluations = int(max_evaluations)

@@ -34,10 +34,11 @@ The proposer is internal: drive it through :class:`~repro.bo.study.Study`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from repro.acquisition.fantasy import FantasyModelSet, fantasy_lies
+from repro.acquisition.fantasy import fantasy_lies
 from repro.acquisition.penalization import (
     HallucinatedUCB,
     LocalPenalizer,
@@ -53,24 +54,21 @@ from repro.bo.loop import _sanitize_new_target, _sanitize_targets
 
 @dataclass
 class _IterationModels:
-    """One fit's surrogates plus their training data.
+    """One fit's surrogate bank plus the sanitized targets it was fitted on.
 
-    ``bank`` is the :class:`~repro.core.batched_gp.SurrogateBank` when the
-    objective and constraints were fitted jointly (``None`` for per-target
-    models); the fantasy machinery needs the sanitized targets either way.
-    ``lipschitz`` caches the objective posterior's Lipschitz estimate for
-    local penalization (one finite-difference sweep per fit).  Per-target
-    models take fantasies in place through ``fantasy_set``.
+    ``bank`` answers the :class:`~repro.core.batched_gp.SurrogateBank`
+    surface (target 0 the objective, then each constraint): the NN-GP bank
+    itself, or the per-target models behind a
+    :class:`~repro.acquisition.fantasy.PerTargetBank`.  The fantasy lies
+    and landing sanitization read the targets.  ``lipschitz`` caches the
+    objective posterior's Lipschitz estimate for local penalization (one
+    finite-difference sweep per fit).
     """
 
-    objective: object
-    constraints: list
-    bank: object | None
-    x: np.ndarray
+    bank: object
     objective_y: np.ndarray
     constraint_ys: list
     lipschitz: float | None = None
-    fantasy_set: FantasyModelSet | None = None
 
 
 class Proposer:
@@ -165,16 +163,15 @@ class Proposer:
             # from the already-learned weights
             warm = self.fitted.bank
             warm.clear_fantasies(update=False)  # fit rebuilds anyway
-        self.fitted = self._fit(x_unit, result, bank=warm)
+        self.fitted = self._fit(x_unit, result, warm=warm)
         self.landings_since_fit = 0
         self.needs_refit = False
 
-    def _fit(self, x_unit, result, bank=None) -> _IterationModels:
+    def _fit(self, x_unit, result, warm=None) -> _IterationModels:
         """Fit the objective and every constraint to the committed history.
 
-        With a bank (``bank`` to warm-start, else a fresh one from the bank
-        factory) all targets are fitted in ONE batched call; otherwise the
-        per-target factory runs ``n_constraints + 1`` times.  A fresh fit
+        All targets are fitted in ONE ``bank.fit`` call: on the ``warm``
+        bank to warm-start it, else on a fresh bank from the factory, which
         re-initializes every model from the study's RNG.
         """
         bo = self.optimizer
@@ -184,32 +181,9 @@ class Proposer:
             _sanitize_targets(constraints[:, i])
             for i in range(bo.problem.n_constraints)
         ]
-        if bank is None and bo.surrogate_bank_factory is not None:
-            bank = bo.surrogate_bank_factory(bo.rng, len(ys))
-        if bank is not None:
-            bank.fit(x_unit, np.stack(ys))
-            return self._models(x_unit, ys, bank=bank)
-        models = []
-        for y in ys:
-            model = bo.surrogate_factory(bo.rng)
-            model.fit(x_unit, y)
-            models.append(model)
-        return self._models(x_unit, ys, models=models)
-
-    @staticmethod
-    def _models(x, ys, bank=None, models=None, lipschitz=None) -> _IterationModels:
-        """The one constructor of :class:`_IterationModels`."""
-        if bank is not None:
-            models = [bank.target_model(t) for t in range(len(ys))]
-        return _IterationModels(
-            objective=models[0],
-            constraints=list(models[1:]),
-            bank=bank,
-            x=x,
-            objective_y=ys[0],
-            constraint_ys=list(ys[1:]),
-            lipschitz=lipschitz,
-        )
+        bank = warm if warm is not None else bo.surrogate_bank_factory(bo.rng, len(ys))
+        bank.fit(x_unit, np.stack(ys))
+        return _IterationModels(bank, ys[0], ys[1:])
 
     # -- acquisition ----------------------------------------------------------------
 
@@ -234,17 +208,10 @@ class Proposer:
                 bo.problem.dim, result.n_evaluations
             )
             return HallucinatedUCB(
-                fitted.objective,
-                fitted.constraints,
-                tau=tau,
-                kappa=kappa,
-                log_space=bo.log_space_acq,
+                fitted.bank, tau=tau, kappa=kappa, log_space=bo.log_space_acq
             )
         return WeightedExpectedImprovement(
-            fitted.objective,
-            fitted.constraints,
-            tau=tau,
-            log_space=bo.log_space_acq,
+            fitted.bank, tau=tau, log_space=bo.log_space_acq
         )
 
     def _penalized(self, fitted: _IterationModels, base, around):
@@ -262,11 +229,13 @@ class Proposer:
         """
         bo = self.optimizer
         around = np.atleast_2d(np.asarray(around, dtype=float))
-        means, variances = fitted.objective.predict(around)
+        means, variances = fitted.bank.predict_target(0, around)
         finite = fitted.objective_y[np.isfinite(fitted.objective_y)]
         best = float(np.min(finite)) if finite.size else float("nan")
         if fitted.lipschitz is None:
-            fitted.lipschitz = estimate_lipschitz(fitted.objective, bo.problem.dim)
+            fitted.lipschitz = estimate_lipschitz(
+                partial(fitted.bank.predict_target, 0), bo.problem.dim
+            )
         penalizer = LocalPenalizer(
             around, means, variances, best=best, lipschitz=fitted.lipschitz
         )
@@ -275,24 +244,17 @@ class Proposer:
     # -- conditioning -----------------------------------------------------------------
 
     def _condition_on_pending(self, fitted: _IterationModels, pending) -> None:
-        """Fantasy-condition the models on exactly the in-flight designs.
+        """Fantasy-condition the bank on exactly the in-flight designs.
 
-        Bank: the fantasy stack is rebuilt from scratch each ask
-        (posterior-only updates are cheap), so it mirrors the live pending
-        set even after landings removed members.  Per-target models take
-        fantasies in place and only support a growing pending set, which
-        holds because every landing (they always run ``async_refit="full"``,
-        checked at construction) and every :meth:`retract` refits them.
+        ``reset_fantasies`` says how many held fantasies carry over: the
+        NN-GP bank drops its stack (posterior-only updates are cheap) and
+        rebuilds it from the live pending set, even after landings removed
+        members.  Per-target models keep theirs, since each cost a refit;
+        they are always the first pending designs, because every landing
+        (per-target models run ``async_refit="full"``, checked at
+        construction) and every :meth:`retract` of one refits.
         """
-        if fitted.bank is not None:
-            # the lies are read off the fantasy-free posterior, so it must
-            # be rebuilt before the first one is drawn
-            fitted.bank.clear_fantasies()
-            new = pending
-        else:
-            done = 0 if fitted.fantasy_set is None else fitted.fantasy_set.n_fantasies
-            new = pending[done:]
-        for u in new:
+        for u in pending[fitted.bank.reset_fantasies():]:
             self._add_fantasy(fitted, u)
 
     def _add_fantasy(self, fitted: _IterationModels, u) -> None:
@@ -304,21 +266,8 @@ class Proposer:
         """
         acq = self.optimizer.acquisition_config
         strategy = "believer" if acq.pending_strategy == "hallucinate" else acq.fantasy
-        obj_lie, cons_lies = fantasy_lies(
-            fitted.objective, fitted.constraints, u, fitted.objective_y, strategy
-        )
-        if fitted.bank is not None:
-            fitted.bank.fantasize(u, np.array([obj_lie, *cons_lies]))
-            return
-        if fitted.fantasy_set is None:
-            fitted.fantasy_set = FantasyModelSet(
-                fitted.x,
-                fitted.objective,
-                fitted.objective_y,
-                fitted.constraints,
-                fitted.constraint_ys,
-            )
-        fitted.fantasy_set.add_fantasy(u, obj_lie, cons_lies)
+        bank = fitted.bank
+        bank.fantasize(u, fantasy_lies(bank, u, fitted.objective_y, strategy))
 
     # -- maximization helpers -----------------------------------------------------------
 
@@ -389,8 +338,7 @@ class Proposer:
         # estimate would mis-scale the penalization exclusion balls until
         # the next full refit, so force a fresh sweep on the next use
         fitted.lipschitz = None
-        # keep the training-data view consistent for future lies/refits
-        fitted.x = np.vstack([fitted.x, u[None, :]])
+        # keep the sanitized targets consistent for future lies/landings
         fitted.objective_y = np.append(fitted.objective_y, obj)
         fitted.constraint_ys = [
             np.append(ys, c) for ys, c in zip(fitted.constraint_ys, cons)
@@ -399,10 +347,11 @@ class Proposer:
     def retract(self) -> None:
         """A pending search trial was dropped before it landed.
 
-        Bank fantasies are rebuilt from the live pending set every ask, but
-        per-target models took the dropped trial's lie in place: refit them.
+        The NN-GP bank drops its fantasies; the next ask rebuilds them from
+        the live pending set.  Per-target models keep theirs, which may hold
+        the dropped trial's lie: refit them.
         """
-        if self.fitted is not None and self.fitted.fantasy_set is not None:
+        if self.fitted is not None and self.fitted.bank.reset_fantasies():
             self.needs_refit = True
 
     def posterior_std(self, u) -> float | None:
@@ -410,7 +359,7 @@ class Proposer:
         if self.fitted is None:
             return None
         u = np.atleast_2d(np.asarray(u, dtype=float))
-        _, variance = self.fitted.objective.predict(u)
+        _, variance = self.fitted.bank.predict_target(0, u)
         return float(np.sqrt(max(float(np.mean(variance)), 0.0)))
 
     # -- persistence ------------------------------------------------------------------
@@ -425,11 +374,12 @@ class Proposer:
         uninterrupted run would serve the next streaming ask from this fit
         without touching the RNG, so a bitwise resume must restore it
         rather than refit.  Fantasies are rebuilt from the pending set per
-        ask and are deliberately dropped.  Per-target models carry no
-        serializable state; their between-ask resumes refit.
+        ask and are deliberately dropped.  Per-target models
+        (``surrogate_factory``) carry no serializable state; their
+        between-ask resumes refit.
         """
         fitted = self.fitted
-        if fitted is None or fitted.bank is None:
+        if fitted is None or self.optimizer.surrogate_factory is not None:
             return {}
         if self.optimizer.scheduler_config.async_refit == "full" and self.needs_refit:
             return {}
@@ -453,7 +403,7 @@ class Proposer:
         bo = self.optimizer
         self.landings_since_fit = int(payload["landings_since_fit"])
         warm = payload.get("warm_surrogate")
-        if warm is None or bo.surrogate_bank_factory is None:
+        if warm is None or bo.surrogate_factory is not None:
             # no warm surrogate travelled with the checkpoint; the first
             # streaming ask after the resume fits fresh
             self.needs_refit = True
@@ -465,13 +415,10 @@ class Proposer:
             np.random.default_rng(0), 1 + bo.problem.n_constraints
         )
         serialization.restore_bank_state(bank, warm["bank"])
-        ys = [np.asarray(warm["objective_y"], dtype=float)] + [
-            np.asarray(ys, dtype=float) for ys in warm["constraint_ys"]
-        ]
-        self.fitted = self._models(
-            np.asarray(bank.gp._x_train, dtype=float),
-            ys,
-            bank=bank,
+        self.fitted = _IterationModels(
+            bank,
+            np.asarray(warm["objective_y"], dtype=float),
+            [np.asarray(ys, dtype=float) for ys in warm["constraint_ys"]],
             lipschitz=warm.get("lipschitz"),
         )
         self.needs_refit = bool(payload.get("needs_refit", True))

@@ -179,7 +179,8 @@ class Study:
         Mutually exclusive with the explicit factories below.
     surrogate_factory, surrogate_bank_factory:
         Explicit surrogate sources (the :class:`~repro.bo.loop.SurrogateBO`
-        extension point) for GP baselines or custom models.
+        extension point) for GP baselines or custom models; pass exactly
+        one.
     acquisition:
         An :class:`~repro.bo.config.AcquisitionConfig` (defaults apply).
     scheduler:
@@ -187,7 +188,7 @@ class Study:
         only reads its concurrency-policy fields (``async_refit``,
         ``async_full_refit_every``, worker counts for the refit period);
         the executor fields matter when a driver evaluates the trials.
-        ``async_refit="fantasy-only"`` needs a bank surrogate.
+        ``async_refit="fantasy-only"`` needs the NN-GP bank.
     n_initial, max_evaluations, initial_design, acq_maximizer, seed, name:
         As on :class:`~repro.bo.loop.SurrogateBO`.
 
@@ -723,9 +724,10 @@ class Study:
         alongside and restored exactly, so a checkpoint taken right after
         an ask — the BO service checkpoints after *every* state mutation —
         continues without consuming RNG the uninterrupted run would not
-        have.  Legacy per-target surrogates (``surrogate_factory``) carry
-        no serializable warm state; their between-ask resumes refit and
-        are deterministic but not bitwise.
+        have.  Per-target surrogates (``surrogate_factory``, behind a
+        :class:`~repro.acquisition.fantasy.PerTargetBank`) carry no
+        serializable warm state: a between-ask resume refits them from the
+        restored history and RNG, so it is deterministic but not bitwise.
         """
         payload = {
             "format": CHECKPOINT_FORMAT,

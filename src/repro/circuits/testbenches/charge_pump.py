@@ -5,10 +5,9 @@ output device M1 in the paper's metric names) and a cascoded NMOS current
 sink ("dn", M2), each with a replica reference branch, switch devices,
 resistor-degenerated mirrors and resistor-generated cascode bias.  The
 paper's Table II metrics (eq. 16) are *static current-matching* measures —
-max/avg/min of the two output currents over PVT — so the testbench
-evaluates each branch quasi-statically over an output-voltage sweep at
-every PVT corner (the substitution for transient HSPICE runs documented in
-DESIGN.md).
+max/avg/min of the two output currents over PVT — so a DC sweep of Vout
+at every PVT corner stands in for the paper's transient HSPICE runs: the
+testbench evaluates each branch quasi-statically over that sweep.
 
 36 design variables, matching the paper's count: W and L of 16 transistors
 (reference mirror/cascode/switch-replica, output mirror/cascode/switch,

@@ -615,29 +615,6 @@ class BatchedNeuralFeatureGP:
         )
 
 
-class _BankTargetModel:
-    """Per-target predict view over a fitted :class:`SurrogateBank`.
-
-    Implements the plain ``predict(x) -> (mean, var)`` protocol the
-    acquisition functions expect, so the bank drops into
-    :class:`~repro.acquisition.wei.WeightedExpectedImprovement` unchanged.
-    A call runs only this target's K slices.  Acquisitions that read
-    several targets at one point recognize consecutive views of one bank
-    by their ``bank`` and ``target`` attributes and ask the bank for the
-    whole range in one pass (:class:`~repro.acquisition.base.ModelRows`).
-    """
-
-    def __init__(self, bank: "SurrogateBank", target: int):
-        self.bank = bank
-        self.target = int(target)
-
-    def predict(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self.bank.predict_target(self.target, x)
-
-    def __repr__(self) -> str:
-        return f"_BankTargetModel(target={self.target}, bank={self.bank!r})"
-
-
 class SurrogateBank:
     """Objective + constraint ensembles fitted together in one batched pass.
 
@@ -811,6 +788,16 @@ class SurrogateBank:
         """Number of fantasy observations currently conditioning the bank."""
         return self._gp.n_fantasies
 
+    def reset_fantasies(self) -> int:
+        """Restore the fantasy-free posterior; no fantasy carries over (0).
+
+        A posterior-only fantasy is cheap to redo, so the next conditioning
+        rebuilds the stack from the live pending set (the lies are read off
+        this fantasy-free posterior).
+        """
+        self.clear_fantasies()
+        return 0
+
     # -- prediction -----------------------------------------------------------------
 
     def _slices(self, target) -> slice:
@@ -845,12 +832,6 @@ class SurrogateBank:
         if isinstance(target, range):
             return mu, var
         return mu[0], var[0]
-
-    def target_model(self, target: int) -> _BankTargetModel:
-        """A ``predict``-protocol view of one target's ensemble."""
-        if not 0 <= target < self.n_targets:
-            raise IndexError(f"target {target} out of range [0, {self.n_targets})")
-        return _BankTargetModel(self, target)
 
     def member_predictions(
         self, target: int, x: np.ndarray

@@ -1,5 +1,7 @@
 """Tests for the async-aware acquisition primitives (penalization module)."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,8 @@ from repro.acquisition.penalization import (
     validate_pending_strategy,
 )
 from repro.core.batched_gp import SurrogateBank
+
+from bank_stubs import stub_bank
 
 
 class LinearModel:
@@ -29,25 +33,25 @@ class LinearModel:
 class TestEstimateLipschitz:
     def test_recovers_linear_gradient_norm(self):
         w = np.array([3.0, -4.0])  # ||w|| = 5
-        lipschitz = estimate_lipschitz(LinearModel(w), dim=2)
+        lipschitz = estimate_lipschitz(LinearModel(w).predict, dim=2)
         assert lipschitz == pytest.approx(5.0, rel=1e-5)
 
     def test_flat_surface_hits_floor_not_zero(self):
-        lipschitz = estimate_lipschitz(LinearModel(np.zeros(3)), dim=3)
+        lipschitz = estimate_lipschitz(LinearModel(np.zeros(3)).predict, dim=3)
         assert 0.0 < lipschitz <= 1e-5
 
     def test_deterministic_and_rng_free(self):
-        model = LinearModel(np.array([1.0, 2.0, 0.5]))
-        assert estimate_lipschitz(model, 3) == estimate_lipschitz(model, 3)
+        predict = LinearModel(np.array([1.0, 2.0, 0.5])).predict
+        assert estimate_lipschitz(predict, 3) == estimate_lipschitz(predict, 3)
 
     def test_validates_arguments(self):
         with pytest.raises(ValueError, match="n_samples"):
-            estimate_lipschitz(LinearModel(np.ones(2)), 2, n_samples=0)
+            estimate_lipschitz(LinearModel(np.ones(2)).predict, 2, n_samples=0)
         with pytest.raises(ValueError, match="step"):
-            estimate_lipschitz(LinearModel(np.ones(2)), 2, step=0.0)
+            estimate_lipschitz(LinearModel(np.ones(2)).predict, 2, step=0.0)
 
     def test_bank_target_estimate_is_positive_and_repeatable(self):
-        """The proposer estimates a bank's constant through its target view."""
+        """The proposer estimates a bank's constant through ``predict_target(0, .)``."""
         rng = np.random.default_rng(0)
         x = rng.uniform(size=(12, 2))
         targets = np.stack([np.sum(x**2, axis=1), x[:, 0] - x[:, 1]])
@@ -56,9 +60,10 @@ class TestEstimateLipschitz:
             hidden_dims=(8, 8), n_features=6, seed=0,
         )
         bank.fit(x, targets)
-        lipschitz = estimate_lipschitz(bank.target_model(0), 2)
+        objective = partial(bank.predict_target, 0)
+        lipschitz = estimate_lipschitz(objective, 2)
         assert lipschitz > 0.0
-        assert estimate_lipschitz(bank.target_model(0), 2) == lipschitz
+        assert estimate_lipschitz(objective, 2) == lipschitz
 
 
 class TestLocalPenalizer:
@@ -147,7 +152,7 @@ class TestPenalizedAcquisition:
 class TestHallucinatedUCB:
     def test_optimistic_improvement_value(self):
         model = LinearModel(np.array([1.0, 0.0]), var=0.04)
-        acq = HallucinatedUCB(model, [], tau=0.5, kappa=2.0)
+        acq = HallucinatedUCB(stub_bank(model), tau=0.5, kappa=2.0)
         # mean 0.3, sigma 0.2 -> lcb = -0.1 -> improvement 0.6
         value = acq(np.array([[0.3, 0.7]]))[0]
         assert value == pytest.approx(0.6)
@@ -157,22 +162,21 @@ class TestHallucinatedUCB:
     def test_feasibility_weighting(self):
         objective = LinearModel(np.array([1.0, 0.0]), var=0.04)
         constraint = LinearModel(np.array([0.0, 0.0]), var=1.0)  # PF = 0.5
-        acq = HallucinatedUCB(objective, [constraint], tau=0.5, kappa=2.0)
+        acq = HallucinatedUCB(stub_bank(objective, constraint), tau=0.5, kappa=2.0)
         value = acq(np.array([[0.3, 0.7]]))[0]
         assert value == pytest.approx(0.5 * 0.6)
 
     def test_no_incumbent_degenerates_to_feasibility(self):
         constraint = LinearModel(np.array([0.0, 0.0]), var=1.0)
-        acq = HallucinatedUCB(LinearModel(np.ones(2)), [constraint], tau=None)
+        acq = HallucinatedUCB(stub_bank(LinearModel(np.ones(2)), constraint), tau=None)
         np.testing.assert_allclose(acq(np.zeros((3, 2))), 0.5)
 
     def test_log_space_is_monotone_transform(self):
         objective = LinearModel(np.array([1.0, -0.5]), var=0.09)
         constraint = LinearModel(np.array([0.3, 0.3]), var=0.25)
-        plain = HallucinatedUCB(objective, [constraint], tau=0.4, kappa=1.5)
-        logged = HallucinatedUCB(
-            objective, [constraint], tau=0.4, kappa=1.5, log_space=True
-        )
+        bank = stub_bank(objective, constraint)
+        plain = HallucinatedUCB(bank, tau=0.4, kappa=1.5)
+        logged = HallucinatedUCB(bank, tau=0.4, kappa=1.5, log_space=True)
         x = np.random.default_rng(3).uniform(size=(32, 2))
         p, lg = plain(x), logged(x)
         assert np.argmax(p) == np.argmax(lg)
@@ -182,13 +186,13 @@ class TestHallucinatedUCB:
     def test_larger_kappa_explores_more(self):
         model = LinearModel(np.array([1.0, 0.0]), var=0.04)
         x = np.array([[0.3, 0.7]])
-        low = HallucinatedUCB(model, [], tau=0.5, kappa=0.5)(x)[0]
-        high = HallucinatedUCB(model, [], tau=0.5, kappa=4.0)(x)[0]
+        low = HallucinatedUCB(stub_bank(model), tau=0.5, kappa=0.5)(x)[0]
+        high = HallucinatedUCB(stub_bank(model), tau=0.5, kappa=4.0)(x)[0]
         assert high > low
 
     def test_validates_kappa(self):
         with pytest.raises(ValueError, match="kappa"):
-            HallucinatedUCB(LinearModel(np.ones(2)), [], tau=0.0, kappa=-1.0)
+            HallucinatedUCB(stub_bank(LinearModel(np.ones(2))), tau=0.0, kappa=-1.0)
 
 
 class TestValidatePendingStrategy:

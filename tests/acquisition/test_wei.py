@@ -12,6 +12,8 @@ from repro.acquisition.penalization import (
 from repro.acquisition.wei import WeightedExpectedImprovement
 from repro.core import BatchedFeatureGPTrainer, SurrogateBank
 
+from bank_stubs import stub_bank
+
 
 class StubModel:
     """Surrogate stub returning position-dependent mean/variance."""
@@ -29,11 +31,18 @@ def flat(value):
     return StubModel(lambda x: np.full(x.shape[0], float(value)))
 
 
+class Unread:
+    """An objective feasibility search must never ask."""
+
+    def predict(self, x):
+        raise AssertionError("the objective was read without an incumbent")
+
+
 class TestComposition:
     def test_equals_ei_times_pf(self, rng):
         obj = StubModel(lambda x: x[:, 0])
         con = StubModel(lambda x: x[:, 1] - 0.5)
-        acq = WeightedExpectedImprovement(obj, [con], tau=0.5)
+        acq = WeightedExpectedImprovement(stub_bank(obj, con), tau=0.5)
         x = rng.uniform(size=(20, 2))
         values = acq(x)
         mu_o, var_o = obj.predict(x)
@@ -46,19 +55,19 @@ class TestComposition:
     def test_multiple_constraints_multiply(self, rng):
         obj = flat(0.0)
         cons = [flat(-1.0), flat(0.0), flat(1.0)]
-        acq_all = WeightedExpectedImprovement(obj, cons, tau=1.0)
+        acq_all = WeightedExpectedImprovement(stub_bank(obj, *cons), tau=1.0)
         x = rng.uniform(size=(5, 2))
         single = [
-            WeightedExpectedImprovement(obj, [c], tau=1.0)(x) for c in cons
+            WeightedExpectedImprovement(stub_bank(obj, c), tau=1.0)(x) for c in cons
         ]
-        ei_alone = WeightedExpectedImprovement(obj, [], tau=1.0)(x)
+        ei_alone = WeightedExpectedImprovement(stub_bank(obj), tau=1.0)(x)
         np.testing.assert_allclose(
             acq_all(x), single[0] * single[1] * single[2] / ei_alone**2, rtol=1e-8
         )
 
     def test_no_constraints_is_plain_ei(self, rng):
         obj = StubModel(lambda x: x[:, 0])
-        acq = WeightedExpectedImprovement(obj, [], tau=0.3)
+        acq = WeightedExpectedImprovement(stub_bank(obj), tau=0.3)
         x = rng.uniform(size=(10, 2))
         mu, var = obj.predict(x)
         np.testing.assert_allclose(acq(x), expected_improvement(mu, var, 0.3))
@@ -68,29 +77,31 @@ class TestFeasibilityPhase:
     def test_tau_none_uses_pf_only(self, rng):
         """Before any feasible point: acquisition is the PF product alone."""
         con = StubModel(lambda x: x[:, 0] - 0.5)
-        acq = WeightedExpectedImprovement(flat(0.0), [con], tau=None)
+        acq = WeightedExpectedImprovement(stub_bank(flat(0.0), con), tau=None)
         x = rng.uniform(size=(10, 2))
         mu_c, var_c = con.predict(x)
         np.testing.assert_allclose(acq(x), probability_of_feasibility(mu_c, var_c))
 
     def test_prefers_likely_feasible_region(self):
         con = StubModel(lambda x: x[:, 0] - 0.5)  # feasible for x0 < 0.5
-        acq = WeightedExpectedImprovement(None, [con], tau=None)
+        acq = WeightedExpectedImprovement(stub_bank(Unread(), con), tau=None)
         low = acq(np.array([[0.1, 0.5]]))[0]
         high = acq(np.array([[0.9, 0.5]]))[0]
         assert low > high
 
-    def test_requires_something_to_optimize(self):
-        with pytest.raises(ValueError):
-            WeightedExpectedImprovement(None, [], tau=None)
+    @pytest.mark.parametrize("log_space, empty", [(False, 1.0), (True, 0.0)])
+    def test_nothing_to_read_is_the_empty_product(self, log_space, empty):
+        """No incumbent and no constraints: a flat surface, read off no target."""
+        acq = WeightedExpectedImprovement(stub_bank(Unread()), tau=None, log_space=log_space)
+        np.testing.assert_array_equal(acq(np.zeros((3, 2))), np.full(3, empty))
 
 
 class TestLogSpace:
     def test_log_space_preserves_ranking(self, rng):
         obj = StubModel(lambda x: x[:, 0])
         cons = [StubModel(lambda x, k=k: x[:, 1] - 0.3 * k) for k in range(1, 4)]
-        lin = WeightedExpectedImprovement(obj, cons, tau=0.5, log_space=False)
-        log = WeightedExpectedImprovement(obj, cons, tau=0.5, log_space=True)
+        lin = WeightedExpectedImprovement(stub_bank(obj, *cons), tau=0.5, log_space=False)
+        log = WeightedExpectedImprovement(stub_bank(obj, *cons), tau=0.5, log_space=True)
         x = rng.uniform(size=(30, 2))
         order_lin = np.argsort(lin(x))
         order_log = np.argsort(log(x))
@@ -103,20 +114,20 @@ class TestLogSpace:
         """With 40 hopeless constraints the plain product is exactly 0 but
         log space still discriminates."""
         cons = [flat(5.0) for _ in range(40)]
-        acq = WeightedExpectedImprovement(flat(0.0), cons, tau=1.0, log_space=True)
+        acq = WeightedExpectedImprovement(stub_bank(flat(0.0), *cons), tau=1.0, log_space=True)
         a = acq(np.zeros((1, 2)))[0]
         cons_worse = [flat(6.0) for _ in range(40)]
         acq_worse = WeightedExpectedImprovement(
-            flat(0.0), cons_worse, tau=1.0, log_space=True
+            stub_bank(flat(0.0), *cons_worse), tau=1.0, log_space=True
         )
         b = acq_worse(np.zeros((1, 2)))[0]
         assert np.isfinite(a) and np.isfinite(b)
         assert a > b
 
     def test_repr_mentions_phase(self):
-        acq = WeightedExpectedImprovement(flat(0.0), [], tau=None)
+        acq = WeightedExpectedImprovement(stub_bank(flat(0.0)), tau=None)
         assert "feasibility-search" in repr(acq)
-        acq = WeightedExpectedImprovement(flat(0.0), [], tau=1.0)
+        acq = WeightedExpectedImprovement(stub_bank(flat(0.0)), tau=1.0)
         assert "tau=1" in repr(acq)
 
 
@@ -147,7 +158,8 @@ def fitted_bank():
 
 
 class PredictOnly:
-    """One bank target behind ``predict(x)`` alone: forces wEI's per-model loop."""
+    """One bank target behind ``predict(x)`` alone: one model of the
+    per-model reference (:func:`stub_bank` over these loops model by model)."""
 
     def __init__(self, bank, target):
         self._bank = bank
@@ -169,21 +181,20 @@ def factor_by_factor(models, tau, log_space, x):
     return value
 
 
-def acquisition_family(models, tau, log_space, penalizer):
-    """wEI, hallucinated UCB and penalized wEI over the same four models."""
-    objective, *constraints = models
-    wei = WeightedExpectedImprovement(objective, constraints, tau=tau, log_space=log_space)
+def acquisition_family(bank, tau, log_space, penalizer):
+    """wEI, hallucinated UCB and penalized wEI over the same bank."""
+    wei = WeightedExpectedImprovement(bank, tau=tau, log_space=log_space)
     return [
         wei,
-        HallucinatedUCB(objective, constraints, tau=tau, kappa=1.5, log_space=log_space),
+        HallucinatedUCB(bank, tau=tau, kappa=1.5, log_space=log_space),
         PenalizedAcquisition(wei, penalizer, log_space=log_space),
     ]
 
 
 class TestSinglePass:
-    """Over one bank's target views every call is one stacked pass over the
-    targets it reads; the per-model loop over predict-only adapters is the
-    reference, and the values must be bitwise equal."""
+    """On the NN-GP bank every call is one stacked pass over the targets it
+    reads; the per-model loop over predict-only adapters is the reference,
+    and the values must be bitwise equal."""
 
     @pytest.mark.parametrize("tau", [None, 0.4])
     @pytest.mark.parametrize("log_space", [False, True])
@@ -200,15 +211,14 @@ class TestSinglePass:
             batches = [rng.uniform(-0.2, 1.2, size=(rows, 3))]
 
         def check():
-            views = [bank.target_model(t) for t in range(4)]
             loop = [PredictOnly(bank, t) for t in range(4)]
-            fast = acquisition_family(views, tau, log_space, penalizer)
-            slow = acquisition_family(loop, tau, log_space, penalizer)
+            fast = acquisition_family(bank, tau, log_space, penalizer)
+            slow = acquisition_family(stub_bank(*loop), tau, log_space, penalizer)
             for single, per_model in zip(fast, slow):
                 for x in batches:
                     np.testing.assert_array_equal(single(x), per_model(x))
             for x in batches:
-                expected = factor_by_factor(views, tau, log_space, x)
+                expected = factor_by_factor(loop, tau, log_space, x)
                 np.testing.assert_array_equal(fast[0](x), expected)
 
         check()
@@ -232,12 +242,7 @@ class TestSinglePass:
             return predict(x, include_noise=include_noise, slices=slices)
 
         monkeypatch.setattr(bank.gp, "predict", spy)
-        acq = WeightedExpectedImprovement(
-            bank.target_model(0),
-            [bank.target_model(t) for t in range(1, 4)],
-            tau=tau,
-            log_space=True,
-        )
+        acq = WeightedExpectedImprovement(bank, tau=tau, log_space=True)
         for x in np.random.default_rng(0).uniform(size=(5, 1, 3)):
             acq(x)
         assert calls == [read] * 5

@@ -138,25 +138,16 @@ class TestBankPath:
         assert result.n_evaluations == 9
         assert bo.surrogate_factory is None
 
-    def test_bank_preferred_over_factory(self):
-        """With both sources configured, the proposer fits through the bank."""
-        problem = toy_constrained_quadratic(2)
-        calls = []
-
-        def counting_factory(rng):
-            calls.append(1)
-            return GPRegression(n_restarts=1, seed=rng)
-
-        bo = SurrogateBO(
-            problem,
-            counting_factory,
-            surrogate_bank_factory=tiny_bank_factory,
-            n_initial=5,
-            max_evaluations=7,
-            seed=0,
-        )
-        bo.run()
-        assert calls == []
+    def test_both_factories_rejected(self):
+        """One surrogate source: passing both used to ignore ``surrogate_factory``."""
+        with pytest.raises(ValueError, match="exactly one"):
+            SurrogateBO(
+                toy_constrained_quadratic(2),
+                gp_factory,
+                surrogate_bank_factory=tiny_bank_factory,
+                n_initial=5,
+                max_evaluations=7,
+            )
 
 
 class TestDuplicateResampling:

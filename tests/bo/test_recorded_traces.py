@@ -244,10 +244,6 @@ SCENARIOS = {
 }
 
 
-def record(scenarios, tmp_path) -> dict[str, str]:
-    return {name: sha256(run(tmp_path).x_matrix) for name, run in scenarios.items()}
-
-
 @pytest.fixture(scope="module")
 def recorded():
     fixture = json.loads(FIXTURE.read_text())
@@ -262,14 +258,14 @@ def test_fixture_names_every_scenario():
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_trace_matches_the_recording(name, recorded, tmp_path):
-    assert record({name: SCENARIOS[name]}, tmp_path)[name] == recorded[name]
+    assert sha256(SCENARIOS[name](tmp_path).x_matrix) == recorded[name]
 
 
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        traces = record(SCENARIOS, Path(tmp))
+        traces = {name: sha256(run(Path(tmp)).x_matrix) for name, run in SCENARIOS.items()}
     FIXTURE.parent.mkdir(exist_ok=True)
     FIXTURE.write_text(
         json.dumps({"machine": machine_digests(), "traces": traces}, indent=1) + "\n"

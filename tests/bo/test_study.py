@@ -481,7 +481,9 @@ class TestCheckpointResume:
         assert resumed.proposer.fitted is not None
         assert resumed.proposer.fitted.bank is not None
         assert resumed.proposer.needs_refit is False
-        np.testing.assert_array_equal(resumed.proposer.fitted.x, study.proposer.fitted.x)
+        np.testing.assert_array_equal(
+            resumed.proposer.fitted.bank.gp._x_train, study.proposer.fitted.bank.gp._x_train
+        )
         np.testing.assert_array_equal(
             resumed.proposer.fitted.objective_y, study.proposer.fitted.objective_y
         )

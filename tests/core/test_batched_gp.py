@@ -163,19 +163,6 @@ class TestSurrogateBank:
         k_means, k_vars = bank.member_predictions(1, x_query)
         assert k_means.shape == (3, 5) and k_vars.shape == (3, 5)
 
-    def test_target_model_protocol(self):
-        x, targets = make_data()
-        bank = SurrogateBank(
-            3, n_targets=2, n_members=2,
-            trainer_factory=lambda: BatchedFeatureGPTrainer(epochs=10),
-            seed=0, **KW,
-        )
-        bank.fit(x, targets)
-        model = bank.target_model(1)
-        mu, var = model.predict(x[:4])
-        np.testing.assert_array_equal(mu, bank.predict_target(1, x[:4])[0])
-        np.testing.assert_array_equal(var, bank.predict_target(1, x[:4])[1])
-
     def test_target_ranges_are_bitwise_the_all_slice_pass(self):
         """One target, a contiguous range of targets, or one target's
         members: each runs only its own slices, and every row is bitwise
@@ -225,7 +212,7 @@ class TestSurrogateBank:
         with pytest.raises(ValueError):
             bank.fit(x, targets[0])  # 1-D targets
         with pytest.raises(IndexError):
-            bank.target_model(2)
+            bank.predict_target(2, x)
         with pytest.raises(IndexError):
             bank.predict_target(-1, x)
 

@@ -72,7 +72,7 @@ class TestNNBO:
         x = rng.uniform(size=(10, 2))
         y = np.sum(x, axis=1)
         bank.fit(x, y[None, :])
-        mean, var = bank.target_model(0).predict(x[:4])
+        mean, var = bank.predict_target(0, x[:4])
         assert mean.shape == (4,)
         assert np.all(var > 0)
 

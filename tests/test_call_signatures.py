@@ -6,7 +6,8 @@ accepts would only surface when someone runs the script or copies the
 snippet.  This test parses ``src/``, ``examples/``, ``benchmarks/`` and
 README.md's python blocks and binds the literal arguments of every call
 to the optimizers, :class:`~repro.bo.study.Study`, the config
-dataclasses and the NN-GP engine's classes against the live signature.
+dataclasses, the surrogate banks and the acquisitions against the live
+signature.
 """
 
 import ast
@@ -17,7 +18,10 @@ from pathlib import Path
 
 import pytest
 
+from repro.acquisition.fantasy import PerTargetBank
+from repro.acquisition.penalization import HallucinatedUCB
 from repro.acquisition.spaces import TrustRegionConfig
+from repro.acquisition.wei import WeightedExpectedImprovement
 from repro.baselines import WEIBO
 from repro.bo.config import (
     AcquisitionConfig,
@@ -40,6 +44,7 @@ CHECKED = {
         NNBO,
         SurrogateBO,
         SurrogateBank,
+        PerTargetBank,
         BatchedNeuralFeatureGP,
         BatchedFeatureGPTrainer,
         WEIBO,
@@ -50,6 +55,8 @@ CHECKED = {
         SpeculationConfig,
         SurrogateConfig,
         TrustRegionConfig,
+        WeightedExpectedImprovement,
+        HallucinatedUCB,
     )
 }
 
