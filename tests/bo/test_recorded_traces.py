@@ -4,10 +4,13 @@ The trace pins elsewhere compare two runs of one commit (a study against
 ``run()``, a farm against an ask/tell replay), so a change that moves
 both sides alike passes them.  This file holds the designs themselves to
 a fixture: the SHA-256 of each scenario's ``x_matrix`` bytes, recorded by
-commit ``6a6b3f8`` (``fixtures/recorded_traces.json``).  The scenarios
-cover the per-target (explicit-kernel GP) path at every ask shape, lie
-strategy, pending strategy, farm policy, retract and resume, plus the
-NN-BO bank's serial, batch, fantasy-only, retract and resume runs.
+commit ``6a6b3f8`` (``fixtures/recorded_traces.json``; the five
+proposal-space scenarios by commit ``3e9449b``).  The scenarios cover the
+per-target (explicit-kernel GP) path at every ask shape, lie strategy,
+pending strategy, farm policy, retract and resume, the NN-BO bank's
+serial, batch, fantasy-only, retract and resume runs, and the line and
+trust-region proposal spaces (serial, batch, async, a resume after the
+region has moved, and NN-BO Thompson draws on lines).
 
 The digests are floating-point results of the recording machine; BLAS
 and SIMD kernels of other machines round differently.  A precondition
@@ -30,6 +33,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.acquisition.spaces import TrustRegionConfig
 from repro.baselines.weibo import WEIBO
 from repro.benchfns import toy_constrained_quadratic
 from repro.bo.config import (
@@ -116,9 +120,9 @@ def _batch(q, **acquisition):
     )
 
 
-def _async(pending_strategy):
+def _async(pending_strategy, **acquisition):
     return _per_target(
-        acquisition=AcquisitionConfig(pending_strategy=pending_strategy),
+        acquisition=AcquisitionConfig(pending_strategy=pending_strategy, **acquisition),
         scheduler=SchedulerConfig(
             executor="async-thread", n_eval_workers=3, clock=FakeClock()
         ),
@@ -180,6 +184,28 @@ def _resume(tmp_path, **source):
     return _finish(resumed)
 
 
+def _trust_region_resume(tmp_path):
+    """Checkpoint once the region has moved off its initial length, resume."""
+    source = dict(
+        surrogate_factory=gp_factory,
+        acquisition=AcquisitionConfig(
+            proposal_space="trust-region",
+            trust_region=TrustRegionConfig(success_tolerance=2, failure_tolerance=1),
+        ),
+    )
+    study = _study(**source)
+    _drain(study)
+    for _ in range(2):
+        trial = study.ask(1)[0]
+        study.tell(trial, study.problem.evaluate_unit(trial.u))
+    space = study.optimizer.proposal_space
+    assert space.length != space.config.length_init
+    study.ask(1)
+    path = study.checkpoint(tmp_path / "study.json")
+    resumed = Study.resume(path, make_problem(), seed=5, **source)
+    return _finish(resumed)
+
+
 SCENARIOS = {
     "gp-serial": lambda tmp: _per_target(),
     "gp-q3-believer": lambda tmp: _batch(3, fantasy="believer"),
@@ -209,6 +235,14 @@ SCENARIOS = {
         acquisition=AcquisitionConfig(proposal_space="trust-region"),
         scheduler=SchedulerConfig(q=2),
     ),
+    "gp-line-serial": lambda tmp: _per_target(
+        acquisition=AcquisitionConfig(proposal_space="line")
+    ),
+    "gp-line-q3-penalize": lambda tmp: _batch(
+        3, proposal_space="line", pending_strategy="penalize"
+    ),
+    "gp-line-async-hallucinate": lambda tmp: _async("hallucinate", proposal_space="line"),
+    "gp-trust-region-resume": _trust_region_resume,
     "gp-retract-then-ask": lambda tmp: _retract_then_ask(surrogate_factory=gp_factory),
     "gp-checkpoint-resume": lambda tmp: _resume(tmp, surrogate_factory=gp_factory),
     "weibo": lambda tmp: WEIBO(
@@ -238,6 +272,15 @@ SCENARIOS = {
             clock=FakeClock(),
         ),
         seed=1,
+    ).run(),
+    "nn-line-thompson-q2": lambda tmp: NNBO(
+        make_problem(),
+        n_initial=5,
+        max_evaluations=9,
+        surrogate=SMALL_NN,
+        acquisition_config=AcquisitionConfig(acquisition="thompson", proposal_space="line"),
+        scheduler_config=SchedulerConfig(q=2),
+        seed=3,
     ).run(),
     "nn-retract": lambda tmp: _retract_then_ask(surrogate=SMALL_NN),
     "nn-resume": lambda tmp: _resume(tmp, surrogate=SMALL_NN),
