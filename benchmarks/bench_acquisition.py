@@ -20,7 +20,7 @@ import pytest
 from repro.acquisition.fantasy import PerTargetBank
 from repro.acquisition.maximize import (
     DifferentialEvolutionMaximizer,
-    RandomSearchMaximizer,
+    ScanPolishMaximizer,
 )
 from repro.acquisition.wei import WeightedExpectedImprovement
 from repro.core import BatchedFeatureGPTrainer, SurrogateBank
@@ -122,7 +122,7 @@ def test_de_maximizer(benchmark, nngp_acquisition):
 
 @pytest.mark.benchmark(group="acquisition-maximize")
 def test_random_maximizer(benchmark, nngp_acquisition):
-    maximizer = RandomSearchMaximizer(n_samples=1600)
+    maximizer = ScanPolishMaximizer(n_samples=1600, polish=False)
 
     def run():
         return maximizer.maximize(nngp_acquisition, DIM,
@@ -144,7 +144,7 @@ def test_de_beats_random_at_equal_budget(benchmark, nngp_acquisition):
         de = DifferentialEvolutionMaximizer(pop_size=40, generations=30)
         x_de = de.maximize(nngp_acquisition, DIM, rng_a)
         rng_b = np.random.default_rng(5)
-        rand = RandomSearchMaximizer(n_samples=40 * 31)
+        rand = ScanPolishMaximizer(n_samples=40 * 31, polish=False)
         x_rand = rand.maximize(nngp_acquisition, DIM, rng_b)
         a = float(np.asarray(nngp_acquisition(x_de.reshape(1, -1)))[0])
         b = float(np.asarray(nngp_acquisition(x_rand.reshape(1, -1)))[0])

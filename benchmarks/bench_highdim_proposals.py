@@ -42,7 +42,7 @@ from repro.acquisition.fantasy import PerTargetBank
 from repro.acquisition.maximize import DifferentialEvolutionMaximizer
 from repro.acquisition.spaces import (
     LineSpace,
-    SubspaceMaximizer,
+    ProposalSpace,
     TrustRegionSpace,
     incumbent_index,
 )
@@ -88,12 +88,11 @@ def fitted_acquisition(problem, seed: int = 0):
 
 def make_maximizer(space: str):
     """The maximizer one proposal cycle runs through for ``space``."""
-    inner = DifferentialEvolutionMaximizer()
     if space == "full":
-        return inner
+        return DifferentialEvolutionMaximizer()
     if space == "line":
-        return SubspaceMaximizer(LineSpace(), inner)
-    return SubspaceMaximizer(TrustRegionSpace(), inner)
+        return LineSpace()
+    return TrustRegionSpace()
 
 
 def time_proposal_cycle(space: str, acquisition, incumbent) -> float:
@@ -101,7 +100,7 @@ def time_proposal_cycle(space: str, acquisition, incumbent) -> float:
     best = np.inf
     for repeat in range(TIMING_REPEATS):
         maximizer = make_maximizer(space)
-        if isinstance(maximizer, SubspaceMaximizer):
+        if isinstance(maximizer, ProposalSpace):
             maximizer.set_incumbent(incumbent)
         rng = np.random.default_rng(100 + repeat)
         start = time.perf_counter()

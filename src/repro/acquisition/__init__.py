@@ -21,7 +21,6 @@ from repro.acquisition.fantasy import (
 from repro.acquisition.maximize import (
     AcquisitionMaximizer,
     DifferentialEvolutionMaximizer,
-    RandomSearchMaximizer,
     ScanPolishMaximizer,
 )
 from repro.acquisition.penalization import (
@@ -35,7 +34,6 @@ from repro.acquisition.spaces import (
     PROPOSAL_SPACES,
     LineSpace,
     ProposalSpace,
-    SubspaceMaximizer,
     TrustRegionConfig,
     TrustRegionSpace,
     make_proposal_space,
@@ -54,9 +52,7 @@ __all__ = [
     "PenalizedAcquisition",
     "PerTargetBank",
     "ProposalSpace",
-    "RandomSearchMaximizer",
     "ScanPolishMaximizer",
-    "SubspaceMaximizer",
     "TrustRegionConfig",
     "TrustRegionSpace",
     "WeightedExpectedImprovement",

@@ -7,6 +7,13 @@ over the unit box followed by a Nelder-Mead polish of the champion — a
 derivative-free combination that treats ours and the WEIBO baseline
 identically (the surrogate is the only difference between the algorithms,
 as in the paper's comparison).
+
+Two engines share the one :func:`polish`:
+:class:`DifferentialEvolutionMaximizer` (the default) and
+:class:`ScanPolishMaximizer`, a best-of-N uniform scan that is plain
+random search with ``polish=False`` and the trust-region space's engine
+with it.  The proposal spaces of :mod:`repro.acquisition.spaces` are
+maximizers too.
 """
 
 from __future__ import annotations
@@ -41,12 +48,11 @@ def evaluate_chunked(acquisition, candidates: np.ndarray,
                      chunk: int | None = None) -> np.ndarray:
     """Masked acquisition values of ``candidates``, optionally chunked.
 
-    A d=200 DE population or a large trust-region candidate scan pushed
-    through a stacked GP posterior in one call allocates ``O(n * n_train *
-    members)`` intermediates; chunking bounds the peak.  ``chunk=None``
-    evaluates in one batch — the default everywhere a pinned trace exists,
-    because BLAS reductions are not guaranteed bitwise across batch
-    shapes.
+    A large candidate scan pushed through a stacked GP posterior in one
+    call allocates ``O(n * n_train * members)`` intermediates; chunking
+    bounds the peak.  ``chunk=None`` evaluates in one batch.  BLAS
+    reductions are not guaranteed bitwise across batch shapes, so a chunk
+    smaller than the scan can move a pinned trace.
     """
     candidates = np.asarray(candidates, dtype=float)
     if chunk is None or len(candidates) <= chunk:
@@ -92,19 +98,30 @@ class AcquisitionMaximizer:
         return picks
 
 
-class RandomSearchMaximizer(AcquisitionMaximizer):
-    """Pick the best of ``n_samples`` uniform points (cheap baseline engine)."""
+def polish(acquisition, x0: np.ndarray, f0: float, maxiter: int) -> np.ndarray:
+    """Nelder-Mead from the champion ``x0`` (acquisition value ``f0``).
 
-    def __init__(self, n_samples: int = 2048):
-        if n_samples < 1:
-            raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-        self.n_samples = int(n_samples)
+    Probes are clipped to the unit box and sent one row at a time.  The
+    polished point replaces ``x0`` only when its value is finite and at
+    least ``f0``.
+    """
 
-    def maximize(self, acquisition, dim: int, rng=None) -> np.ndarray:
-        rng = ensure_rng(rng)
-        candidates = rng.uniform(0.0, 1.0, size=(self.n_samples, dim))
-        values = _masked_values(acquisition(candidates))
-        return candidates[int(np.argmax(values))].copy()
+    def negative(x):
+        x = np.clip(x, 0.0, 1.0)
+        value = float(_masked_values(acquisition(x.reshape(1, -1)))[0])
+        # a NaN/-inf probe must read as "worst possible", not poison
+        # Nelder-Mead's simplex comparisons with NaN ordering
+        return -value if np.isfinite(value) else np.inf
+
+    res = sopt.minimize(
+        negative,
+        x0,
+        method="Nelder-Mead",
+        options={"maxiter": int(maxiter), "xatol": 1e-4, "fatol": 1e-10},
+    )
+    if np.isfinite(res.fun) and -res.fun >= f0:
+        return np.clip(res.x, 0.0, 1.0)
+    return x0
 
 
 class DifferentialEvolutionMaximizer(AcquisitionMaximizer):
@@ -123,7 +140,7 @@ class DifferentialEvolutionMaximizer(AcquisitionMaximizer):
     mutation, crossover:
         Standard DE control parameters F and CR.
     polish:
-        Run Nelder-Mead from the DE champion at the end.
+        Run :func:`polish` from the DE champion at the end.
     max_pop:
         Ceiling on the effective population.  ``None`` (the default) is
         dim-aware — ``max(120, 4 * dim)`` — so the documented ``4 * dim``
@@ -134,10 +151,6 @@ class DifferentialEvolutionMaximizer(AcquisitionMaximizer):
         Nelder-Mead iteration budget.  ``None`` uses the historical
         ``100 * dim`` capped at :data:`POLISH_MAXITER_CAP` (the cap only
         binds above d=50).
-    eval_chunk:
-        Evaluate candidate batches in chunks of at most this many rows
-        (``None`` = one batch).  Leave unset wherever bitwise traces
-        matter; see :func:`evaluate_chunked`.
     """
 
     def __init__(
@@ -149,7 +162,6 @@ class DifferentialEvolutionMaximizer(AcquisitionMaximizer):
         polish: bool = True,
         max_pop: int | None = None,
         polish_maxiter: int | None = None,
-        eval_chunk: int | None = None,
     ):
         if pop_size < 5:
             raise ValueError(f"pop_size must be >= 5, got {pop_size}")
@@ -163,8 +175,6 @@ class DifferentialEvolutionMaximizer(AcquisitionMaximizer):
             raise ValueError(f"max_pop must be >= 5, got {max_pop}")
         if polish_maxiter is not None and polish_maxiter < 1:
             raise ValueError(f"polish_maxiter must be >= 1, got {polish_maxiter}")
-        if eval_chunk is not None and eval_chunk < 1:
-            raise ValueError(f"eval_chunk must be >= 1, got {eval_chunk}")
         self.pop_size = int(pop_size)
         self.generations = int(generations)
         self.mutation = float(mutation)
@@ -172,7 +182,6 @@ class DifferentialEvolutionMaximizer(AcquisitionMaximizer):
         self.polish = bool(polish)
         self.max_pop = None if max_pop is None else int(max_pop)
         self.polish_maxiter = None if polish_maxiter is None else int(polish_maxiter)
-        self.eval_chunk = None if eval_chunk is None else int(eval_chunk)
 
     def population_size(self, dim: int) -> int:
         """Effective population at ``dim``: ``min(max(pop_size, 4*dim), cap)``."""
@@ -189,10 +198,10 @@ class DifferentialEvolutionMaximizer(AcquisitionMaximizer):
         rng = ensure_rng(rng)
         n_pop = self.population_size(dim)
         pop = rng.uniform(0.0, 1.0, size=(n_pop, dim))
-        fitness = evaluate_chunked(acquisition, pop, self.eval_chunk)
+        fitness = _masked_values(acquisition(pop))
         for _ in range(self.generations):
             trial = self._make_trials(pop, rng)
-            trial_fitness = evaluate_chunked(acquisition, trial, self.eval_chunk)
+            trial_fitness = _masked_values(acquisition(trial))
             improved = trial_fitness > fitness
             pop[improved] = trial[improved]
             fitness[improved] = trial_fitness[improved]
@@ -201,8 +210,7 @@ class DifferentialEvolutionMaximizer(AcquisitionMaximizer):
         # a champion with no finite value (fully masked batch) has nothing
         # to polish — Nelder-Mead on an all-inf surface only spews NaNs
         if self.polish and np.isfinite(f0):
-            best = self._polish(acquisition, best, f0,
-                                maxiter=self.resolve_polish_maxiter(dim))
+            best = polish(acquisition, best, f0, self.resolve_polish_maxiter(dim))
         return best
 
     def _make_trials(self, pop: np.ndarray, rng) -> np.ndarray:
@@ -224,36 +232,15 @@ class DifferentialEvolutionMaximizer(AcquisitionMaximizer):
         cross[idx, forced] = True
         return np.where(cross, mutant, pop)
 
-    @staticmethod
-    def _polish(acquisition, x0: np.ndarray, f0: float,
-                maxiter: int | None = None) -> np.ndarray:
-        if maxiter is None:
-            maxiter = min(100 * x0.size, POLISH_MAXITER_CAP)
-
-        def negative(x):
-            x = np.clip(x, 0.0, 1.0)
-            value = float(_masked_values(acquisition(x.reshape(1, -1)))[0])
-            # a NaN/-inf probe must read as "worst possible", not poison
-            # Nelder-Mead's simplex comparisons with NaN ordering
-            return -value if np.isfinite(value) else np.inf
-
-        res = sopt.minimize(
-            negative,
-            x0,
-            method="Nelder-Mead",
-            options={"maxiter": int(maxiter), "xatol": 1e-4, "fatol": 1e-10},
-        )
-        if np.isfinite(res.fun) and -res.fun >= f0:
-            return np.clip(res.x, 0.0, 1.0)
-        return x0
-
 
 class ScanPolishMaximizer(AcquisitionMaximizer):
-    """Best-of-N candidate scan plus a capped Nelder-Mead polish.
+    """Best-of-N uniform candidate scan plus an optional capped polish.
 
-    The embedded engine of the trust-region proposal space: a few thousand
-    uniform candidates are evaluated in chunked batches and the champion
-    gets a short local polish.  Cost per proposal is ``O(n_samples)``
+    ``n_samples`` uniform candidates are evaluated in chunked batches and
+    the champion gets a :func:`polish` of at most ``polish_maxiter``
+    iterations.  With ``polish=False`` it is plain random search (the
+    cheap baseline engine); with the polish it is the engine of the
+    trust-region proposal space.  Cost per proposal is ``O(n_samples)``
     surrogate evaluations regardless of dimension — no ``4 * dim``
     population, no ``100 * dim`` polish budget.
     """
@@ -283,7 +270,5 @@ class ScanPolishMaximizer(AcquisitionMaximizer):
         best = candidates[int(np.argmax(values))].copy()
         f0 = float(np.max(values))
         if self.polish and np.isfinite(f0):
-            best = DifferentialEvolutionMaximizer._polish(
-                acquisition, best, f0, maxiter=self.polish_maxiter
-            )
+            best = polish(acquisition, best, f0, self.polish_maxiter)
         return best

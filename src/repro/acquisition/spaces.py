@@ -8,25 +8,24 @@ effective at high ``d`` by maximizing along one-dimensional subspaces, and
 TuRBO-style trust regions restrict proposals to a box around the
 incumbent that grows on success and shrinks on failure.
 
-A :class:`ProposalSpace` decides, per proposal, the region to search
-(the whole unit box is no space at all: :func:`make_proposal_space`
-returns ``None`` for it and the driver keeps its maximizer unwrapped, so
-the default stays bitwise unchanged):
+A :class:`ProposalSpace` is itself an
+:class:`~repro.acquisition.maximize.AcquisitionMaximizer`: each proposal
+it lays out frames around the incumbent, runs its own engine on the
+acquisition seen through each frame, and keeps the best champion lifted
+back to the unit box.  The whole unit box is no space at all:
+:func:`make_proposal_space` returns ``None`` for it and the driver keeps
+its full-box maximizer, so the default stays bitwise unchanged.
 
 * :class:`LineSpace` — a fan of random one-dimensional lines through
   the incumbent, each clipped to the unit box and maximized by a dense
-  1-D scan plus a bounded scalar polish in the embedded coordinate (the
-  best champion across the fan wins),
+  1-D scan plus a bounded scalar polish in the embedded coordinate,
 * :class:`TrustRegionSpace` — a TuRBO-style box around the incumbent
-  with success/failure counters driving expand/shrink; the embedded
-  maximizer is a chunked candidate scan with a capped polish.
+  with success/failure counters driving expand/shrink; its engine is a
+  chunked candidate scan with a capped polish.
 
-:class:`SubspaceMaximizer` composes a space with any
-:class:`~repro.acquisition.maximize.AcquisitionMaximizer`: it embeds the
-acquisition into the space's coordinates, runs the space's embedded
-engine (or the wrapped inner maximizer), and lifts the champion back to
-the unit box — so greedy q-batches, the pending-point strategies and the
-async refill proposer all compose with subspace proposals unchanged.
+Greedy q-batches, the pending-point strategies and the async refill
+proposer call only ``maximize``/``maximize_batch``, so they compose with
+subspace proposals unchanged.
 """
 
 from __future__ import annotations
@@ -132,43 +131,50 @@ class BoxFrame:
         return self.lo[None, :] + z * (self.hi - self.lo)[None, :]
 
 
-class EmbeddedAcquisition:
-    """An acquisition evaluated through a frame's lift map."""
+class ProposalSpace(AcquisitionMaximizer):
+    """A maximizer that searches frames around the incumbent.
 
-    def __init__(self, acquisition, frame):
-        self.acquisition = acquisition
-        self.frame = frame
-
-    def __call__(self, z: np.ndarray) -> np.ndarray:
-        return self.acquisition(self.frame.lift(z))
-
-
-class ProposalSpace:
-    """Strategy interface: pick the subregion each proposal searches.
-
-    ``frame(dim, incumbent, rng)`` returns the embedding for one
-    proposal.  ``observe(improved)`` feeds landing outcomes to adaptive
+    The driver sets the incumbent (best-known unit design) before each
+    proposal round.  ``frames(dim, rng)`` lays out the embeddings one
+    proposal searches; ``engine`` maximizes the acquisition inside each
+    of them.  ``observe(improved)`` feeds landing outcomes to adaptive
     spaces (trust-region counters); the state travels through study
     checkpoints via ``state_to_dict`` / ``restore_state``.
     """
 
     name = "full"
+    #: the current best unit-box design (``None`` = box centre)
+    incumbent: np.ndarray | None = None
+    #: the maximizer run in each frame's embedded coordinates
+    engine: AcquisitionMaximizer
 
-    def frame(self, dim: int, incumbent, rng):
-        """The embedding for the next proposal."""
+    def set_incumbent(self, u) -> None:
+        """Record the current best unit-box design (``None`` = box centre)."""
+        self.incumbent = None if u is None else np.asarray(u, dtype=float).ravel()
+
+    def _center(self, dim: int) -> np.ndarray:
+        """The incumbent clipped to the unit box, or the box centre."""
+        if self.incumbent is None:
+            return np.full(dim, 0.5)
+        return np.clip(self.incumbent, 0.0, 1.0)
+
+    def frames(self, dim: int, rng) -> list:
+        """The embeddings searched for one proposal (champion-of-frames)."""
         raise NotImplementedError
 
-    def frames(self, dim: int, incumbent, rng) -> list:
-        """The embeddings searched for one proposal (champion-of-frames).
-
-        Most spaces search a single frame; :class:`LineSpace` returns a
-        fan of lines and the wrapper keeps the best champion across them.
-        """
-        return [self.frame(dim, incumbent, rng)]
-
-    def embedded_maximizer(self, inner: AcquisitionMaximizer):
-        """The engine run in embedded coordinates (default: the wrapped one)."""
-        return inner
+    def maximize(self, acquisition, dim: int, rng=None) -> np.ndarray:
+        rng = ensure_rng(rng)
+        best_x: np.ndarray | None = None
+        best_value = -np.inf
+        for frame in self.frames(dim, rng):
+            z = self.engine.maximize(
+                lambda z, lift=frame.lift: acquisition(lift(z)), frame.dim, rng
+            )
+            x = frame.lift(np.atleast_2d(z))[0]
+            value = float(_masked_values(acquisition(x[None, :]))[0])
+            if best_x is None or value > best_value:
+                best_x, best_value = x, value
+        return best_x
 
     def observe(self, improved: bool) -> None:
         """Feed one landing outcome (no-op for non-adaptive spaces)."""
@@ -252,30 +258,22 @@ class LineSpace(ProposalSpace):
         if n_lines < 1:
             raise ValueError(f"n_lines must be >= 1, got {n_lines}")
         self.n_lines = int(n_lines)
-        self._engine = DenseLineMaximizer(n_grid=n_grid, polish=polish)
+        self.engine = DenseLineMaximizer(n_grid=n_grid, polish=polish)
 
-    def frame(self, dim: int, incumbent, rng):
-        rng = ensure_rng(rng)
-        center = (
-            np.full(dim, 0.5)
-            if incumbent is None
-            else np.clip(np.asarray(incumbent, dtype=float), 0.0, 1.0)
-        )
-        direction = rng.standard_normal(dim)
-        norm = float(np.linalg.norm(direction))
-        if norm == 0.0 or not np.isfinite(norm):  # pathological draw
-            direction = np.zeros(dim)
-            direction[0] = 1.0
-        else:
-            direction = direction / norm
-        t_lo, t_hi = _segment_range(center, direction)
-        return LineFrame(center, direction, t_lo, t_hi)
-
-    def frames(self, dim: int, incumbent, rng) -> list:
-        return [self.frame(dim, incumbent, rng) for _ in range(self.n_lines)]
-
-    def embedded_maximizer(self, inner: AcquisitionMaximizer):
-        return self._engine
+    def frames(self, dim: int, rng) -> list:
+        center = self._center(dim)
+        frames = []
+        for _ in range(self.n_lines):
+            direction = rng.standard_normal(dim)
+            norm = float(np.linalg.norm(direction))
+            if norm == 0.0 or not np.isfinite(norm):  # pathological draw
+                direction = np.zeros(dim)
+                direction[0] = 1.0
+            else:
+                direction = direction / norm
+            t_lo, t_hi = _segment_range(center, direction)
+            frames.append(LineFrame(center, direction, t_lo, t_hi))
+        return frames
 
 
 class TrustRegionSpace(ProposalSpace):
@@ -297,23 +295,13 @@ class TrustRegionSpace(ProposalSpace):
         self.n_expansions = 0
         self.n_shrinks = 0
         self.n_restarts = 0
-        self._engine = ScanPolishMaximizer(
-            n_samples=self.config.n_candidates
-        )
+        self.engine = ScanPolishMaximizer(n_samples=self.config.n_candidates)
 
-    def frame(self, dim: int, incumbent, rng):
-        center = (
-            np.full(dim, 0.5)
-            if incumbent is None
-            else np.clip(np.asarray(incumbent, dtype=float), 0.0, 1.0)
-        )
+    def frames(self, dim: int, rng) -> list:
+        center = self._center(dim)
         half = 0.5 * self.length
-        lo = np.clip(center - half, 0.0, 1.0)
-        hi = np.clip(center + half, 0.0, 1.0)
-        return BoxFrame(lo, hi)
-
-    def embedded_maximizer(self, inner: AcquisitionMaximizer):
-        return self._engine
+        return [BoxFrame(np.clip(center - half, 0.0, 1.0),
+                         np.clip(center + half, 0.0, 1.0))]
 
     def observe(self, improved: bool) -> None:
         cfg = self.config
@@ -352,42 +340,6 @@ class TrustRegionSpace(ProposalSpace):
         self.n_expansions = int(state.get("n_expansions", 0))
         self.n_shrinks = int(state.get("n_shrinks", 0))
         self.n_restarts = int(state.get("n_restarts", 0))
-
-
-class SubspaceMaximizer(AcquisitionMaximizer):
-    """Run any maximizer inside the active proposal subspace.
-
-    The driver sets the incumbent (best-known unit design) before each
-    proposal round; ``maximize`` asks the space for a frame, maximizes the
-    embedded acquisition with the space's engine, and lifts the champion
-    back to the unit box.  q-batches and the pending-point machinery only
-    ever call ``maximize``, so they compose with subspaces unchanged.
-    """
-
-    def __init__(self, space: ProposalSpace, inner: AcquisitionMaximizer):
-        self.space = space
-        self.inner = inner
-        self.incumbent: np.ndarray | None = None
-
-    def set_incumbent(self, u) -> None:
-        """Record the current best unit-box design (``None`` = box centre)."""
-        self.incumbent = None if u is None else np.asarray(u, dtype=float).ravel()
-
-    def maximize(self, acquisition, dim: int, rng=None) -> np.ndarray:
-        rng = ensure_rng(rng)
-        frames = self.space.frames(dim, self.incumbent, rng)
-        engine = self.space.embedded_maximizer(self.inner)
-        best_x: np.ndarray | None = None
-        best_value = -np.inf
-        for frame in frames:
-            z = engine.maximize(
-                EmbeddedAcquisition(acquisition, frame), frame.dim, rng
-            )
-            x = frame.lift(np.atleast_2d(z))[0]
-            value = float(_masked_values(acquisition(x[None, :]))[0])
-            if best_x is None or value > best_value:
-                best_x, best_value = x, value
-        return best_x
 
 
 def _segment_range(center: np.ndarray, direction: np.ndarray) -> tuple[float, float]:
@@ -439,8 +391,8 @@ def make_proposal_space(
 ) -> ProposalSpace | None:
     """Build the space for an :class:`~repro.bo.config.AcquisitionConfig` spec.
 
-    Returns ``None`` for ``"full"`` — the driver then keeps its maximizer
-    unwrapped, so the default path stays bitwise identical to the
+    Returns ``None`` for ``"full"`` — the driver then keeps its full-box
+    maximizer, so the default path stays bitwise identical to the
     pre-subspace code.
     """
     spec = str(spec).replace("_", "-").lower()
@@ -459,11 +411,9 @@ __all__ = [
     "PROPOSAL_SPACES",
     "BoxFrame",
     "DenseLineMaximizer",
-    "EmbeddedAcquisition",
     "LineFrame",
     "LineSpace",
     "ProposalSpace",
-    "SubspaceMaximizer",
     "TrustRegionConfig",
     "TrustRegionSpace",
     "incumbent_index",

@@ -57,7 +57,6 @@ from repro.acquisition.maximize import (
     AcquisitionMaximizer,
     DifferentialEvolutionMaximizer,
 )
-from repro.acquisition.spaces import SubspaceMaximizer
 from repro.bo.config import (
     ASYNC_REFIT_POLICIES,
     AcquisitionConfig,
@@ -103,8 +102,11 @@ class SurrogateBO:
     initial_design:
         ``"lhs"`` (default), ``"random"`` or ``"sobol"``.
     acq_maximizer:
-        Inner-loop engine; defaults to
-        :class:`DifferentialEvolutionMaximizer`.
+        Full-box inner-loop engine; defaults to
+        :class:`DifferentialEvolutionMaximizer`.  A ``"line"`` or
+        ``"trust-region"`` proposal space is the maximizer itself (it
+        runs its own engine), so combining it with ``acq_maximizer`` is a
+        ``ValueError``.
     acquisition_config:
         An :class:`~repro.bo.config.AcquisitionConfig`: acquisition family
         (``"wei"``/``"thompson"``; Thompson needs
@@ -166,6 +168,12 @@ class SurrogateBO:
                 "NN-GP bank); a per-target surrogate_factory serves "
                 "acquisition='wei' only"
             )
+        if acq_maximizer is not None and acquisition_config.proposal_space != "full":
+            raise ValueError(
+                f"acq_maximizer would be ignored under proposal_space="
+                f"{acquisition_config.proposal_space!r}: a proposal space "
+                "runs its own engine; pass one or the other"
+            )
         if (
             scheduler_config.async_refit == "fantasy-only"
             and surrogate_factory is not None
@@ -183,18 +191,15 @@ class SurrogateBO:
         self.n_initial = int(n_initial)
         self.max_evaluations = int(max_evaluations)
         self.initial_design = str(initial_design)
-        self.acq_maximizer = acq_maximizer or DifferentialEvolutionMaximizer()
         self.acquisition_config = acquisition_config
         self.scheduler_config = scheduler_config
         #: the active :class:`~repro.acquisition.spaces.ProposalSpace`
-        #: instance, or ``None`` for the full box — in which case the
-        #: maximizer is left unwrapped and the historical RNG stream /
-        #: numerics are bitwise untouched
+        #: instance (which is then the maximizer), or ``None`` for the full
+        #: box, searched by the given maximizer or DE
         self.proposal_space = acquisition_config.resolve_proposal_space()
-        if self.proposal_space is not None:
-            self.acq_maximizer = SubspaceMaximizer(
-                self.proposal_space, self.acq_maximizer
-            )
+        self.acq_maximizer = (
+            self.proposal_space or acq_maximizer or DifferentialEvolutionMaximizer()
+        )
         #: the log-space flag resolved against the problem's constraint
         #: count (``AcquisitionConfig.log_space=None`` means "auto")
         self.log_space_acq = acquisition_config.resolve_log_space(

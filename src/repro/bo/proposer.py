@@ -282,7 +282,7 @@ class Proposer:
         if bo.proposal_space is None:
             return
         idx = incumbent_index(result)
-        bo.acq_maximizer.set_incumbent(
+        bo.proposal_space.set_incumbent(
             None if idx is None or idx >= len(x_unit) else x_unit[idx]
         )
 

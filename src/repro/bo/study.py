@@ -838,27 +838,19 @@ class Study:
         study._retracted = set(int(i) for i in payload.get("retracted", []))
         saved_space = payload.get("proposal_space")
         space = study.optimizer.proposal_space
-        if saved_space is not None:
-            if space is None or space.name != saved_space["name"]:
-                built = space.name if space is not None else "full"
-                raise CheckpointMismatch(
-                    "checkpoint field 'proposal_space' is "
-                    f"{saved_space['name']!r} but resume() built {built!r}; "
-                    "pass the same AcquisitionConfig as the original study",
-                    field="proposal_space",
-                    expected=saved_space["name"],
-                    actual=built,
-                )
-            space.restore_state(saved_space["state"])
-        elif space is not None:
+        saved = "full" if saved_space is None else saved_space["name"]
+        built = "full" if space is None else space.name
+        if saved != built:
             raise CheckpointMismatch(
-                "checkpoint field 'proposal_space' is 'full' but resume() "
-                f"built {space.name!r}; pass the same AcquisitionConfig as "
-                "the original study",
+                f"checkpoint field 'proposal_space' is {saved!r} but resume() "
+                f"built {built!r}; pass the same AcquisitionConfig as the "
+                "original study",
                 field="proposal_space",
-                expected="full",
-                actual=space.name,
+                expected=saved,
+                actual=built,
             )
+        if space is not None:
+            space.restore_state(saved_space["state"])
         study._initial_queue = [
             _trial_from_dict(d, problem) for d in payload["initial_queue"]
         ]

@@ -28,7 +28,6 @@ from repro.circuits.measure import (
 from repro.circuits.mosfet import MOSFET, MOSFETParams, nmos_180, pmos_180
 from repro.circuits.netlist import Circuit, GROUND
 from repro.circuits.pvt import PVTCorner, ProcessCorner, standard_corners
-from repro.circuits.sweep import DCSweep, SweepResult, operating_region_report
 from repro.circuits.transient import (
     TransientAnalysis,
     TransientResult,
@@ -45,7 +44,6 @@ __all__ = [
     "CurrentSource",
     "DCAnalysis",
     "DCSolution",
-    "DCSweep",
     "Device",
     "GROUND",
     "MOSFET",
@@ -53,7 +51,6 @@ __all__ = [
     "PVTCorner",
     "ProcessCorner",
     "Resistor",
-    "SweepResult",
     "TransientAnalysis",
     "TransientResult",
     "VCCS",
@@ -62,7 +59,6 @@ __all__ = [
     "dc_gain_db",
     "gain_db",
     "nmos_180",
-    "operating_region_report",
     "phase_deg",
     "phase_margin_deg",
     "pmos_180",

@@ -201,56 +201,6 @@ class RationalQuadratic(Kernel):
         return grads
 
 
-class SumKernel(Kernel):
-    """Sum of two kernels over the same input space.
-
-    Parameter vector is the concatenation ``[params(k1), params(k2)]``;
-    the diagonal / gradients compose additively.  Useful for modelling a
-    smooth global trend plus short-range structure.
-    """
-
-    def __init__(self, first: Kernel, second: Kernel):
-        if first.input_dim != second.input_dim:
-            raise ValueError("summed kernels must share input_dim")
-        self.first = first
-        self.second = second
-        self.input_dim = first.input_dim
-
-    @property
-    def n_params(self) -> int:
-        return self.first.n_params + self.second.n_params
-
-    def get_params(self):
-        return np.concatenate([self.first.get_params(), self.second.get_params()])
-
-    def set_params(self, params):
-        params = np.asarray(params, dtype=float).ravel()
-        if params.shape[0] != self.n_params:
-            raise ValueError(f"expected {self.n_params} params, got {params.shape[0]}")
-        split = self.first.n_params
-        self.first.set_params(params[:split])
-        self.second.set_params(params[split:])
-
-    def __call__(self, x1, x2=None):
-        return self.first(x1, x2) + self.second(x1, x2)
-
-    def diag(self, x):
-        return self.first.diag(x) + self.second.diag(x)
-
-    def gradients(self, x):
-        return np.concatenate(
-            [self.first.gradients(x), self.second.gradients(x)], axis=0
-        )
-
-    def param_bounds(self):
-        return self.first.param_bounds() + self.second.param_bounds()
-
-    def sample_params(self, rng, span):
-        return np.concatenate(
-            [self.first.sample_params(rng, span), self.second.sample_params(rng, span)]
-        )
-
-
 KERNELS = {
     "rbf": RBF,
     "gaussian": RBF,

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.acquisition import maximize
 from repro.acquisition.maximize import (
     POLISH_MAXITER_CAP,
     DifferentialEvolutionMaximizer,
-    RandomSearchMaximizer,
     ScanPolishMaximizer,
     evaluate_chunked,
 )
@@ -24,7 +24,7 @@ def peaked(center, width=0.05):
 
 
 MAXIMIZERS = [
-    RandomSearchMaximizer(n_samples=4000),
+    ScanPolishMaximizer(n_samples=4000, polish=False),
     DifferentialEvolutionMaximizer(pop_size=30, generations=30),
     ScanPolishMaximizer(n_samples=4000),
 ]
@@ -57,7 +57,7 @@ class TestDEMaximizer:
             x_de = de.maximize(acq, 3, rng)
             errors_de.append(np.linalg.norm(x_de - [0.123, 0.456, 0.789]))
             rng = np.random.default_rng(seed)
-            x_r = RandomSearchMaximizer(n_samples=1200).maximize(acq, 3, rng)
+            x_r = ScanPolishMaximizer(n_samples=1200, polish=False).maximize(acq, 3, rng)
             errors_rand.append(np.linalg.norm(x_r - [0.123, 0.456, 0.789]))
         assert np.mean(errors_de) <= np.mean(errors_rand)
 
@@ -94,7 +94,6 @@ class TestDEMaximizer:
             {"crossover": 1.5},
             {"max_pop": 4},
             {"polish_maxiter": 0},
-            {"eval_chunk": 0},
         ],
     )
     def test_rejects_bad_params(self, kwargs):
@@ -160,17 +159,6 @@ class TestHighDimScaling:
         assert np.all(np.isfinite(values) | (values == -np.inf))
         assert np.all(values[candidates[:, 0] < 0.5] == -np.inf)
 
-    def test_chunk_does_not_change_de_result(self):
-        """eval_chunk is a memory knob, not a search knob."""
-        acq = peaked([0.3, 0.8, 0.5], width=0.2)
-        a = DifferentialEvolutionMaximizer(
-            pop_size=20, generations=10, polish=False
-        ).maximize(acq, 3, np.random.default_rng(5))
-        b = DifferentialEvolutionMaximizer(
-            pop_size=20, generations=10, polish=False, eval_chunk=7
-        ).maximize(acq, 3, np.random.default_rng(5))
-        np.testing.assert_array_equal(a, b)
-
 
 class TestScanPolishMaximizer:
     @pytest.mark.parametrize(
@@ -203,11 +191,23 @@ class TestScanPolishMaximizer:
         x_pol = polished.maximize(acq, 2, np.random.default_rng(0))
         assert acq(x_pol.reshape(1, -1))[0] >= acq(x_base.reshape(1, -1))[0] - 1e-12
 
+    def test_chunk_does_not_change_the_pick(self):
+        """eval_chunk is a memory knob, not a search knob."""
+        acq = peaked([0.3, 0.8, 0.5], width=0.2)
+        a = ScanPolishMaximizer(n_samples=101, polish=False, eval_chunk=None)
+        b = ScanPolishMaximizer(n_samples=101, polish=False, eval_chunk=7)
+        np.testing.assert_array_equal(
+            a.maximize(acq, 3, np.random.default_rng(5)),
+            b.maximize(acq, 3, np.random.default_rng(5)),
+        )
+
 
 class TestRandomSearch:
+    """The scan without its polish is plain random search."""
+
     def test_rejects_zero_samples(self):
         with pytest.raises(ValueError):
-            RandomSearchMaximizer(n_samples=0)
+            ScanPolishMaximizer(n_samples=0, polish=False)
 
     def test_picks_argmax_of_batch(self, rng):
         calls = {}
@@ -216,7 +216,7 @@ class TestRandomSearch:
             calls["x"] = x
             return x[:, 0]  # best is the largest first coordinate
 
-        maximizer = RandomSearchMaximizer(n_samples=500)
+        maximizer = ScanPolishMaximizer(n_samples=500, polish=False)
         best = maximizer.maximize(acq, 2, rng)
         assert best[0] == calls["x"][:, 0].max()
 
@@ -241,7 +241,7 @@ def nan_poisoned(center, width=0.08, nan_below=0.5):
 @pytest.mark.parametrize(
     "maximizer",
     [
-        RandomSearchMaximizer(n_samples=4000),
+        ScanPolishMaximizer(n_samples=4000, polish=False),
         DifferentialEvolutionMaximizer(pop_size=30, generations=30),
     ],
     ids=["random", "de"],
@@ -285,3 +285,30 @@ class TestPolishNaNSafety:
         value = np.asarray(acq(x.reshape(1, -1)), dtype=float)[0]
         assert np.isfinite(value)
         assert np.linalg.norm(x - center) < 0.2
+
+
+class TestPolish:
+    def test_de_and_scan_share_one_polish(self, monkeypatch):
+        """Both engines polish through the module's one ``polish``, each
+        with its own iteration budget."""
+        budgets = []
+        real_polish = maximize.polish
+
+        def spy(acquisition, x0, f0, maxiter):
+            budgets.append(maxiter)
+            return real_polish(acquisition, x0, f0, maxiter)
+
+        monkeypatch.setattr(maximize, "polish", spy)
+        acq = peaked([0.42, 0.42], width=0.1)
+        DifferentialEvolutionMaximizer(pop_size=10, generations=2).maximize(
+            acq, 2, np.random.default_rng(0)
+        )
+        ScanPolishMaximizer(n_samples=50, polish_maxiter=30).maximize(
+            acq, 2, np.random.default_rng(0)
+        )
+        assert budgets == [200, 30]  # DE: 100 * dim
+
+    def test_keeps_the_champion_it_cannot_beat(self):
+        x0 = np.array([0.3, 0.3])
+        # the surface peaks at 1, below the champion's claimed value
+        assert maximize.polish(peaked([0.42, 0.42], width=0.1), x0, 2.0, 50) is x0

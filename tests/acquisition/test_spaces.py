@@ -1,17 +1,14 @@
-"""Tests for proposal subspaces (line / trust-region) and their wrapper."""
+"""Tests for proposal subspaces (line / trust-region) and their maximize."""
 
 import numpy as np
 import pytest
 
-from repro.acquisition.maximize import RandomSearchMaximizer
 from repro.acquisition.spaces import (
     PROPOSAL_SPACES,
     BoxFrame,
     DenseLineMaximizer,
-    EmbeddedAcquisition,
     LineFrame,
     LineSpace,
-    SubspaceMaximizer,
     TrustRegionConfig,
     TrustRegionSpace,
     _segment_range,
@@ -137,26 +134,28 @@ class TestDenseLineMaximizer:
 class TestLineSpace:
     def test_frame_passes_through_incumbent(self, rng):
         incumbent = np.array([0.3, 0.9, 0.1])
-        frame = LineSpace().frame(3, incumbent, rng)
-        np.testing.assert_allclose(frame.center, incumbent)
-        assert np.linalg.norm(frame.direction) == pytest.approx(1.0)
-        # the incumbent itself is on the segment (t=0 in range)
-        assert frame.t_lo <= 0.0 <= frame.t_hi
+        space = LineSpace()
+        space.set_incumbent(incumbent)
+        for frame in space.frames(3, rng):
+            np.testing.assert_allclose(frame.center, incumbent)
+            assert np.linalg.norm(frame.direction) == pytest.approx(1.0)
+            # the incumbent itself is on the segment (t=0 in range)
+            assert frame.t_lo <= 0.0 <= frame.t_hi
 
     def test_no_incumbent_uses_box_centre(self, rng):
-        frame = LineSpace().frame(4, None, rng)
-        np.testing.assert_allclose(frame.center, 0.5)
+        for frame in LineSpace().frames(4, rng):
+            np.testing.assert_allclose(frame.center, 0.5)
 
     def test_fresh_direction_per_frame(self):
         rng = np.random.default_rng(0)
-        space = LineSpace()
-        f1 = space.frame(5, None, rng)
-        f2 = space.frame(5, None, rng)
+        space = LineSpace(n_lines=1)
+        [f1] = space.frames(5, rng)
+        [f2] = space.frames(5, rng)
         assert not np.allclose(f1.direction, f2.direction)
 
     def test_frames_returns_a_fan(self):
         rng = np.random.default_rng(0)
-        frames = LineSpace(n_lines=3).frames(4, None, rng)
+        frames = LineSpace(n_lines=3).frames(4, rng)
         assert len(frames) == 3
         directions = np.stack([f.direction for f in frames])
         assert not np.allclose(directions[0], directions[1])
@@ -229,7 +228,8 @@ class TestTrustRegionSpace:
 
     def test_frame_is_clipped_box_around_incumbent(self, rng):
         space = TrustRegionSpace()
-        frame = space.frame(3, np.array([0.1, 0.5, 0.95]), rng)
+        space.set_incumbent(np.array([0.1, 0.5, 0.95]))
+        [frame] = space.frames(3, rng)
         np.testing.assert_allclose(frame.lo, [0.0, 0.1, 0.55])
         np.testing.assert_allclose(frame.hi, [0.5, 0.9, 1.0])
 
@@ -247,17 +247,20 @@ class TestTrustRegionSpace:
         assert fresh.state_to_dict() == space.state_to_dict()
 
 
-# -- wrapper ------------------------------------------------------------------
+# -- maximize -----------------------------------------------------------------
 
 
 class TestSubspaceMaximizer:
+    """A proposal space maximizes with its own engine inside its frames."""
+
     def test_line_pick_lies_on_a_fan_line(self):
         incumbent = np.array([0.4, 0.6, 0.5])
         space = LineSpace(n_lines=4)
-        wrapped = SubspaceMaximizer(space, RandomSearchMaximizer())
-        wrapped.set_incumbent(incumbent)
-        probe = LineSpace(n_lines=4).frames(3, incumbent, np.random.default_rng(3))
-        pick = wrapped.maximize(
+        space.set_incumbent(incumbent)
+        probe = LineSpace(n_lines=4)
+        probe.set_incumbent(incumbent)
+        fan = probe.frames(3, np.random.default_rng(3))
+        pick = space.maximize(
             peaked([0.5] * 3, width=0.4), 3, np.random.default_rng(3)
         )
         # pick - incumbent must be parallel to one of the fan's directions
@@ -266,7 +269,7 @@ class TestSubspaceMaximizer:
             np.linalg.norm(
                 offset - np.dot(offset, f.direction) * f.direction
             )
-            for f in probe
+            for f in fan
         ]
         assert min(residuals) < 1e-9
         assert np.all(pick >= 0.0) and np.all(pick <= 1.0)
@@ -276,8 +279,8 @@ class TestSubspaceMaximizer:
         never score below the first line's pick."""
         acq = peaked([0.9, 0.1, 0.5], width=0.3)
         incumbent = np.array([0.2, 0.8, 0.5])
-        single = SubspaceMaximizer(LineSpace(n_lines=1), RandomSearchMaximizer())
-        fan = SubspaceMaximizer(LineSpace(n_lines=6), RandomSearchMaximizer())
+        single = LineSpace(n_lines=1)
+        fan = LineSpace(n_lines=6)
         single.set_incumbent(incumbent)
         fan.set_incumbent(incumbent)
         a = single.maximize(acq, 3, np.random.default_rng(2))
@@ -287,18 +290,17 @@ class TestSubspaceMaximizer:
     def test_trust_region_pick_stays_in_region(self):
         incumbent = np.full(5, 0.5)
         space = TrustRegionSpace(TrustRegionConfig(length_init=0.2))
-        wrapped = SubspaceMaximizer(space, RandomSearchMaximizer())
-        wrapped.set_incumbent(incumbent)
-        pick = wrapped.maximize(
+        space.set_incumbent(incumbent)
+        pick = space.maximize(
             peaked([0.9] * 5, width=0.5), 5, np.random.default_rng(0)
         )
         assert np.all(np.abs(pick - incumbent) <= 0.1 + 1e-12)
 
     def test_batch_searches_q_different_lines(self):
-        wrapped = SubspaceMaximizer(LineSpace(), RandomSearchMaximizer())
-        wrapped.set_incumbent([0.5, 0.5, 0.5, 0.5])
+        space = LineSpace()
+        space.set_incumbent([0.5, 0.5, 0.5, 0.5])
         acq = peaked([0.2, 0.8, 0.3, 0.7], width=0.5)
-        picks = wrapped.maximize_batch(
+        picks = space.maximize_batch(
             lambda j, picks: acq, q=3, dim=4, rng=np.random.default_rng(1)
         )
         assert len(picks) == 3
@@ -306,10 +308,21 @@ class TestSubspaceMaximizer:
         assert len(directions) == 3  # fresh line per stage
 
     def test_embedded_acquisition_composes(self):
-        frame = BoxFrame(np.array([0.0, 0.0]), np.array([0.5, 0.5]))
-        embedded = EmbeddedAcquisition(peaked([0.25, 0.25], width=0.5), frame)
-        value = embedded(np.array([[0.5, 0.5]]))  # lifts to (0.25, 0.25)
-        assert value[0] == pytest.approx(1.0)
+        """The engine's unit-box candidates reach the acquisition lifted
+        into the region: every row the acquisition sees lies in the box."""
+        rows = []
+        base = peaked([0.9, 0.9], width=0.5)
+
+        def recording(x):
+            rows.append(np.atleast_2d(x).copy())
+            return base(x)
+
+        space = TrustRegionSpace(TrustRegionConfig(length_init=0.5, n_candidates=64))
+        space.set_incumbent([0.25, 0.25])
+        space.maximize(recording, 2, np.random.default_rng(0))
+        seen = np.vstack(rows)
+        assert len(seen) > 64  # the scan batch, the polish probes, the re-check
+        assert np.all(seen >= 0.0 - 1e-12) and np.all(seen <= 0.5 + 1e-12)
 
 
 # -- incumbent_index ----------------------------------------------------------

@@ -12,17 +12,20 @@ Determinism contracts pinned here:
   through ``Study.checkpoint()``/``resume()`` — the resumed run continues
   on the exact trace of the uninterrupted one;
 * resuming a checkpoint under a *different* proposal space is an error,
-  not a silent trace fork.
+  not a silent trace fork;
+* a line or trust-region space is the maximizer itself, so a separate
+  ``acq_maximizer`` next to it is refused rather than silently ignored.
 """
 
 import numpy as np
 import pytest
 
-from repro.acquisition.spaces import SubspaceMaximizer, TrustRegionSpace
+from repro.acquisition.maximize import DifferentialEvolutionMaximizer
+from repro.acquisition.spaces import ProposalSpace, TrustRegionSpace
 from repro.bo.config import AcquisitionConfig, SchedulerConfig
 from repro.bo.loop import SurrogateBO
 from repro.bo.scheduler import FakeClock
-from repro.bo.study import Study, StudyError
+from repro.bo.study import CheckpointMismatch, Study
 from repro.benchfns import toy_constrained_quadratic
 
 # shared helpers: the GP factory and the picklable problem
@@ -84,13 +87,26 @@ class TestFullSpaceIsBitwiseDefault:
     def test_full_space_leaves_maximizer_unwrapped(self):
         bo = make_bo("full")
         assert bo.proposal_space is None
-        assert not isinstance(bo.acq_maximizer, SubspaceMaximizer)
+        assert isinstance(bo.acq_maximizer, DifferentialEvolutionMaximizer)
 
     def test_subspace_wraps_maximizer(self):
+        """A configured space is the driver's maximizer."""
         for space in SPACES:
             bo = make_bo(space)
-            assert bo.proposal_space is not None
-            assert isinstance(bo.acq_maximizer, SubspaceMaximizer)
+            assert isinstance(bo.proposal_space, ProposalSpace)
+            assert bo.acq_maximizer is bo.proposal_space
+
+    @pytest.mark.parametrize("space", SPACES)
+    def test_maximizer_beside_a_subspace_is_refused(self, space):
+        with pytest.raises(ValueError, match="acq_maximizer.*proposal_space"):
+            SurrogateBO(
+                toy_constrained_quadratic(2),
+                gp_factory,
+                n_initial=5,
+                max_evaluations=10,
+                acq_maximizer=DifferentialEvolutionMaximizer(),
+                acquisition_config=AcquisitionConfig(proposal_space=space),
+            )
 
 
 @pytest.mark.parametrize("space", SPACES)
@@ -187,12 +203,16 @@ class TestTrustRegionCheckpointResume:
     def test_resume_under_different_space_raises(self, tmp_path):
         half = drive(self.make_study(), until=8)
         path = half.checkpoint(tmp_path / "tr.json")
-        with pytest.raises(StudyError, match="proposal_space"):
+        with pytest.raises(CheckpointMismatch, match="proposal_space") as info:
             Study.resume(
                 path,
                 toy_constrained_quadratic(2),
                 surrogate_factory=gp_factory,
             )
+        error = info.value
+        assert (error.field, error.expected, error.actual) == (
+            "proposal_space", "trust-region", "full"
+        )
 
     def test_full_checkpoint_rejects_subspace_resume(self, tmp_path):
         plain = Study(
@@ -204,13 +224,17 @@ class TestTrustRegionCheckpointResume:
         )
         drive(plain, until=8)
         path = plain.checkpoint(tmp_path / "plain.json")
-        with pytest.raises(StudyError, match="proposal_space"):
+        with pytest.raises(CheckpointMismatch, match="proposal_space") as info:
             Study.resume(
                 path,
                 toy_constrained_quadratic(2),
                 surrogate_factory=gp_factory,
                 acquisition=AcquisitionConfig(**self.ACQ),
             )
+        error = info.value
+        assert (error.field, error.expected, error.actual) == (
+            "proposal_space", "full", "trust-region"
+        )
 
 
 class TestLineStudy:

@@ -1,10 +1,9 @@
-"""Tests for RationalQuadratic and SumKernel."""
+"""Tests for the RationalQuadratic kernel."""
 
 import numpy as np
 import pytest
 
-from repro.gp import GPRegression
-from repro.gp.kernels import Matern52, RBF, RationalQuadratic, SumKernel, make_kernel
+from repro.gp.kernels import RBF, RationalQuadratic, make_kernel
 
 
 class TestRationalQuadratic:
@@ -52,63 +51,3 @@ class TestRationalQuadratic:
 
     def test_factory_name(self):
         assert isinstance(make_kernel("rq", 2), RationalQuadratic)
-
-
-class TestSumKernel:
-    def make(self):
-        return SumKernel(RBF(2, lengthscales=[0.3, 0.3]),
-                         Matern52(2, lengthscales=[2.0, 2.0]))
-
-    def test_value_is_sum(self, rng):
-        k = self.make()
-        x = rng.normal(size=(6, 2))
-        np.testing.assert_allclose(k(x), k.first(x) + k.second(x))
-
-    def test_diag_is_sum(self, rng):
-        k = self.make()
-        x = rng.normal(size=(4, 2))
-        np.testing.assert_allclose(k.diag(x), k.first.diag(x) + k.second.diag(x))
-
-    def test_param_vector_concatenated(self):
-        k = self.make()
-        assert k.n_params == k.first.n_params + k.second.n_params
-        params = k.get_params() + 0.1
-        k.set_params(params)
-        np.testing.assert_allclose(k.get_params(), params)
-
-    def test_gradient_stack_shape(self, rng):
-        k = self.make()
-        x = rng.normal(size=(5, 2))
-        grads = k.gradients(x)
-        assert grads.shape == (k.n_params, 5, 5)
-
-    def test_gradients_match_finite_difference(self, rng):
-        k = self.make()
-        x = rng.normal(size=(5, 2))
-        grads = k.gradients(x)
-        params = k.get_params()
-        eps = 1e-6
-        for i in range(k.n_params):
-            p = params.copy()
-            p[i] += eps
-            k.set_params(p)
-            up = k(x)
-            p[i] -= 2 * eps
-            k.set_params(p)
-            down = k(x)
-            k.set_params(params)
-            np.testing.assert_allclose(
-                grads[i], (up - down) / (2 * eps), rtol=1e-4, atol=1e-8
-            )
-
-    def test_dim_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            SumKernel(RBF(2), RBF(3))
-
-    def test_usable_in_gpr(self, rng):
-        x = rng.uniform(size=(20, 2))
-        y = np.sin(4 * x[:, 0]) + 0.1 * x[:, 1]
-        gp = GPRegression(kernel=self.make(), n_restarts=1, seed=0)
-        gp.fit(x, y)
-        mean, _ = gp.predict(x[:5])
-        np.testing.assert_allclose(mean, y[:5], atol=0.3)

@@ -6,11 +6,14 @@ accepts would only surface when someone runs the script or copies the
 snippet.  This test parses ``src/``, ``examples/``, ``benchmarks/`` and
 README.md's python blocks and binds the literal arguments of every call
 to the optimizers, :class:`~repro.bo.study.Study`, the config
-dataclasses, the surrogate banks and the acquisitions against the live
-signature.
+dataclasses, the surrogate banks, the acquisitions and the acquisition
+maximizers against the live signature.  It also resolves every name the
+scanned code imports from ``repro``, so a deleted class is caught where
+a script still imports it.
 """
 
 import ast
+import importlib
 import inspect
 import re
 import textwrap
@@ -19,8 +22,9 @@ from pathlib import Path
 import pytest
 
 from repro.acquisition.fantasy import PerTargetBank
+from repro.acquisition.maximize import DifferentialEvolutionMaximizer, ScanPolishMaximizer
 from repro.acquisition.penalization import HallucinatedUCB
-from repro.acquisition.spaces import TrustRegionConfig
+from repro.acquisition.spaces import LineSpace, TrustRegionConfig, TrustRegionSpace
 from repro.acquisition.wei import WeightedExpectedImprovement
 from repro.baselines import WEIBO
 from repro.bo.config import (
@@ -57,6 +61,10 @@ CHECKED = {
         TrustRegionConfig,
         WeightedExpectedImprovement,
         HallucinatedUCB,
+        DifferentialEvolutionMaximizer,
+        ScanPolishMaximizer,
+        LineSpace,
+        TrustRegionSpace,
     )
 }
 
@@ -121,3 +129,33 @@ def test_literal_arguments_bind(top):
         if (error := _bind_error(node)) is not None
     ]
     assert not failures, "stale call sites:\n" + "\n".join(failures)
+
+
+def _missing_import(module: str, name: str) -> str | None:
+    """Why ``from module import name`` fails, or ``None``."""
+    try:
+        parent = importlib.import_module(module)
+        if name == "*" or hasattr(parent, name):
+            return None
+        importlib.import_module(f"{module}.{name}")
+    except ModuleNotFoundError as exc:
+        # a module needing an absent optional package is not this test's concern
+        if (exc.name or "").split(".")[0] != "repro":
+            return None
+        return f"cannot import name {name!r} from {module!r} ({exc})"
+    return None
+
+
+@pytest.mark.parametrize("top", SCANNED)
+def test_repro_imports_resolve(top):
+    failures = [
+        f"{path}:{first + node.lineno - 1}: from {node.module} import {alias.name}: {error}"
+        for path, first, source in _sources(top)
+        for node in ast.walk(ast.parse(source, filename=str(path)))
+        if isinstance(node, ast.ImportFrom)
+        and node.level == 0
+        and (node.module or "").split(".")[0] == "repro"
+        for alias in node.names
+        if (error := _missing_import(node.module, alias.name)) is not None
+    ]
+    assert not failures, "stale imports:\n" + "\n".join(failures)
